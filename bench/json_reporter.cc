@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/json.h"
 #include "common/stringutil.h"
 
 namespace copydetect {
@@ -17,29 +18,6 @@ std::string Num(double v) {
 }
 
 }  // namespace
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 JsonReporter::JsonReporter(std::string benchmark_name)
     : benchmark_name_(std::move(benchmark_name)) {}

@@ -40,7 +40,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace copydetect {
@@ -59,9 +58,6 @@ struct BenchRecord {
   double p50_seconds = 0.0;  ///< median per-op latency (0 = unmeasured)
   double p99_seconds = 0.0;  ///< tail per-op latency (0 = unmeasured)
 };
-
-/// Escapes `s` for use inside a JSON string literal (no quotes added).
-std::string JsonEscape(std::string_view s);
 
 /// One (scenario, detector) quality measurement for QUALITY.json —
 /// the quality-trajectory sibling of BenchRecord. Flat for the same

@@ -406,6 +406,28 @@ void BM_SessionUpdateBookFull(benchmark::State& state) {
   }
 }
 
+/// The render anchor: Report::ToJson of the book-full INDEX report —
+/// what a `query` serves and what the session manager renders on
+/// every publish. The report is computed once, outside the loop.
+void BM_ReportToJsonBookFull(benchmark::State& state) {
+  const World& world = BookFullWorld().world;
+  auto session = Session::Create(BookFullSessionOptions());
+  if (!session.ok()) {
+    state.SkipWithError(session.status().message().c_str());
+    return;
+  }
+  auto report = session->Run(world.data);
+  if (!report.ok()) {
+    state.SkipWithError(report.status().message().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    std::string json = report->ToJson(world.data);
+    benchmark::DoNotOptimize(json.data());
+    benchmark::ClobberMemory();
+  }
+}
+
 /// The warm-start anchor: Session::Load of the snapshot a finished
 /// book-full session Save()d — everything a restarted serving process
 /// pays instead of the cold BM_SessionRun (CSV/world setup excluded
@@ -643,7 +665,8 @@ void BM_FusionRunBookFull(benchmark::State& state) {
 /// detector and threads by parsing the name. kBookFullPrefix is the
 /// INDEX round over the book-full profile (the acceptance speedup
 /// anchor); kSessionRunName/kFusionRunName are the facade-overhead
-/// pair (full runs, serial).
+/// pair (full runs, serial); kReportToJsonName renders that run's
+/// report.
 constexpr std::string_view kDetectorPrefix = "BM_DetectorRound/";
 constexpr std::string_view kBookFullPrefix = "BM_IndexRound/book-full";
 constexpr std::string_view kSessionRunName = "BM_SessionRun/book-full";
@@ -652,6 +675,8 @@ constexpr std::string_view kSessionUpdateName =
     "BM_SessionUpdate/book-full";
 constexpr std::string_view kSessionLoadName =
     "BM_SessionLoad/book-full";
+constexpr std::string_view kReportToJsonName =
+    "BM_ReportToJson/book-full";
 constexpr std::string_view kSessionLoadMappedName =
     "BM_SessionLoad/mapped/book-full";
 constexpr std::string_view kShardedDetectPrefix =
@@ -685,6 +710,9 @@ void RegisterDetectorBenchmarks(size_t multi_threads) {
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark(std::string(kSessionLoadName).c_str(),
                                BM_SessionLoadBookFull)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark(std::string(kReportToJsonName).c_str(),
+                               BM_ReportToJsonBookFull)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark(
       std::string(kSessionLoadMappedName).c_str(),
@@ -784,9 +812,11 @@ class CollectingReporter : public benchmark::BenchmarkReporter {
                  StartsWith(base_name, kFusionRunName) ||
                  StartsWith(base_name, kSessionUpdateName) ||
                  StartsWith(base_name, kSessionLoadName) ||
-                 StartsWith(base_name, kSessionLoadMappedName)) {
+                 StartsWith(base_name, kSessionLoadMappedName) ||
+                 StartsWith(base_name, kReportToJsonName)) {
         // Facade-overhead pair + online-update + warm-start anchors
-        // (owned and mapped): full serial runs, same configuration.
+        // (owned and mapped) + the render of the run's report: serial,
+        // same configuration.
         record.detector = "index";
         record.dataset = "book-full";
         record.scale = kBookFullScale;

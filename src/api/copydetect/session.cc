@@ -760,44 +760,6 @@ Status OptionsFromFields(const std::vector<snapshot::OptionField>& fields,
 }  // namespace
 
 std::string Report::ToJson(const Dataset& data) const {
-  JsonValue root = JsonValue::Object();
-  root.Set("detector", JsonValue::Str(detector));
-  root.Set("threads", JsonValue::Uint64(threads));
-  root.Set("rounds", JsonValue::Int64(fusion.rounds));
-  root.Set("converged", JsonValue::Bool(fusion.converged));
-  root.Set("num_sources", JsonValue::Uint64(data.num_sources()));
-  root.Set("num_items", JsonValue::Uint64(data.num_items()));
-
-  JsonValue truth_arr = JsonValue::Array();
-  for (size_t item = 0; item < fusion.truth.size(); ++item) {
-    SlotId slot = fusion.truth[item];
-    JsonValue entry = JsonValue::Object();
-    entry.Set("item",
-              JsonValue::Str(data.item_name(static_cast<ItemId>(item))));
-    if (slot == kInvalidSlot) {
-      entry.Set("value", JsonValue::Null());
-      entry.Set("probability", JsonValue::Null());
-    } else {
-      entry.Set("value", JsonValue::Str(data.slot_value(slot)));
-      entry.Set("probability",
-                JsonValue::Double(slot < fusion.value_probs.size()
-                                      ? fusion.value_probs[slot]
-                                      : 0.0));
-    }
-    truth_arr.Append(std::move(entry));
-  }
-  root.Set("truth", std::move(truth_arr));
-
-  JsonValue acc_arr = JsonValue::Array();
-  for (size_t s = 0; s < fusion.accuracies.size(); ++s) {
-    acc_arr.Append(
-        JsonValue::Object()
-            .Set("source",
-                 JsonValue::Str(data.source_name(static_cast<SourceId>(s))))
-            .Set("accuracy", JsonValue::Double(fusion.accuracies[s])));
-  }
-  root.Set("accuracies", std::move(acc_arr));
-
   // The pair map iterates in table order; sort by (a, b) so the bytes
   // are independent of hash layout.
   struct Pair {
@@ -814,53 +776,143 @@ std::string Report::ToJson(const Dataset& data) const {
   std::sort(pairs.begin(), pairs.end(), [](const Pair& x, const Pair& y) {
     return x.a != y.a ? x.a < y.a : x.b < y.b;
   });
-  JsonValue copies_arr = JsonValue::Array();
+
+  // Size the output once: each entry's fixed bytes with every number
+  // at its longest (24 bytes), plus the names it carries. Only names
+  // that need escaping can outgrow this.
+  constexpr size_t kNumber = 24;
+  size_t size = 256 + detector.size();
+  for (size_t item = 0; item < fusion.truth.size(); ++item) {
+    size += 40 + kNumber + data.item_name(static_cast<ItemId>(item)).size();
+    if (fusion.truth[item] != kInvalidSlot) {
+      size += data.slot_value(fusion.truth[item]).size();
+    }
+  }
+  for (size_t s = 0; s < fusion.accuracies.size(); ++s) {
+    size += 26 + kNumber +
+            data.source_name(static_cast<SourceId>(s)).size();
+  }
   for (const Pair& pr : pairs) {
-    copies_arr.Append(
-        JsonValue::Object()
-            .Set("a", JsonValue::Str(data.source_name(pr.a)))
-            .Set("b", JsonValue::Str(data.source_name(pr.b)))
-            .Set("p_indep", JsonValue::Double(pr.p.p_indep))
-            .Set("p_a_copies_b", JsonValue::Double(pr.p.p_first_copies))
-            .Set("p_b_copies_a", JsonValue::Double(pr.p.p_second_copies)));
+    size += 70 + 3 * kNumber + data.source_name(pr.a).size() +
+            data.source_name(pr.b).size();
   }
-  root.Set("copies", std::move(copies_arr));
-
-  JsonValue clusters_arr = JsonValue::Array();
   for (const CopyCluster& cluster : graph.clusters) {
-    JsonValue members = JsonValue::Array();
+    size += 48;
+    if (cluster.original != kInvalidSource) {
+      size += data.source_name(cluster.original).size();
+    }
     for (SourceId m : cluster.members) {
-      members.Append(JsonValue::Str(data.source_name(m)));
+      size += 3 + data.source_name(m).size();
     }
-    JsonValue edges = JsonValue::Array();
     for (const ClassifiedEdge& e : cluster.edges) {
-      const char* kind = e.kind == EdgeKind::kDirect     ? "direct"
-                         : e.kind == EdgeKind::kCoCopy ? "co-copy"
-                                                         : "indirect";
-      edges.Append(
-          JsonValue::Object()
-              .Set("a", JsonValue::Str(data.source_name(e.a)))
-              .Set("b", JsonValue::Str(data.source_name(e.b)))
-              .Set("kind", JsonValue::Str(kind))
-              .Set("p_a_copies_b", JsonValue::Double(e.pr_a_copies_b))
-              .Set("p_b_copies_a", JsonValue::Double(e.pr_b_copies_a)));
+      size += 80 + 2 * kNumber + data.source_name(e.a).size() +
+              data.source_name(e.b).size();
     }
-    JsonValue cl = JsonValue::Object();
-    cl.Set("original", cluster.original == kInvalidSource
-                           ? JsonValue::Null()
-                           : JsonValue::Str(
-                                 data.source_name(cluster.original)));
-    cl.Set("members", std::move(members));
-    cl.Set("edges", std::move(edges));
-    clusters_arr.Append(std::move(cl));
   }
-  root.Set("clusters", std::move(clusters_arr));
 
+  // Members in the order the contract in session.h lists;
+  // tests/report_json_test.cc holds these bytes to a JsonValue-tree
+  // rendering of the same report.
+  std::string out;
+  out.reserve(size);
+  out += "{\"detector\":";
+  AppendJsonString(detector, &out);
+  out += ",\"threads\":";
+  out += std::to_string(threads);
+  out += ",\"rounds\":";
+  out += std::to_string(fusion.rounds);
+  out += fusion.converged ? ",\"converged\":true" : ",\"converged\":false";
+  out += ",\"num_sources\":";
+  out += std::to_string(data.num_sources());
+  out += ",\"num_items\":";
+  out += std::to_string(data.num_items());
+
+  out += ",\"truth\":[";
+  for (size_t item = 0; item < fusion.truth.size(); ++item) {
+    if (item > 0) out += ',';
+    out += "{\"item\":";
+    AppendJsonString(data.item_name(static_cast<ItemId>(item)), &out);
+    const SlotId slot = fusion.truth[item];
+    if (slot == kInvalidSlot) {
+      out += ",\"value\":null,\"probability\":null}";
+      continue;
+    }
+    out += ",\"value\":";
+    AppendJsonString(data.slot_value(slot), &out);
+    out += ",\"probability\":";
+    AppendJsonDouble(
+        slot < fusion.value_probs.size() ? fusion.value_probs[slot] : 0.0,
+        &out);
+    out += '}';
+  }
+
+  out += "],\"accuracies\":[";
+  for (size_t s = 0; s < fusion.accuracies.size(); ++s) {
+    if (s > 0) out += ',';
+    out += "{\"source\":";
+    AppendJsonString(data.source_name(static_cast<SourceId>(s)), &out);
+    out += ",\"accuracy\":";
+    AppendJsonDouble(fusion.accuracies[s], &out);
+    out += '}';
+  }
+
+  out += "],\"copies\":[";
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const Pair& pr = pairs[i];
+    if (i > 0) out += ',';
+    out += "{\"a\":";
+    AppendJsonString(data.source_name(pr.a), &out);
+    out += ",\"b\":";
+    AppendJsonString(data.source_name(pr.b), &out);
+    out += ",\"p_indep\":";
+    AppendJsonDouble(pr.p.p_indep, &out);
+    out += ",\"p_a_copies_b\":";
+    AppendJsonDouble(pr.p.p_first_copies, &out);
+    out += ",\"p_b_copies_a\":";
+    AppendJsonDouble(pr.p.p_second_copies, &out);
+    out += '}';
+  }
+
+  out += "],\"clusters\":[";
+  for (size_t c = 0; c < graph.clusters.size(); ++c) {
+    const CopyCluster& cluster = graph.clusters[c];
+    if (c > 0) out += ',';
+    out += "{\"original\":";
+    if (cluster.original == kInvalidSource) {
+      out += "null";
+    } else {
+      AppendJsonString(data.source_name(cluster.original), &out);
+    }
+    out += ",\"members\":[";
+    for (size_t i = 0; i < cluster.members.size(); ++i) {
+      if (i > 0) out += ',';
+      AppendJsonString(data.source_name(cluster.members[i]), &out);
+    }
+    out += "],\"edges\":[";
+    for (size_t i = 0; i < cluster.edges.size(); ++i) {
+      const ClassifiedEdge& e = cluster.edges[i];
+      if (i > 0) out += ',';
+      out += "{\"a\":";
+      AppendJsonString(data.source_name(e.a), &out);
+      out += ",\"b\":";
+      AppendJsonString(data.source_name(e.b), &out);
+      out += e.kind == EdgeKind::kDirect   ? ",\"kind\":\"direct\""
+             : e.kind == EdgeKind::kCoCopy ? ",\"kind\":\"co-copy\""
+                                           : ",\"kind\":\"indirect\"";
+      out += ",\"p_a_copies_b\":";
+      AppendJsonDouble(e.pr_a_copies_b, &out);
+      out += ",\"p_b_copies_a\":";
+      AppendJsonDouble(e.pr_b_copies_a, &out);
+      out += '}';
+    }
+    out += "]}";
+  }
+  out += "]}";
   // Deliberately absent: the timing fields of FusionResult (wall time
   // is never deterministic) and the detector counters (per-run, reset
   // to zero by Session::Load — including them would make a reloaded
   // session render differently from the one that wrote the snapshot).
-  return root.Dump();
+  return out;
 }
 
 Status Session::Save(const std::string& path) {

@@ -210,12 +210,22 @@ struct Report {
   /// set the report was produced from (Session::current_data()).
   ///
   /// **Determinism contract:** the bytes are a pure function of the
-  /// report's semantic content — copies sorted by pair, numbers
-  /// rendered as shortest-round-trip decimals, no timing fields and no
+  /// report's semantic content — copies sorted by pair, each number
+  /// rendered as printf's `%.Pg` at the smallest P that reads back as
+  /// the same double (AppendJsonDouble: `-0` keeps its sign, `1e-05`,
+  /// `1e+16`; non-finite renders `null`), no timing fields and no
   /// per-run detector counters (Load resets those to zero) — so two
   /// bit-identical reports render byte-identically across processes
   /// and restarts. The serving recovery smoke byte-compares exactly
   /// this string across a daemon kill/restart.
+  ///
+  /// Compact JSON, members in this order: detector, threads, rounds,
+  /// converged, num_sources, num_items, truth [{item, value,
+  /// probability}] (value and probability null for an item with no
+  /// truth), accuracies [{source, accuracy}], copies [{a, b, p_indep,
+  /// p_a_copies_b, p_b_copies_a}], clusters [{original (null when none
+  /// was elected), members, edges [{a, b, kind, p_a_copies_b,
+  /// p_b_copies_a}]}]. Written straight into one pre-sized string.
   std::string ToJson(const Dataset& data) const;
 };
 

@@ -69,7 +69,8 @@ struct PublishedReport {
   uint64_t version = 0;
   /// Report::ToJson of `report` against the data the report was
   /// computed from — rendered once, in the worker, at publish time,
-  /// so serving a query is a pointer copy, not a render.
+  /// so a query never renders. It still copies: the daemon's `query`
+  /// verb copies these bytes into its response line.
   std::string json;
   /// The structured report, copied at publish time.
   Report report;

@@ -1,10 +1,10 @@
 #include "common/json.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <system_error>
 
 namespace copydetect {
 
@@ -12,22 +12,115 @@ namespace {
 
 constexpr int kMaxDepth = 64;
 
-/// Shortest decimal literal that round-trips `d` exactly: try
-/// increasing precision until strtod gives the same bits back. Bounded
-/// by %.17g, which always round-trips IEEE-754 doubles.
-std::string DoubleLiteral(double d) {
-  char buf[40];
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
-    if (std::strtod(buf, nullptr) == d) break;
+/// Room for any "%.Pg" literal of a double (sign, 17 digits, point,
+/// "e-308": 24 bytes) plus the terminator strtod needs.
+constexpr size_t kDoubleBufSize = 32;
+
+/// True when the literal [begin, end) reads back as exactly `d`.
+/// `begin` must have room for a terminator at `end`.
+bool ReadsBackAs(char* begin, char* end, double d) {
+  double back = 0.0;
+  if (std::from_chars(begin, end, back).ec == std::errc()) {
+    return back == d;
   }
-  // JSON forbids bare leading '.' / "inf"-style spellings; %g never
-  // produces them for finite input, but normalize "-0" to keep the
-  // canonical form stable across libc quirks.
-  return buf;
+  // from_chars refuses a result out of range, and some standard
+  // libraries count subnormals as such; strtod still decides those.
+  *end = '\0';
+  return std::strtod(begin, nullptr) == d;
+}
+
+/// Writes the number literal of finite `d` (see AppendJsonDouble) to
+/// `buf` and returns its end. The search for the smallest P starts at
+/// the shortest round-trip digit count n, not at 1: a `%.Pg` literal
+/// has at most P significant digits, and no decimal with fewer than n
+/// reads back as `d`, so every P < n fails. It usually succeeds at
+/// P = n. Where the correctly rounded n-digit literal misses d's
+/// rounding interval while another n-digit decimal hits it (at powers
+/// of two, whose interval is narrower below than above), it goes on
+/// to P = n + 1.
+char* FormatDouble(double d, char (&buf)[kDoubleBufSize]) {
+  char* const limit = buf + kDoubleBufSize - 1;
+  char* end =
+      std::to_chars(buf, limit, d, std::chars_format::scientific).ptr;
+  int precision = 0;
+  for (const char* p = buf; p != end && *p != 'e'; ++p) {
+    precision += *p >= '0' && *p <= '9';
+  }
+  for (;; ++precision) {
+    // to_chars(general, P) writes exactly printf's "%.Pg".
+    end = std::to_chars(buf, limit, d, std::chars_format::general,
+                        precision)
+              .ptr;
+    if (precision >= 17 || ReadsBackAs(buf, end, d)) return end;
+  }
+}
+
+/// Appends the escaped contents of `s` (no quotes): each run of bytes
+/// that need no escaping is copied with one append.
+void AppendEscaped(std::string_view s, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  const char* run = s.data();
+  const char* const end = s.data() + s.size();
+  for (const char* p = run; p != end; ++p) {
+    const auto c = static_cast<unsigned char>(*p);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(run, static_cast<size_t>(p - run));
+    run = p + 1;
+    switch (c) {
+      case '"':
+        out->append("\\\"");
+        break;
+      case '\\':
+        out->append("\\\\");
+        break;
+      case '\b':
+        out->append("\\b");
+        break;
+      case '\f':
+        out->append("\\f");
+        break;
+      case '\n':
+        out->append("\\n");
+        break;
+      case '\r':
+        out->append("\\r");
+        break;
+      case '\t':
+        out->append("\\t");
+        break;
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xF]};
+        out->append(escape, sizeof(escape));
+      }
+    }
+  }
+  out->append(run, static_cast<size_t>(end - run));
 }
 
 }  // namespace
+
+void AppendJsonString(std::string_view s, std::string* out) {
+  *out += '"';
+  AppendEscaped(s, out);
+  *out += '"';
+}
+
+void AppendJsonDouble(double d, std::string* out) {
+  if (!std::isfinite(d)) {
+    out->append("null");
+    return;
+  }
+  char buf[kDoubleBufSize];
+  out->append(buf, FormatDouble(d, buf));
+}
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  AppendEscaped(s, &out);
+  return out;
+}
 
 JsonValue JsonValue::Bool(bool b) {
   JsonValue v(Kind::kBool);
@@ -38,7 +131,8 @@ JsonValue JsonValue::Bool(bool b) {
 JsonValue JsonValue::Double(double d) {
   if (!std::isfinite(d)) return Null();
   JsonValue v(Kind::kNumber);
-  v.text_ = DoubleLiteral(d);
+  char buf[kDoubleBufSize];
+  v.text_.assign(buf, FormatDouble(d, buf));
   return v;
 }
 
@@ -167,45 +261,6 @@ bool JsonValue::GetBool(std::string_view key, bool def) const {
   return v != nullptr && v->is_bool() ? v->bool_value() : def;
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
-
 void JsonValue::DumpTo(std::string* out) const {
   switch (kind_) {
     case Kind::kNull:
@@ -221,9 +276,7 @@ void JsonValue::DumpTo(std::string* out) const {
       if (raw_) {
         *out += text_;
       } else {
-        *out += '"';
-        *out += JsonEscape(text_);
-        *out += '"';
+        AppendJsonString(text_, out);
       }
       return;
     case Kind::kArray: {
@@ -243,9 +296,8 @@ void JsonValue::DumpTo(std::string* out) const {
       for (const auto& [k, v] : members_) {
         if (!first) *out += ',';
         first = false;
-        *out += '"';
-        *out += JsonEscape(k);
-        *out += "\":";
+        AppendJsonString(k, out);
+        *out += ':';
         v.DumpTo(out);
       }
       *out += '}';

@@ -2,9 +2,10 @@
 #define COPYDETECT_COMMON_JSON_H_
 
 /// \file
-/// A small, dependency-free JSON document model — the wire layer of
-/// the serving daemon (src/serve/) and the stable Report::ToJson
-/// rendering.
+/// A small, dependency-free JSON layer: a document model (the wire
+/// layer of the serving daemon, src/serve/) plus the in-place
+/// appenders it is built on, which the streaming writers
+/// (Report::ToJson, Dataset::SaveJson) call directly.
 ///
 /// Design constraints the implementation is built around:
 ///
@@ -15,6 +16,10 @@
 ///    Parse() → Dump() round trip of our own output is byte-identical.
 ///    The serving recovery smoke byte-compares reports across a
 ///    daemon restart on exactly this property.
+///  * **One escaper, one number format.** AppendJsonString and
+///    AppendJsonDouble are the only string-escaping and double-
+///    formatting paths; the tree (Dump) and the streaming writers
+///    share them, so both spell a value the same way.
 ///  * **Lossless integers.** JSON numbers are kept as their literal
 ///    text. A uint64 counter survives even above 2^53; AsDouble /
 ///    AsUint64 / AsInt64 convert on access and report range errors.
@@ -46,8 +51,7 @@ class JsonValue {
 
   static JsonValue Null() { return JsonValue(); }
   static JsonValue Bool(bool b);
-  /// Finite doubles render as shortest-round-trip decimal ("%.17g"
-  /// trimmed); non-finite values render as null (JSON has no inf/nan).
+  /// Renders `d` as AppendJsonDouble does (null when non-finite).
   static JsonValue Double(double d);
   static JsonValue Int64(int64_t v);
   static JsonValue Uint64(uint64_t v);
@@ -121,9 +125,25 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
-/// Escapes `s` as the *contents* of a JSON string literal (quotes not
-/// added): `"` `\` and control characters only, multi-byte UTF-8
-/// passed through.
+// --- In-place appenders. Each appends to a caller-owned string (best
+// reserved up front) and allocates nothing of its own. ---
+
+/// Appends `s` as a JSON string literal, quotes included. Escapes the
+/// minimal set: `"` `\`, \b \f \n \r \t by name and the other control
+/// characters as \u00xx (lowercase hex). Every other byte, multi-byte
+/// UTF-8 included, is copied through, one append per unescaped run.
+void AppendJsonString(std::string_view s, std::string* out);
+
+/// Appends the number literal of `d`: printf's `%.Pg` at the smallest
+/// precision P (1..17) whose text reads back as the same double.
+/// `%.17g` always does, so every finite double round-trips. `%g`
+/// keeps its own spellings: -0.0 renders `-0` (the sign is kept),
+/// 1e-5 `1e-05`, 1e-4 `0.0001`, 1e16 `1e+16`, 0.1 `0.1`. Non-finite
+/// values render as `null` (JSON has no inf/nan).
+void AppendJsonDouble(double d, std::string* out);
+
+/// The escaped *contents* of a JSON string literal (AppendJsonString
+/// without the quotes), for printf-style document builders.
 std::string JsonEscape(std::string_view s);
 
 /// Parses exactly one JSON value spanning all of `text` (leading and

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <fstream>
-#include <sstream>
 
 #include "common/csv.h"
 #include "common/json.h"
@@ -66,22 +65,24 @@ StatusOr<Dataset> Dataset::LoadCsv(const std::string& path) {
 }
 
 Status Dataset::SaveJson(const std::string& path) const {
-  std::ostringstream out;
+  std::string text;
   for (SourceId s = 0; s < num_sources(); ++s) {
     std::span<const ItemId> items = items_of(s);
     std::span<const SlotId> slots = slots_of(s);
     for (size_t i = 0; i < items.size(); ++i) {
-      out << "{\"source\":\"" << JsonEscape(source_name(s))
-          << "\",\"item\":\"" << JsonEscape(item_name(items[i]))
-          << "\",\"value\":\"" << JsonEscape(slot_value(slots[i]))
-          << "\"}\n";
+      text += "{\"source\":";
+      AppendJsonString(source_name(s), &text);
+      text += ",\"item\":";
+      AppendJsonString(item_name(items[i]), &text);
+      text += ",\"value\":";
+      AppendJsonString(slot_value(slots[i]), &text);
+      text += "}\n";
     }
   }
   std::ofstream file(path, std::ios::binary | std::ios::trunc);
   if (!file) {
     return Status::IOError(path + ": cannot open for writing");
   }
-  const std::string text = out.str();
   file.write(text.data(), static_cast<std::streamsize>(text.size()));
   file.flush();
   if (!file) return Status::IOError(path + ": write failed");

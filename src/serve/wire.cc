@@ -24,12 +24,24 @@ StatusOr<Request> ParseRequest(std::string_view line) {
 }
 
 std::string OkResponse(const JsonValue& fields) {
-  JsonValue out = JsonValue::Object();
-  out.Set("ok", JsonValue::Bool(true));
+  // Sized once: the envelope, the newline the transport appends, and
+  // each member's key and scalar payload (a served report is one Raw
+  // member), so neither the encoding nor the framing reallocates.
+  size_t size = 16;
   for (const auto& [key, value] : fields.members()) {
-    out.Set(key, value);
+    size += key.size() + value.text().size() + 8;
   }
-  return out.Dump();
+  std::string out;
+  out.reserve(size);
+  out += "{\"ok\":true";
+  for (const auto& [key, value] : fields.members()) {
+    out += ',';
+    AppendJsonString(key, &out);
+    out += ':';
+    value.DumpTo(&out);
+  }
+  out += '}';
+  return out;
 }
 
 std::string ErrorResponse(const Status& status) {

@@ -38,9 +38,11 @@ struct Request {
 /// connection.
 StatusOr<Request> ParseRequest(std::string_view line);
 
-/// {"ok":true} merged with `fields` (an object; members keep their
-/// order after the leading "ok"). No trailing newline — the transport
-/// owns framing.
+/// {"ok":true} followed by the members of `fields` (an object, with no
+/// "ok" member of its own), in order. The members are encoded straight
+/// from `fields`, never copied, into one string sized with a byte to
+/// spare for the newline. No trailing newline — the transport owns
+/// framing.
 std::string OkResponse(const JsonValue& fields);
 
 /// {"ok":false,"error":{"code":"<name>","message":"..."}}.

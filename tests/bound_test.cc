@@ -68,10 +68,16 @@ TEST(BoundPlus, SavesBoundComputations) {
             bound.counters().bound_evals);
 }
 
+// GoogleTest prints this parameter as a byte dump, and the ctest name
+// of each case is built from that print. The padding is therefore an
+// explicit, zeroed member: implicit padding bytes are uninitialised, and
+// the names changed from one test listing to the next.
 struct BoundCase {
   uint64_t seed;
   bool lazy;
+  uint8_t padding[7] = {};
 };
+static_assert(sizeof(BoundCase) == 16);
 
 class BoundQualityTest : public ::testing::TestWithParam<BoundCase> {};
 

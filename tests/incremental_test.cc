@@ -1,5 +1,8 @@
 #include "core/incremental.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/hybrid.h"
@@ -59,11 +62,29 @@ TEST(IncrementalDetector, ResultsCloseToHybrid) {
 
 TEST(IncrementalDetector, LaterRoundsDoLessWork) {
   testutil::World world = testutil::SmallWorld(221, 50, 400);
-  IncrementalDetector detector(PaperParams());
   IterativeFusion fusion(Options());
-  auto result = fusion.Run(world.data, &detector);
-  ASSERT_TRUE(result.ok());
-  const auto& stats = detector.round_stats();
+  // A round here lasts about a millisecond of wall time, so a single
+  // preemption on a busy host can outlast it. The run is deterministic:
+  // repeat it and keep each round's fastest time, which is the round's
+  // cost without the interference, on the from-scratch and the
+  // incremental side alike.
+  constexpr int kRepeats = 5;
+  std::vector<IncrementalDetector::RoundStats> stats;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    IncrementalDetector detector(PaperParams());
+    auto result = fusion.Run(world.data, &detector);
+    ASSERT_TRUE(result.ok());
+    const auto& run = detector.round_stats();
+    if (rep == 0) {
+      stats = run;
+      continue;
+    }
+    ASSERT_EQ(run.size(), stats.size());
+    for (size_t i = 0; i < run.size(); ++i) {
+      EXPECT_EQ(run[i].from_scratch, stats[i].from_scratch);
+      stats[i].seconds = std::min(stats[i].seconds, run[i].seconds);
+    }
+  }
   ASSERT_GE(stats.size(), 3u);
   // Incremental rounds should be much cheaper than the from-scratch
   // rounds (the paper reports 3-14%; we allow a loose factor 2 margin).

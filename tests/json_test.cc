@@ -1,10 +1,18 @@
 #include "common/json.h"
 
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/random.h"
 
 namespace copydetect {
 namespace {
@@ -38,6 +46,34 @@ TEST(Json, DoubleRendersShortestRoundTrip) {
   double round = 0.0;
   ASSERT_TRUE(JsonValue::Double(tricky).AsDouble(&round));
   EXPECT_EQ(round, tricky);
+}
+
+// The spellings printf's %g gives at its switch points, kept as they
+// are: the sign of zero survives, and small and large magnitudes
+// switch to an exponent of at least two digits.
+TEST(Json, DoubleKeepsPrintfSpellings) {
+  auto render = [](double d) {
+    std::string out;
+    AppendJsonDouble(d, &out);
+    return out;
+  };
+  EXPECT_EQ(render(-0.0), "-0");
+  EXPECT_EQ(render(0.0), "0");
+  EXPECT_EQ(render(1e-05), "1e-05");
+  EXPECT_EQ(render(0.0001), "0.0001");
+  EXPECT_EQ(render(1e+15), "1e+15");
+  EXPECT_EQ(render(1e+16), "1e+16");
+  EXPECT_EQ(render(1e+17), "1e+17");
+  EXPECT_EQ(render(123456.0), "123456");
+  // A subnormal stops at its shortest precision; it never falls
+  // through to the 17-digit spelling.
+  EXPECT_EQ(render(std::numeric_limits<double>::denorm_min()), "5e-324");
+  EXPECT_EQ(render(1e-310), "1e-310");
+  EXPECT_EQ(render(DBL_MAX), "1.7976931348623157e+308");
+  EXPECT_EQ(render(-DBL_MIN), "-2.2250738585072014e-308");
+  // The tree and the appender spell every number the same way.
+  EXPECT_EQ(JsonValue::Double(1e-05).Dump(), "1e-05");
+  EXPECT_EQ(JsonValue::Double(-0.0).Dump(), "-0");
 }
 
 TEST(Json, NonFiniteDoubleRendersNull) {
@@ -77,6 +113,129 @@ TEST(Json, RawSplicesVerbatim) {
   JsonValue obj = JsonValue::Object().Set(
       "report", JsonValue::Raw("{\"x\":1.50}"));
   EXPECT_EQ(obj.Dump(), "{\"report\":{\"x\":1.50}}");
+}
+
+TEST(Json, AppendJsonStringEscapesInPlace) {
+  std::string out = "x";
+  AppendJsonString("a\"b\\c\n\x01\x1f\b\f\r\tcaf\xc3\xa9", &out);
+  EXPECT_EQ(out,
+            "x\"a\\\"b\\\\c\\n\\u0001\\u001f\\b\\f\\r\\tcaf\xc3\xa9\"");
+  EXPECT_EQ(JsonEscape("q\"\x7f"), "q\\\"\x7f");  // DEL is not a control
+}
+
+// --- The number formatter against the loop it replaced ---
+
+/// The formatter this library used before the to_chars search, kept
+/// as the oracle: %.1g, %.2g, ... until strtod reads back the same
+/// double, %.17g at the latest.
+std::string ReferenceDoubleLiteral(double d) {
+  if (!std::isfinite(d)) return "null";
+  char buf[40];
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
+    if (std::strtod(buf, nullptr) == d) break;
+  }
+  return buf;
+}
+
+double FromBits(uint64_t bits) {
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+uint64_t ToBits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+/// Byte-compares AppendJsonDouble with the oracle on every value and
+/// returns how many were compared.
+size_t ExpectMatchesReference(const std::vector<double>& values) {
+  size_t mismatches = 0;
+  std::string out;
+  for (double d : values) {
+    out.clear();
+    AppendJsonDouble(d, &out);
+    const std::string expected = ReferenceDoubleLiteral(d);
+    if (out != expected && ++mismatches <= 10) {
+      ADD_FAILURE() << "bits 0x" << std::hex << ToBits(d) << std::dec
+                    << ": got " << out << ", oracle " << expected;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  return values.size();
+}
+
+/// `center` and the `radius` doubles on each side of it, both signs.
+void AddNeighbourhood(double center, int radius, std::vector<double>* out) {
+  for (double sign : {1.0, -1.0}) {
+    const uint64_t bits = ToBits(sign * center);
+    for (int k = -radius; k <= radius; ++k) {
+      out->push_back(FromBits(bits + static_cast<uint64_t>(k)));
+    }
+  }
+}
+
+// Together the cases below compare about 1.15 million doubles.
+
+TEST(JsonDoubleOracle, RandomBitPatterns) {
+  Rng rng(0x5eedf00d);
+  std::vector<double> values;
+  for (int i = 0; i < 250000; ++i) values.push_back(FromBits(rng.NextU64()));
+  // Subnormals: a zero exponent field under a random mantissa.
+  for (int i = 0; i < 30000; ++i) {
+    values.push_back(FromBits(rng.NextU64() & 0x800fffffffffffffULL));
+  }
+  EXPECT_EQ(ExpectMatchesReference(values), 280000u);
+}
+
+TEST(JsonDoubleOracle, UniformProbabilities) {
+  Rng rng(0xfeed);
+  std::vector<double> values;
+  for (int i = 0; i < 480000; ++i) values.push_back(rng.NextDouble());
+  EXPECT_EQ(ExpectMatchesReference(values), 480000u);
+}
+
+// A power of two has a rounding interval twice as wide above as below,
+// so the correctly rounded %.Pg at the shortest digit count can miss it
+// and the search has to go on to P + 1.
+TEST(JsonDoubleOracle, PowersOfTwo) {
+  std::vector<double> values;
+  for (int e = -1074; e <= 1023; ++e) {
+    AddNeighbourhood(std::ldexp(1.0, e), 8, &values);
+  }
+  EXPECT_GT(ExpectMatchesReference(values), 70000u);
+}
+
+// Where %g switches between fixed and exponent notation (below 1e-04
+// and at 10^P) and the decades around them.
+TEST(JsonDoubleOracle, FormatSwitchPoints) {
+  std::vector<double> values;
+  for (double center : {1e-05, 0.0001, 1e+16, 1e+17}) {
+    AddNeighbourhood(center, 12000, &values);
+  }
+  for (int e = -30; e <= 30; ++e) {
+    AddNeighbourhood(std::pow(10.0, e), 500, &values);
+  }
+  EXPECT_GT(ExpectMatchesReference(values), 200000u);
+}
+
+TEST(JsonDoubleOracle, Extremes) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {
+      0.0, -0.0, DBL_MAX, -DBL_MAX, DBL_MIN, -DBL_MIN,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      inf, -inf, std::numeric_limits<double>::quiet_NaN()};
+  // The smallest and the largest subnormals, and the largest normals.
+  for (uint64_t k = 1; k <= 1000; ++k) {
+    values.push_back(FromBits(k));
+    values.push_back(FromBits(0x0010000000000000ULL - k));
+    values.push_back(FromBits(0x7ff0000000000000ULL - k));
+  }
+  EXPECT_EQ(ExpectMatchesReference(values), 3011u);
 }
 
 // --- Typed lookups ---

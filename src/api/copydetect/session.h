@@ -229,17 +229,22 @@ struct Report {
   std::string ToJson(const Dataset& data) const;
 };
 
-/// How Session::Load materializes the snapshot's arrays.
+/// How Session::Load materializes the snapshot's arrays. Both modes
+/// run the same decoder and validation; they differ in where the
+/// bytes come from and whether arrays may alias them.
 enum class LoadMode {
-  /// Decode everything into owned heap arrays (snapshot::Read) — the
-  /// default, and the only mode version-1 files support.
+  /// Read the file into memory once and decode everything into owned
+  /// heap arrays (snapshot::Read) — the default. The session never
+  /// touches the file again.
   kOwned,
   /// Map the file read-only and serve the Dataset arrays and the
   /// dense overlap triangle as zero-copy views into it
   /// (snapshot::ReadMapped). Peak memory stays at the resident mapped
   /// pages instead of file + decoded copy; a later Update
-  /// copy-on-writes out of the mapping. Version-1 files and
-  /// big-endian hosts transparently fall back to kOwned.
+  /// copy-on-writes out of the mapping. Version-1 files (packed, not
+  /// aligned) and big-endian hosts decode those arrays into copies
+  /// instead, so the result equals kOwned and the mapping is released
+  /// when the load returns.
   kMapped,
 };
 

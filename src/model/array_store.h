@@ -15,7 +15,7 @@ namespace copydetect {
 /// Storage backend for the flat arrays of the model layer (Dataset CSR
 /// arrays, OverlapCounts dense triangle): either an owned
 /// std::vector<T> or a read-only view into memory kept alive by an
-/// opaque handle (an mmap'ed snapshot — see snapshot::MmapReader).
+/// opaque handle (an mmap'ed snapshot — see snapshot::ReadMapped).
 ///
 /// The read surface (data/size/operator[]) is identical in both modes,
 /// so consumers index the arrays without knowing the backing. Writers

@@ -156,9 +156,9 @@ class Dataset {
   // Every array sits behind an ArrayStore/StringArray so the whole
   // Dataset can be served either from owned heap vectors or zero-copy
   // out of a mapped snapshot (see model/array_store.h and
-  // snapshot::ReadMapped). Mutating paths (DatasetBuilder::Build,
-  // Dataset::Apply) go through MutableOwned(), which copies-on-write
-  // when the backing is a view.
+  // snapshot::ReadMapped, whose decoder picks the backend per file).
+  // Mutating paths (DatasetBuilder::Build, Dataset::Apply) go through
+  // MutableOwned(), which copies-on-write when the backing is a view.
   StringArray source_names_;
   StringArray item_names_;
 

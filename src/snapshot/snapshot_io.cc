@@ -1,6 +1,9 @@
 #include "snapshot/snapshot_io.h"
 
 #include <dirent.h>
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -8,13 +11,14 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/flat_hash.h"
 #include "common/stringutil.h"
-#include "snapshot/framing.h"
 
 namespace copydetect {
 
@@ -24,17 +28,19 @@ namespace snapshot_internal {
 /// whose layout the format persists verbatim. Kept to dumb
 /// field-shuttling so the wire logic below stays in one place.
 struct DatasetSerde {
+  /// Every array of a Dataset, each owned or viewing a mapped file
+  /// (whichever Reader::Array decided for the file).
   struct Arrays {
-    std::vector<std::string> source_names;
-    std::vector<std::string> item_names;
-    std::vector<std::string> slot_value;
-    std::vector<ItemId> slot_item;
-    std::vector<SlotId> item_slot_begin;
-    std::vector<uint32_t> provider_begin;
-    std::vector<SourceId> providers;
-    std::vector<uint32_t> src_begin;
-    std::vector<ItemId> obs_item;
-    std::vector<SlotId> obs_slot;
+    StringArray source_names;
+    StringArray item_names;
+    StringArray slot_value;
+    ArrayStore<ItemId> slot_item;
+    ArrayStore<SlotId> item_slot_begin;
+    ArrayStore<uint32_t> provider_begin;
+    ArrayStore<SourceId> providers;
+    ArrayStore<uint32_t> src_begin;
+    ArrayStore<ItemId> obs_item;
+    ArrayStore<SlotId> obs_slot;
   };
 
   // Write-path accessors: serialization reads the arrays in place
@@ -85,41 +91,6 @@ struct DatasetSerde {
     d->obs_item_ = std::move(a.obs_item);
     d->obs_slot_ = std::move(a.obs_slot);
   }
-
-  /// View-backed twin of Arrays: spans/string_views aliasing a mapped
-  /// snapshot instead of decoded heap copies.
-  struct ViewArrays {
-    std::vector<std::string_view> source_names;
-    std::vector<std::string_view> item_names;
-    std::vector<std::string_view> slot_value;
-    std::span<const ItemId> slot_item;
-    std::span<const SlotId> item_slot_begin;
-    std::span<const uint32_t> provider_begin;
-    std::span<const SourceId> providers;
-    std::span<const uint32_t> src_begin;
-    std::span<const ItemId> obs_item;
-    std::span<const SlotId> obs_slot;
-  };
-
-  /// Installs mapped views; `keepalive` (the MmapReader) is shared
-  /// into every store so the mapping outlives any use of `d`.
-  static void InstallView(ViewArrays a,
-                          const std::shared_ptr<const void>& keepalive,
-                          Dataset* d) {
-    d->source_names_ =
-        StringArray::View(std::move(a.source_names), keepalive);
-    d->item_names_ = StringArray::View(std::move(a.item_names), keepalive);
-    d->slot_value_ = StringArray::View(std::move(a.slot_value), keepalive);
-    d->slot_item_ = ArrayStore<ItemId>::View(a.slot_item, keepalive);
-    d->item_slot_begin_ =
-        ArrayStore<SlotId>::View(a.item_slot_begin, keepalive);
-    d->provider_begin_ =
-        ArrayStore<uint32_t>::View(a.provider_begin, keepalive);
-    d->providers_ = ArrayStore<SourceId>::View(a.providers, keepalive);
-    d->src_begin_ = ArrayStore<uint32_t>::View(a.src_begin, keepalive);
-    d->obs_item_ = ArrayStore<ItemId>::View(a.obs_item, keepalive);
-    d->obs_slot_ = ArrayStore<SlotId>::View(a.obs_slot, keepalive);
-  }
 };
 
 struct OverlapSerde {
@@ -134,8 +105,7 @@ struct OverlapSerde {
     return c.sparse_;
   }
 
-  /// `dense` accepts either backend: owned decode passes a vector
-  /// (implicit conversion), the mapped path passes an ArrayStore view.
+  /// `dense` is owned or a view into a mapped file (Reader::Array).
   static void Install(bool dense_mode, SourceId num_sources,
                       ArrayStore<uint32_t> dense,
                       FlatHashMap<uint32_t> sparse, OverlapCounts* out) {
@@ -153,12 +123,80 @@ namespace snapshot {
 namespace {
 
 using snapshot_internal::DatasetSerde;
-using snapshot_internal::Hash64;
-using snapshot_internal::kHeaderSize;
-using snapshot_internal::kMaxSections;
-using snapshot_internal::kTableEntrySize;
 using snapshot_internal::OverlapSerde;
-using snapshot_internal::TableEntry;
+
+/// Little-endian loads, byte by byte (endian-correct on any host).
+uint32_t LoadU32(const uint8_t* p) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<uint32_t>(p[i]) << (8 * i);
+  }
+  return v;
+}
+
+uint64_t LoadU64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(p[i]) << (8 * i);
+  }
+  return v;
+}
+
+// ---------------------------------------------------------------------
+// Checksum: 8-byte little-endian words folded through Mix64, the final
+// partial word zero-padded, seeded with an FNV-style length mix. Not
+// cryptographic — it detects corruption, not tampering. Specified in
+// docs/FORMATS.md so independent readers can verify files.
+
+uint64_t Hash64(const uint8_t* data, size_t size) {
+  uint64_t h = 0xcbf29ce484222325ULL ^ (static_cast<uint64_t>(size) *
+                                        0x100000001b3ULL);
+  size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    uint64_t word;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&word, data + i, 8);
+    } else {
+      word = LoadU64(data + i);
+    }
+    h = Mix64(h ^ word);
+  }
+  if (i < size) {
+    uint64_t word = 0;
+    for (size_t j = 0; i + j < size; ++j) {
+      word |= static_cast<uint64_t>(data[i + j]) << (8 * j);
+    }
+    h = Mix64(h ^ word);
+  }
+  return h;
+}
+
+// ---------------------------------------------------------------------
+// Fixed geometry. Layout (all integers little-endian):
+//
+//   [0,  8)  magic "CDSNAP\r\n"
+//   [8, 12)  u32 format version
+//   [12,16)  u32 flags (0 in versions 1 and 2)
+//   [16,24)  u64 generation (save-time Dataset::generation())
+//   [24,28)  u32 section count
+//   [28,32)  u32 reserved (0)
+//   then     section table: count x 32-byte entries
+//            { u32 id, u32 reserved, u64 offset, u64 size, u64 checksum }
+//   then     u64 meta checksum over bytes [0, table end)
+//   then     section payloads at their recorded offsets (version 2
+//            pads every payload's start offset to 8 bytes; the gap
+//            bytes are zero and excluded from the recorded size)
+
+constexpr size_t kHeaderSize = 32;
+constexpr size_t kTableEntrySize = 32;
+constexpr uint32_t kMaxSections = 64;
+
+struct TableEntry {
+  uint32_t id = 0;
+  uint64_t offset = 0;
+  uint64_t size = 0;
+  uint64_t checksum = 0;
+};
 
 // ---------------------------------------------------------------------
 // Little-endian wire primitives. Scalars are encoded byte-wise (so the
@@ -259,16 +297,22 @@ class Writer {
   std::vector<uint8_t> bytes_;
 };
 
-/// Bounds-checked reader over one section payload (or the header).
-/// Every accessor reports failure through ok(); the caller turns the
-/// sticky error into one descriptive Status per section.
+/// Bounds-checked reader over one section payload. Every accessor
+/// reports failure through ok(); the caller turns the sticky error into
+/// one descriptive Status per section.
 class Reader {
  public:
-  /// `aligned` selects the version-2 decode: Vec/VecView skip the
+  /// `aligned` selects the version-2 decode: array reads skip the
   /// writer's padding to the next 8-byte boundary before the count.
-  /// Version-1 payloads pass false and decode the packed layout.
-  Reader(const uint8_t* data, size_t size, bool aligned = false)
-      : data_(data), size_(size), aligned_(aligned) {}
+  /// Version-1 payloads pass false and decode the packed layout. A
+  /// non-null `view_owner` owns the payload bytes and lets Array() and
+  /// Strings() alias them instead of decoding copies.
+  Reader(std::span<const uint8_t> payload, bool aligned,
+         std::shared_ptr<const void> view_owner)
+      : data_(payload.data()),
+        size_(payload.size()),
+        aligned_(aligned),
+        view_owner_(std::move(view_owner)) {}
 
   bool ok() const { return ok_; }
   size_t remaining() const { return size_ - pos_; }
@@ -280,127 +324,65 @@ class Reader {
 
   uint32_t U32() {
     if (!Need(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
-    }
     pos_ += 4;
-    return v;
+    return LoadU32(data_ + pos_ - 4);
   }
 
   uint64_t U64() {
     if (!Need(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
     pos_ += 8;
-    return v;
+    return LoadU64(data_ + pos_ - 8);
   }
 
   double F64() { return std::bit_cast<double>(U64()); }
 
-  std::string Str() {
-    uint64_t n = U64();
-    if (!ok_ || !Need(n)) return {};
-    std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                  static_cast<size_t>(n));
-    pos_ += static_cast<size_t>(n);
-    return s;
-  }
+  std::string Str() { return std::string(StrView()); }
 
+  /// A POD array decoded into an owned vector.
   template <typename T>
   std::vector<T> Vec() {
-    static_assert(sizeof(T) == 4 || sizeof(T) == 8);
-    AlignTo8();
-    uint64_t n = U64();
-    // Guard the multiply and the allocation against a hostile count:
-    // each element needs sizeof(T) payload bytes, so a count beyond
-    // remaining()/sizeof(T) cannot be satisfied.
-    if (!ok_ || n > remaining() / sizeof(T)) {
-      ok_ = false;
-      return {};
-    }
-    std::vector<T> v(static_cast<size_t>(n));
+    const std::span<const uint8_t> raw = Elements(sizeof(T));
+    std::vector<T> v(raw.size() / sizeof(T));
     if (v.empty()) return v;  // data() may be null on an empty vector
     if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(v.data(), data_ + pos_, v.size() * sizeof(T));
-      pos_ += v.size() * sizeof(T);
+      std::memcpy(v.data(), raw.data(), raw.size());
     } else {
-      for (T& e : v) {
+      for (size_t i = 0; i < v.size(); ++i) {
+        const uint8_t* p = raw.data() + i * sizeof(T);
         if constexpr (sizeof(T) == 4) {
-          e = std::bit_cast<T>(U32());
+          v[i] = std::bit_cast<T>(LoadU32(p));
         } else {
-          e = std::bit_cast<T>(U64());
+          v[i] = std::bit_cast<T>(LoadU64(p));
         }
       }
     }
     return v;
   }
 
-  std::vector<std::string> StrVec() {
-    uint64_t n = U64();
-    // Each string needs at least its 8-byte length prefix.
-    if (!ok_ || n > remaining() / 8) {
-      ok_ = false;
-      return {};
-    }
-    std::vector<std::string> v;
-    v.reserve(static_cast<size_t>(n));
-    for (uint64_t i = 0; i < n && ok_; ++i) v.push_back(Str());
-    return v;
-  }
-
-  /// Zero-copy Vec: a span aliasing the payload bytes instead of a
-  /// decoded vector. Only valid for aligned (version-2) payloads on a
-  /// little-endian host — the mapped path checks both before calling.
-  /// Fails (sticky) if the element bytes land misaligned for T, which
-  /// a forged table can arrange even in an "aligned" file.
+  /// The array primitive behind every Dataset column and the dense
+  /// overlap triangle: a view aliasing the payload when this reader
+  /// has a view owner, a decoded copy (Vec) otherwise.
   template <typename T>
-  std::span<const T> VecView() {
-    static_assert(sizeof(T) == 4 || sizeof(T) == 8);
-    if constexpr (std::endian::native != std::endian::little) {
-      // Mapped decode never runs on big-endian hosts (ReadMapped falls
-      // back to the owned path first); refuse rather than alias.
+  ArrayStore<T> Array() {
+    if (view_owner_ == nullptr) return Vec<T>();
+    const std::span<const uint8_t> raw = Elements(sizeof(T));
+    // Framing keeps version-2 arrays 8-aligned; refuse rather than
+    // alias misaligned memory should that ever not hold.
+    if (reinterpret_cast<uintptr_t>(raw.data()) % alignof(T) != 0) {
       ok_ = false;
-      return {};
-    }
-    AlignTo8();
-    uint64_t n = U64();
-    if (!ok_ || n > remaining() / sizeof(T)) {
-      ok_ = false;
-      return {};
-    }
-    const uint8_t* p = data_ + pos_;
-    if (reinterpret_cast<uintptr_t>(p) % alignof(T) != 0) {
-      ok_ = false;
-      return {};
-    }
-    pos_ += static_cast<size_t>(n) * sizeof(T);
-    if (n == 0) return {};
-    return std::span<const T>(reinterpret_cast<const T*>(p),
-                              static_cast<size_t>(n));
-  }
-
-  /// Zero-copy StrVec: string_views aliasing the payload bytes.
-  /// Strings are byte-aligned, so this needs no alignment rules.
-  std::vector<std::string_view> StrVecView() {
-    uint64_t n = U64();
-    if (!ok_ || n > remaining() / 8) {
-      ok_ = false;
-      return {};
-    }
-    std::vector<std::string_view> v;
-    v.reserve(static_cast<size_t>(n));
-    for (uint64_t i = 0; i < n && ok_; ++i) {
-      uint64_t len = U64();
-      if (!Need(len)) break;
-      v.emplace_back(reinterpret_cast<const char*>(data_ + pos_),
-                     static_cast<size_t>(len));
-      pos_ += static_cast<size_t>(len);
     }
     if (!ok_) return {};
-    return v;
+    return ArrayStore<T>::View(
+        std::span<const T>(reinterpret_cast<const T*>(raw.data()),
+                           raw.size() / sizeof(T)),
+        view_owner_);
+  }
+
+  /// String-table counterpart of Array(). Strings are byte-aligned, so
+  /// a view needs no alignment rules.
+  StringArray Strings() {
+    if (view_owner_ == nullptr) return StrVec<std::string>();
+    return StringArray::View(StrVec<std::string_view>(), view_owner_);
   }
 
  private:
@@ -420,10 +402,52 @@ class Reader {
     if (rem != 0 && Need(8 - rem)) pos_ += 8 - rem;
   }
 
+  std::string_view StrView() {
+    const uint64_t n = U64();
+    if (!Need(n)) return {};
+    std::string_view s(reinterpret_cast<const char*>(data_ + pos_),
+                       static_cast<size_t>(n));
+    pos_ += s.size();
+    return s;
+  }
+
+  /// The element bytes of the next array. Guards the multiply and the
+  /// caller's allocation against a hostile count: each element needs
+  /// `elem_size` payload bytes, so a count beyond remaining()/elem_size
+  /// cannot be satisfied.
+  std::span<const uint8_t> Elements(size_t elem_size) {
+    AlignTo8();
+    const uint64_t n = U64();
+    if (!ok_ || n > remaining() / elem_size) {
+      ok_ = false;
+      return {};
+    }
+    std::span<const uint8_t> raw(data_ + pos_,
+                                 static_cast<size_t>(n) * elem_size);
+    pos_ += raw.size();
+    return raw;
+  }
+
+  template <typename S>
+  std::vector<S> StrVec() {
+    const uint64_t n = U64();
+    // Each string needs at least its 8-byte length prefix.
+    if (!ok_ || n > remaining() / 8) {
+      ok_ = false;
+      return {};
+    }
+    std::vector<S> v;
+    v.reserve(static_cast<size_t>(n));
+    for (uint64_t i = 0; i < n && ok_; ++i) v.emplace_back(StrView());
+    if (!ok_) return {};
+    return v;
+  }
+
   const uint8_t* data_;
   size_t size_;
   size_t pos_ = 0;
-  bool aligned_ = false;
+  bool aligned_;
+  std::shared_ptr<const void> view_owner_;
   bool ok_ = true;
 };
 
@@ -519,48 +543,47 @@ bool AllBelow(std::span<const uint32_t> ids, size_t bound) {
   return true;
 }
 
-/// Structural validation of a decoded DATASET section, shared by the
-/// owned and mapped decode paths (the spans alias vectors in the
-/// former, the mapped file in the latter): everything the detection
-/// algorithms index with must be in range, every CSR monotone — a
-/// Dataset accepted here cannot take the engine out of bounds.
+/// Structural validation of a decoded DATASET section, owned or
+/// mapped alike: everything the detection algorithms index with must
+/// be in range, every CSR monotone — a Dataset accepted here cannot
+/// take the engine out of bounds.
 Status ValidateDatasetShape(uint64_t num_sources, uint64_t num_items,
                             uint64_t num_slots, uint64_t num_obs,
-                            size_t source_names, size_t item_names,
-                            size_t slot_values,
-                            const DatasetSerde::ViewArrays& a) {
+                            const DatasetSerde::Arrays& a) {
   auto corrupt = [](const char* what) {
     return Status::InvalidArgument(
         std::string("snapshot: DATASET section inconsistent: ") + what);
   };
-  if (source_names != num_sources || item_names != num_items ||
-      slot_values != num_slots || a.obs_item.size() != num_obs) {
+  if (a.source_names.size() != num_sources ||
+      a.item_names.size() != num_items ||
+      a.slot_value.size() != num_slots || a.obs_item.size() != num_obs) {
     return corrupt("array sizes disagree with the declared counts");
   }
-  if (a.slot_item.size() != num_slots ||
-      !AllBelow(a.slot_item, num_items)) {
+  const std::span<const ItemId> slot_item = a.slot_item.span();
+  const std::span<const SlotId> item_slot_begin = a.item_slot_begin.span();
+  if (slot_item.size() != num_slots || !AllBelow(slot_item, num_items)) {
     return corrupt("slot->item mapping out of range");
   }
-  if (!ValidCsr(a.item_slot_begin, num_items, num_slots)) {
+  if (!ValidCsr(item_slot_begin, num_items, num_slots)) {
     return corrupt("item->slot boundaries not a valid CSR");
   }
   for (uint64_t d = 0; d < num_items; ++d) {
-    for (uint32_t v = a.item_slot_begin[d]; v < a.item_slot_begin[d + 1];
+    for (uint32_t v = item_slot_begin[d]; v < item_slot_begin[d + 1];
          ++v) {
-      if (a.slot_item[v] != d) {
+      if (slot_item[v] != d) {
         return corrupt("slot->item mapping disagrees with the "
                        "item->slot boundaries");
       }
     }
   }
-  if (!ValidCsr(a.provider_begin, num_slots, a.providers.size()) ||
-      !AllBelow(a.providers, num_sources)) {
+  if (!ValidCsr(a.provider_begin.span(), num_slots, a.providers.size()) ||
+      !AllBelow(a.providers.span(), num_sources)) {
     return corrupt("provider lists not a valid CSR over sources");
   }
-  if (!ValidCsr(a.src_begin, num_sources, num_obs) ||
+  if (!ValidCsr(a.src_begin.span(), num_sources, num_obs) ||
       a.obs_slot.size() != num_obs ||
-      !AllBelow(a.obs_item, num_items) ||
-      !AllBelow(a.obs_slot, num_slots)) {
+      !AllBelow(a.obs_item.span(), num_items) ||
+      !AllBelow(a.obs_slot.span(), num_slots)) {
     return corrupt("per-source observation arrays out of range");
   }
   return Status::OK();
@@ -572,64 +595,23 @@ Status ReadDataset(Reader* r, Dataset* out) {
   const uint64_t num_slots = r->U64();
   const uint64_t num_obs = r->U64();
   DatasetSerde::Arrays a;
-  a.source_names = r->StrVec();
-  a.item_names = r->StrVec();
-  a.slot_value = r->StrVec();
-  a.slot_item = r->Vec<ItemId>();
-  a.item_slot_begin = r->Vec<SlotId>();
-  a.provider_begin = r->Vec<uint32_t>();
-  a.providers = r->Vec<SourceId>();
-  a.src_begin = r->Vec<uint32_t>();
-  a.obs_item = r->Vec<ItemId>();
-  a.obs_slot = r->Vec<SlotId>();
+  a.source_names = r->Strings();
+  a.item_names = r->Strings();
+  a.slot_value = r->Strings();
+  a.slot_item = r->Array<ItemId>();
+  a.item_slot_begin = r->Array<SlotId>();
+  a.provider_begin = r->Array<uint32_t>();
+  a.providers = r->Array<SourceId>();
+  a.src_begin = r->Array<uint32_t>();
+  a.obs_item = r->Array<ItemId>();
+  a.obs_slot = r->Array<SlotId>();
   if (!r->ok()) {
     return Status::InvalidArgument(
         "snapshot: DATASET section truncated");
   }
-  DatasetSerde::ViewArrays shape;
-  shape.slot_item = a.slot_item;
-  shape.item_slot_begin = a.item_slot_begin;
-  shape.provider_begin = a.provider_begin;
-  shape.providers = a.providers;
-  shape.src_begin = a.src_begin;
-  shape.obs_item = a.obs_item;
-  shape.obs_slot = a.obs_slot;
-  CD_RETURN_IF_ERROR(ValidateDatasetShape(
-      num_sources, num_items, num_slots, num_obs, a.source_names.size(),
-      a.item_names.size(), a.slot_value.size(), shape));
+  CD_RETURN_IF_ERROR(ValidateDatasetShape(num_sources, num_items,
+                                          num_slots, num_obs, a));
   DatasetSerde::Install(std::move(a), out);
-  return Status::OK();
-}
-
-/// Mapped twin of ReadDataset: the POD arrays and string tables become
-/// views into the mapped payload instead of heap copies. Validation is
-/// identical (ValidateDatasetShape walks the mapped bytes directly).
-Status ReadDatasetMapped(Reader* r,
-                         const std::shared_ptr<const void>& keepalive,
-                         Dataset* out) {
-  const uint64_t num_sources = r->U64();
-  const uint64_t num_items = r->U64();
-  const uint64_t num_slots = r->U64();
-  const uint64_t num_obs = r->U64();
-  DatasetSerde::ViewArrays a;
-  a.source_names = r->StrVecView();
-  a.item_names = r->StrVecView();
-  a.slot_value = r->StrVecView();
-  a.slot_item = r->VecView<ItemId>();
-  a.item_slot_begin = r->VecView<SlotId>();
-  a.provider_begin = r->VecView<uint32_t>();
-  a.providers = r->VecView<SourceId>();
-  a.src_begin = r->VecView<uint32_t>();
-  a.obs_item = r->VecView<ItemId>();
-  a.obs_slot = r->VecView<SlotId>();
-  if (!r->ok()) {
-    return Status::InvalidArgument(
-        "snapshot: DATASET section truncated");
-  }
-  CD_RETURN_IF_ERROR(ValidateDatasetShape(
-      num_sources, num_items, num_slots, num_obs, a.source_names.size(),
-      a.item_names.size(), a.slot_value.size(), a));
-  DatasetSerde::InstallView(std::move(a), keepalive, out);
   return Status::OK();
 }
 
@@ -647,14 +629,20 @@ void WriteOverlaps(const SessionState& state, Writer* w) {
   WriteRawMapU32(OverlapSerde::sparse(c), w);
 }
 
-/// Shared tail of the two OVERLAPS decode paths: validates the decoded
-/// pieces against the data set and installs them. `dense` is an owned
-/// vector (streaming path) or a view into the mapped file.
-Status InstallOverlaps(bool dense_mode, uint32_t n,
-                       ArrayStore<uint32_t> dense,
-                       std::vector<uint64_t> keys,
-                       std::vector<uint32_t> values, size_t num_sources,
-                       SessionState* out) {
+Status ReadOverlaps(Reader* r, size_t num_sources, SessionState* out) {
+  out->overlaps_generation = r->U64();
+  const bool dense_mode = r->U8() != 0;
+  const uint32_t n = r->U32();
+  // The dense triangle (the O(n^2) part) may alias a mapped file; the
+  // sparse table stays owned (FlatHashMap owns its storage), which is
+  // fine — it is sized to the surviving pairs, not the pair space.
+  ArrayStore<uint32_t> dense = r->Array<uint32_t>();
+  std::vector<uint64_t> keys = r->Vec<uint64_t>();
+  std::vector<uint32_t> values = r->Vec<uint32_t>();
+  if (!r->ok()) {
+    return Status::InvalidArgument(
+        "snapshot: OVERLAPS section truncated");
+  }
   if (n != num_sources) {
     return Status::InvalidArgument(
         StrFormat("snapshot: OVERLAPS counts cover %u sources but the "
@@ -686,45 +674,6 @@ Status InstallOverlaps(bool dense_mode, uint32_t n,
                         std::move(sparse), &out->overlaps);
   out->has_overlaps = true;
   return Status::OK();
-}
-
-Status ReadOverlaps(Reader* r, size_t num_sources, SessionState* out) {
-  out->overlaps_generation = r->U64();
-  const bool dense_mode = r->U8() != 0;
-  const uint32_t n = r->U32();
-  std::vector<uint32_t> dense = r->Vec<uint32_t>();
-  std::vector<uint64_t> keys = r->Vec<uint64_t>();
-  std::vector<uint32_t> values = r->Vec<uint32_t>();
-  if (!r->ok()) {
-    return Status::InvalidArgument(
-        "snapshot: OVERLAPS section truncated");
-  }
-  return InstallOverlaps(dense_mode, n, std::move(dense),
-                         std::move(keys), std::move(values), num_sources,
-                         out);
-}
-
-/// Mapped twin of ReadOverlaps: the dense triangle (the O(n^2) part)
-/// becomes a view into the mapped payload; the sparse table must stay
-/// owned (FlatHashMap owns its storage), which is fine — it is sized
-/// to the surviving pairs, not the pair space.
-Status ReadOverlapsMapped(Reader* r,
-                          const std::shared_ptr<const void>& keepalive,
-                          size_t num_sources, SessionState* out) {
-  out->overlaps_generation = r->U64();
-  const bool dense_mode = r->U8() != 0;
-  const uint32_t n = r->U32();
-  std::span<const uint32_t> dense = r->VecView<uint32_t>();
-  std::vector<uint64_t> keys = r->Vec<uint64_t>();
-  std::vector<uint32_t> values = r->Vec<uint32_t>();
-  if (!r->ok()) {
-    return Status::InvalidArgument(
-        "snapshot: OVERLAPS section truncated");
-  }
-  return InstallOverlaps(dense_mode, n,
-                         ArrayStore<uint32_t>::View(dense, keepalive),
-                         std::move(keys), std::move(values), num_sources,
-                         out);
 }
 
 void WriteCopies(const CopyResult& copies, Writer* w) {
@@ -1031,38 +980,108 @@ std::vector<uint8_t> FrameSections(
   return std::move(file.bytes());
 }
 
-Status ReadFileBytes(const std::string& path,
-                     std::vector<uint8_t>* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("snapshot file not found: " + path);
-  }
-  uint8_t buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->insert(out->end(), buf, buf + n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return Status::IOError("cannot read snapshot file: " + path);
-  }
-  return Status::OK();
-}
+// ---------------------------------------------------------------------
+// Reading: one opener and one framing check serve every snapshot, shard
+// and state file, owned and mapped alike.
 
-struct Framing {
+/// Unmaps a snapshot mapping once the last ArrayStore view into it (and
+/// the File that created it) is gone.
+class Mapping {
+ public:
+  Mapping(void* base, size_t size) : base_(base), size_(size) {}
+  ~Mapping() { munmap(base_, size_); }
+  Mapping(const Mapping&) = delete;
+  Mapping& operator=(const Mapping&) = delete;
+
+ private:
+  void* base_;
+  size_t size_;
+};
+
+/// One opened file: its bytes, what keeps them alive (a heap buffer or
+/// a Mapping) and, once ParseFraming accepts it, its section table.
+struct File {
+  std::shared_ptr<const void> owner;
+  std::span<const uint8_t> bytes;
   uint32_t version = 0;
   uint64_t generation = 0;
   std::vector<TableEntry> entries;
+  /// Whether arrays alias `bytes` instead of decoding into copies.
+  /// Decided once per file: mapped, version 2 (aligned arrays) and a
+  /// little-endian host (the on-disk words are little-endian).
+  bool views = false;
+
+  Reader Section(const TableEntry& e) const {
+    return Reader(bytes.subspan(static_cast<size_t>(e.offset),
+                                static_cast<size_t>(e.size)),
+                  version >= 2, views ? owner : nullptr);
+  }
 };
+
+/// Brings `path` into memory: one read of exactly its size into a heap
+/// buffer, or a read-only mapping when `map`. An owned load keeps
+/// reading rather than mapping so the session never depends on the
+/// file, not even during the load. Only a regular file is accepted:
+/// O_NONBLOCK keeps open() from waiting for a FIFO's writer, and the
+/// fstat check refuses a FIFO, device or directory before any read.
+Status OpenBytes(const std::string& path, bool map, File* out) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+  if (fd < 0) {
+    if (errno == ENOENT) {
+      return Status::NotFound("snapshot file not found: " + path);
+    }
+    return Status::IOError("cannot open snapshot file " + path + ": " +
+                           std::strerror(errno));
+  }
+  struct stat st;
+  if (fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    ::close(fd);
+    return Status::IOError("snapshot: " + path +
+                           ": not a regular file — refusing to read it");
+  }
+  const size_t size = static_cast<size_t>(st.st_size);
+  if (size == 0) {
+    ::close(fd);  // nothing to read or map; framing reports truncation
+    return Status::OK();
+  }
+  if (map) {
+    // MAP_PRIVATE: the pages are read-only to us either way, but
+    // private mapping keeps a concurrent writer (which snapshot::Write
+    // never is, thanks to rename-replace, but an ill-behaved tool could
+    // be) from feeding us bytes that change after validation on some
+    // systems.
+    void* base = mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+    ::close(fd);  // the mapping holds its own reference
+    if (base == MAP_FAILED) {
+      return Status::IOError("cannot mmap snapshot file: " + path);
+    }
+    out->owner = std::make_shared<const Mapping>(base, size);
+    out->bytes = {static_cast<const uint8_t*>(base), size};
+    return Status::OK();
+  }
+  std::shared_ptr<uint8_t[]> buffer =
+      std::make_unique_for_overwrite<uint8_t[]>(size);
+  size_t done = 0;
+  while (done < size) {
+    const ssize_t n = ::read(fd, buffer.get() + done, size - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    done += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  if (done != size) {
+    return Status::IOError("cannot read snapshot file: " + path);
+  }
+  out->bytes = {buffer.get(), size};
+  out->owner = std::move(buffer);
+  return Status::OK();
+}
 
 /// Validates everything up to (and including) the per-section
 /// checksums: magic, version range, section count, table bounds, meta
-/// checksum, payload checksums. Shared by Read() and the shard/state
-/// file readers; MmapReader::Open mirrors it minus the eager payload
-/// checksums (those it defers to first access).
-Status ParseFraming(const std::vector<uint8_t>& bytes,
-                    const std::string& path, Framing* out) {
+/// checksum, version-2 section alignment, payload checksums.
+Status ParseFraming(const std::string& path, File* file) {
+  const std::span<const uint8_t> bytes = file->bytes;
   if (bytes.size() < kHeaderSize) {
     return Status::InvalidArgument(StrFormat(
         "snapshot: %s: file truncated (%zu bytes, header needs %zu)",
@@ -1073,18 +1092,16 @@ Status ParseFraming(const std::vector<uint8_t>& bytes,
         "snapshot: " + path + ": bad magic — not a copydetect snapshot "
         "file (or mangled in transit)");
   }
-  Reader header(bytes.data() + sizeof(kMagic),
-                kHeaderSize - sizeof(kMagic));
-  out->version = header.U32();
-  header.U32();  // flags, ignored in versions 1 and 2
-  out->generation = header.U64();
-  const uint32_t section_count = header.U32();
-  if (out->version < kMinReadVersion || out->version > kFormatVersion) {
+  file->version = LoadU32(bytes.data() + 8);
+  // Bytes [12, 16) are the flags, ignored in versions 1 and 2.
+  file->generation = LoadU64(bytes.data() + 16);
+  const uint32_t section_count = LoadU32(bytes.data() + 24);
+  if (file->version < kMinReadVersion || file->version > kFormatVersion) {
     return Status::InvalidArgument(StrFormat(
         "snapshot: %s: format version %u not supported (this build "
         "reads versions %u through %u) — refusing rather than guessing "
         "at the layout",
-        path.c_str(), out->version, kMinReadVersion, kFormatVersion));
+        path.c_str(), file->version, kMinReadVersion, kFormatVersion));
   }
   if (section_count == 0 || section_count > kMaxSections) {
     return Status::InvalidArgument(StrFormat(
@@ -1098,21 +1115,21 @@ Status ParseFraming(const std::vector<uint8_t>& bytes,
         "snapshot: " + path + ": file truncated inside the section "
         "table");
   }
-  Reader meta(bytes.data() + table_end, 8);
-  if (meta.U64() != Hash64(bytes.data(), table_end)) {
+  if (LoadU64(bytes.data() + table_end) !=
+      Hash64(bytes.data(), table_end)) {
     return Status::InvalidArgument(
         "snapshot: " + path + ": header/section-table checksum "
         "mismatch — file corrupt");
   }
 
-  Reader table(bytes.data() + kHeaderSize, table_end - kHeaderSize);
-  out->entries.resize(section_count);
-  for (TableEntry& e : out->entries) {
-    e.id = table.U32();
-    table.U32();  // reserved
-    e.offset = table.U64();
-    e.size = table.U64();
-    e.checksum = table.U64();
+  file->entries.resize(section_count);
+  for (uint32_t i = 0; i < section_count; ++i) {
+    const uint8_t* raw = bytes.data() + kHeaderSize + i * kTableEntrySize;
+    TableEntry& e = file->entries[i];
+    e.id = LoadU32(raw);  // then a reserved u32
+    e.offset = LoadU64(raw + 8);
+    e.size = LoadU64(raw + 16);
+    e.checksum = LoadU64(raw + 24);
     if (e.offset > bytes.size() || e.size > bytes.size() - e.offset) {
       return Status::InvalidArgument(StrFormat(
           "snapshot: %s: section %u extends past the end of the file "
@@ -1122,6 +1139,16 @@ Status ParseFraming(const std::vector<uint8_t>& bytes,
           static_cast<unsigned long long>(e.offset),
           static_cast<unsigned long long>(e.size), bytes.size()));
     }
+    // The writer pads every version-2 section to 8 bytes; a misaligned
+    // one can only come from a forged or corrupt table, and the mapped
+    // decode would alias misaligned memory.
+    if (file->version >= 2 && e.offset % 8 != 0) {
+      return Status::InvalidArgument(StrFormat(
+          "snapshot: %s: section %u starts at misaligned offset %llu "
+          "in a version-%u file — table forged or corrupt",
+          path.c_str(), e.id, static_cast<unsigned long long>(e.offset),
+          file->version));
+    }
     if (Hash64(bytes.data() + e.offset, static_cast<size_t>(e.size)) !=
         e.checksum) {
       return Status::InvalidArgument(StrFormat(
@@ -1130,6 +1157,126 @@ Status ParseFraming(const std::vector<uint8_t>& bytes,
     }
   }
   return Status::OK();
+}
+
+StatusOr<File> OpenFile(const std::string& path, bool map) {
+  File file;
+  CD_RETURN_IF_ERROR(OpenBytes(path, map, &file));
+  CD_RETURN_IF_ERROR(ParseFraming(path, &file));
+  file.views = map && file.version >= 2 &&
+               std::endian::native == std::endian::little;
+  return file;
+}
+
+/// The one section walk behind Read and ReadMapped.
+StatusOr<SessionState> ReadSession(const std::string& path, bool map) {
+  auto opened = OpenFile(path, map);
+  if (!opened.ok()) return opened.status();
+  const File& file = *opened;
+
+  // --- Payloads, in table order. The DATASET section must precede
+  // the sections validated against it; Write emits them in id order,
+  // which satisfies this. ---
+  SessionState state;
+  state.generation = file.generation;
+  bool saw_options = false;
+  bool saw_dataset = false;
+  bool saw_fusion = false;
+  for (const TableEntry& e : file.entries) {
+    // A repeated id is never legitimate: a second DATASET would
+    // replace the data set earlier sections were validated against,
+    // a second TAPE would concatenate rounds — fail closed instead.
+    const bool duplicate =
+        (e.id == static_cast<uint32_t>(SectionId::kOptions) &&
+         saw_options) ||
+        (e.id == static_cast<uint32_t>(SectionId::kDataset) &&
+         saw_dataset) ||
+        (e.id == static_cast<uint32_t>(SectionId::kOverlaps) &&
+         state.has_overlaps) ||
+        (e.id == static_cast<uint32_t>(SectionId::kFusion) &&
+         saw_fusion) ||
+        (e.id == static_cast<uint32_t>(SectionId::kTape) &&
+         state.has_tape);
+    if (duplicate) {
+      return Status::InvalidArgument(StrFormat(
+          "snapshot: %s: duplicate section id %u", path.c_str(),
+          e.id));
+    }
+    Reader r = file.Section(e);
+    switch (static_cast<SectionId>(e.id)) {
+      case SectionId::kOptions:
+        CD_RETURN_IF_ERROR(ReadOptions(&r, &state.options));
+        saw_options = true;
+        break;
+      case SectionId::kDataset:
+        CD_RETURN_IF_ERROR(ReadDataset(&r, &state.data));
+        saw_dataset = true;
+        break;
+      case SectionId::kOverlaps:
+        if (!saw_dataset) {
+          return Status::InvalidArgument(
+              "snapshot: " + path + ": OVERLAPS section before "
+              "DATASET");
+        }
+        CD_RETURN_IF_ERROR(
+            ReadOverlaps(&r, state.data.num_sources(), &state));
+        break;
+      case SectionId::kFusion:
+        if (!saw_dataset) {
+          return Status::InvalidArgument(
+              "snapshot: " + path + ": FUSION section before DATASET");
+        }
+        CD_RETURN_IF_ERROR(ReadFusion(&r, state.data, &state.fusion));
+        saw_fusion = true;
+        break;
+      case SectionId::kTape:
+        if (!saw_dataset) {
+          return Status::InvalidArgument(
+              "snapshot: " + path + ": TAPE section before DATASET");
+        }
+        CD_RETURN_IF_ERROR(ReadTape(&r, state.data, &state));
+        break;
+      default:
+        // Session snapshots define exactly the sections above (SHARD
+        // and STATE frame the separate shard-protocol files); an
+        // unknown id within a known version means the file does not
+        // match its declared version (new state ships with a version
+        // bump).
+        return Status::InvalidArgument(StrFormat(
+            "snapshot: %s: unknown section id %u in a version-%u file",
+            path.c_str(), e.id, file.version));
+    }
+  }
+  if (!saw_options || !saw_dataset || !saw_fusion) {
+    return Status::InvalidArgument(
+        "snapshot: " + path + ": missing a required section (OPTIONS, "
+        "DATASET and FUSION are mandatory)");
+  }
+
+  // --- Cross-section generation consistency: derived state must have
+  // been computed for the very snapshot in this file. ---
+  if (state.has_overlaps &&
+      state.overlaps_generation != file.generation) {
+    return Status::InvalidArgument(StrFormat(
+        "snapshot: %s: generation mismatch — OVERLAPS were computed "
+        "for generation %llu but the file's snapshot is generation "
+        "%llu; refusing to warm-start derived state against a "
+        "different data set",
+        path.c_str(),
+        static_cast<unsigned long long>(state.overlaps_generation),
+        static_cast<unsigned long long>(file.generation)));
+  }
+  if (state.has_tape && state.tape_generation != file.generation) {
+    return Status::InvalidArgument(StrFormat(
+        "snapshot: %s: generation mismatch — the update TAPE was "
+        "recorded for generation %llu but the file's snapshot is "
+        "generation %llu; refusing to warm-start derived state "
+        "against a different data set",
+        path.c_str(),
+        static_cast<unsigned long long>(state.tape_generation),
+        static_cast<unsigned long long>(file.generation)));
+  }
+  return state;
 }
 
 }  // namespace
@@ -1195,230 +1342,11 @@ StatusOr<std::vector<std::string>> ListSnapshotFiles(
 }
 
 StatusOr<SessionState> Read(const std::string& path) {
-  std::vector<uint8_t> bytes;
-  CD_RETURN_IF_ERROR(ReadFileBytes(path, &bytes));
-  Framing framing;
-  CD_RETURN_IF_ERROR(ParseFraming(bytes, path, &framing));
-  // Version-2 payloads pad POD arrays to 8-byte offsets; version-1
-  // payloads are packed. Same sections, same order, either way.
-  const bool aligned = framing.version >= 2;
-
-  // --- Payloads, in table order. The DATASET section must precede
-  // the sections validated against it; Write emits them in id order,
-  // which satisfies this. ---
-  SessionState state;
-  state.generation = framing.generation;
-  bool saw_options = false;
-  bool saw_dataset = false;
-  bool saw_fusion = false;
-  for (const TableEntry& e : framing.entries) {
-    // A repeated id is never legitimate: a second DATASET would
-    // replace the data set earlier sections were validated against,
-    // a second TAPE would concatenate rounds — fail closed instead.
-    const bool duplicate =
-        (e.id == static_cast<uint32_t>(SectionId::kOptions) &&
-         saw_options) ||
-        (e.id == static_cast<uint32_t>(SectionId::kDataset) &&
-         saw_dataset) ||
-        (e.id == static_cast<uint32_t>(SectionId::kOverlaps) &&
-         state.has_overlaps) ||
-        (e.id == static_cast<uint32_t>(SectionId::kFusion) &&
-         saw_fusion) ||
-        (e.id == static_cast<uint32_t>(SectionId::kTape) &&
-         state.has_tape);
-    if (duplicate) {
-      return Status::InvalidArgument(StrFormat(
-          "snapshot: %s: duplicate section id %u", path.c_str(),
-          e.id));
-    }
-    Reader r(bytes.data() + e.offset, static_cast<size_t>(e.size),
-             aligned);
-    switch (static_cast<SectionId>(e.id)) {
-      case SectionId::kOptions:
-        CD_RETURN_IF_ERROR(ReadOptions(&r, &state.options));
-        saw_options = true;
-        break;
-      case SectionId::kDataset:
-        CD_RETURN_IF_ERROR(ReadDataset(&r, &state.data));
-        saw_dataset = true;
-        break;
-      case SectionId::kOverlaps:
-        if (!saw_dataset) {
-          return Status::InvalidArgument(
-              "snapshot: " + path + ": OVERLAPS section before "
-              "DATASET");
-        }
-        CD_RETURN_IF_ERROR(
-            ReadOverlaps(&r, state.data.num_sources(), &state));
-        break;
-      case SectionId::kFusion:
-        if (!saw_dataset) {
-          return Status::InvalidArgument(
-              "snapshot: " + path + ": FUSION section before DATASET");
-        }
-        CD_RETURN_IF_ERROR(ReadFusion(&r, state.data, &state.fusion));
-        saw_fusion = true;
-        break;
-      case SectionId::kTape:
-        if (!saw_dataset) {
-          return Status::InvalidArgument(
-              "snapshot: " + path + ": TAPE section before DATASET");
-        }
-        CD_RETURN_IF_ERROR(ReadTape(&r, state.data, &state));
-        break;
-      default:
-        // Session snapshots define exactly the sections above (SHARD
-        // and STATE frame the separate shard-protocol files); an
-        // unknown id within a known version means the file does not
-        // match its declared version (new state ships with a version
-        // bump).
-        return Status::InvalidArgument(StrFormat(
-            "snapshot: %s: unknown section id %u in a version-%u file",
-            path.c_str(), e.id, framing.version));
-    }
-  }
-  if (!saw_options || !saw_dataset || !saw_fusion) {
-    return Status::InvalidArgument(
-        "snapshot: " + path + ": missing a required section (OPTIONS, "
-        "DATASET and FUSION are mandatory)");
-  }
-
-  // --- Cross-section generation consistency: derived state must have
-  // been computed for the very snapshot in this file. ---
-  if (state.has_overlaps &&
-      state.overlaps_generation != framing.generation) {
-    return Status::InvalidArgument(StrFormat(
-        "snapshot: %s: generation mismatch — OVERLAPS were computed "
-        "for generation %llu but the file's snapshot is generation "
-        "%llu; refusing to warm-start derived state against a "
-        "different data set",
-        path.c_str(),
-        static_cast<unsigned long long>(state.overlaps_generation),
-        static_cast<unsigned long long>(framing.generation)));
-  }
-  if (state.has_tape && state.tape_generation != framing.generation) {
-    return Status::InvalidArgument(StrFormat(
-        "snapshot: %s: generation mismatch — the update TAPE was "
-        "recorded for generation %llu but the file's snapshot is "
-        "generation %llu; refusing to warm-start derived state "
-        "against a different data set",
-        path.c_str(),
-        static_cast<unsigned long long>(state.tape_generation),
-        static_cast<unsigned long long>(framing.generation)));
-  }
-  return state;
+  return ReadSession(path, /*map=*/false);
 }
 
 StatusOr<SessionState> ReadMapped(const std::string& path) {
-  // Zero-copy decode aliases little-endian on-disk words; on a
-  // big-endian host every array would need byte-swapping anyway, so
-  // serve the owned decode instead (same result, just not zero-copy).
-  if constexpr (std::endian::native != std::endian::little) {
-    return Read(path);
-  }
-
-  auto opened = MmapReader::Open(path);
-  if (!opened.ok()) return opened.status();
-  std::shared_ptr<MmapReader> map = std::move(opened).value();
-
-  // Version-1 files pack their arrays with no alignment guarantee —
-  // only the owned decode can serve them.
-  if (map->version() < 2) return Read(path);
-
-  // Mirror Read()'s orchestration exactly: same section-order rules,
-  // same refusals, same validation — only the DATASET arrays and the
-  // dense OVERLAPS triangle install as views into the mapping.
-  SessionState state;
-  state.generation = map->generation();
-  bool saw_options = false;
-  bool saw_dataset = false;
-  bool saw_fusion = false;
-  for (uint32_t id : map->SectionIds()) {
-    const bool duplicate =
-        (id == static_cast<uint32_t>(SectionId::kOptions) &&
-         saw_options) ||
-        (id == static_cast<uint32_t>(SectionId::kDataset) &&
-         saw_dataset) ||
-        (id == static_cast<uint32_t>(SectionId::kOverlaps) &&
-         state.has_overlaps) ||
-        (id == static_cast<uint32_t>(SectionId::kFusion) &&
-         saw_fusion) ||
-        (id == static_cast<uint32_t>(SectionId::kTape) &&
-         state.has_tape);
-    if (duplicate) {
-      return Status::InvalidArgument(StrFormat(
-          "snapshot: %s: duplicate section id %u", path.c_str(), id));
-    }
-    auto payload = map->Section(id);
-    if (!payload.ok()) return payload.status();
-    Reader r(payload.value().data(), payload.value().size(),
-             /*aligned=*/true);
-    switch (static_cast<SectionId>(id)) {
-      case SectionId::kOptions:
-        CD_RETURN_IF_ERROR(ReadOptions(&r, &state.options));
-        saw_options = true;
-        break;
-      case SectionId::kDataset:
-        CD_RETURN_IF_ERROR(ReadDatasetMapped(&r, map, &state.data));
-        saw_dataset = true;
-        break;
-      case SectionId::kOverlaps:
-        if (!saw_dataset) {
-          return Status::InvalidArgument(
-              "snapshot: " + path + ": OVERLAPS section before "
-              "DATASET");
-        }
-        CD_RETURN_IF_ERROR(ReadOverlapsMapped(
-            &r, map, state.data.num_sources(), &state));
-        break;
-      case SectionId::kFusion:
-        if (!saw_dataset) {
-          return Status::InvalidArgument(
-              "snapshot: " + path + ": FUSION section before DATASET");
-        }
-        CD_RETURN_IF_ERROR(ReadFusion(&r, state.data, &state.fusion));
-        saw_fusion = true;
-        break;
-      case SectionId::kTape:
-        if (!saw_dataset) {
-          return Status::InvalidArgument(
-              "snapshot: " + path + ": TAPE section before DATASET");
-        }
-        CD_RETURN_IF_ERROR(ReadTape(&r, state.data, &state));
-        break;
-      default:
-        return Status::InvalidArgument(StrFormat(
-            "snapshot: %s: unknown section id %u in a version-%u file",
-            path.c_str(), id, map->version()));
-    }
-  }
-  if (!saw_options || !saw_dataset || !saw_fusion) {
-    return Status::InvalidArgument(
-        "snapshot: " + path + ": missing a required section (OPTIONS, "
-        "DATASET and FUSION are mandatory)");
-  }
-  if (state.has_overlaps &&
-      state.overlaps_generation != map->generation()) {
-    return Status::InvalidArgument(StrFormat(
-        "snapshot: %s: generation mismatch — OVERLAPS were computed "
-        "for generation %llu but the file's snapshot is generation "
-        "%llu; refusing to warm-start derived state against a "
-        "different data set",
-        path.c_str(),
-        static_cast<unsigned long long>(state.overlaps_generation),
-        static_cast<unsigned long long>(map->generation())));
-  }
-  if (state.has_tape && state.tape_generation != map->generation()) {
-    return Status::InvalidArgument(StrFormat(
-        "snapshot: %s: generation mismatch — the update TAPE was "
-        "recorded for generation %llu but the file's snapshot is "
-        "generation %llu; refusing to warm-start derived state "
-        "against a different data set",
-        path.c_str(),
-        static_cast<unsigned long long>(state.tape_generation),
-        static_cast<unsigned long long>(map->generation())));
-  }
-  return state;
+  return ReadSession(path, /*map=*/true);
 }
 
 // ---------------------------------------------------------------------
@@ -1438,26 +1366,20 @@ Status WriteSingleSection(const std::string& path, SectionId id,
   return WriteFileAtomic(path, FrameSections(/*generation=*/0, sections));
 }
 
-/// Reads a shard-protocol file and hands back its single section's
-/// payload bytes (still inside `bytes`).
-Status ReadSingleSection(const std::string& path, SectionId id,
-                         const char* what, std::vector<uint8_t>* bytes,
-                         size_t* payload_offset, size_t* payload_size,
-                         bool* aligned) {
-  CD_RETURN_IF_ERROR(ReadFileBytes(path, bytes));
-  Framing framing;
-  CD_RETURN_IF_ERROR(ParseFraming(*bytes, path, &framing));
-  if (framing.entries.size() != 1 ||
-      framing.entries.front().id != static_cast<uint32_t>(id)) {
+/// Opens a shard-protocol file (owned) and checks that it holds
+/// exactly one section, of kind `id`.
+StatusOr<File> OpenSingleSection(const std::string& path, SectionId id,
+                                 const char* what) {
+  auto file = OpenFile(path, /*map=*/false);
+  if (!file.ok()) return file;
+  if (file->entries.size() != 1 ||
+      file->entries.front().id != static_cast<uint32_t>(id)) {
     return Status::InvalidArgument(StrFormat(
         "snapshot: %s: not a %s file (expected exactly one section of "
         "id %u)",
         path.c_str(), what, static_cast<uint32_t>(id)));
   }
-  *payload_offset = static_cast<size_t>(framing.entries.front().offset);
-  *payload_size = static_cast<size_t>(framing.entries.front().size);
-  *aligned = framing.version >= 2;
-  return Status::OK();
+  return file;
 }
 
 void WriteCounters(const Counters& c, Writer* w) {
@@ -1504,14 +1426,9 @@ Status WriteShardResult(const std::string& path,
 
 StatusOr<ShardResult> ReadShardResult(const std::string& path,
                                       const Dataset& data) {
-  std::vector<uint8_t> bytes;
-  size_t offset = 0;
-  size_t size = 0;
-  bool aligned = false;
-  CD_RETURN_IF_ERROR(ReadSingleSection(path, SectionId::kShard, "shard",
-                                       &bytes, &offset, &size,
-                                       &aligned));
-  Reader r(bytes.data() + offset, size, aligned);
+  auto file = OpenSingleSection(path, SectionId::kShard, "shard");
+  if (!file.ok()) return file.status();
+  Reader r = file->Section(file->entries.front());
   ShardResult shard;
   shard.num_shards = r.U32();
   shard.shard_id = r.U32();
@@ -1548,14 +1465,9 @@ Status WriteBspState(const std::string& path, const BspState& state) {
 
 StatusOr<BspState> ReadBspState(const std::string& path,
                                 const Dataset& data) {
-  std::vector<uint8_t> bytes;
-  size_t offset = 0;
-  size_t size = 0;
-  bool aligned = false;
-  CD_RETURN_IF_ERROR(ReadSingleSection(path, SectionId::kState, "state",
-                                       &bytes, &offset, &size,
-                                       &aligned));
-  Reader r(bytes.data() + offset, size, aligned);
+  auto file = OpenSingleSection(path, SectionId::kState, "state");
+  if (!file.ok()) return file.status();
+  Reader r = file->Section(file->entries.front());
   BspState state;
   state.num_shards = r.U32();
   r.U32();  // pad

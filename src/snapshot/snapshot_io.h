@@ -30,19 +30,19 @@
 ///  * Compatibility policy: files written by format version N are
 ///    refused (with a Status naming both versions) by readers that
 ///    only know M < N; readers accept versions they know. This
-///    version-2 reader accepts 1 (pre-alignment, owned decode only)
-///    and 2.
+///    version-2 reader accepts 1 (pre-alignment, always decoded into
+///    copies) and 2.
 ///
 /// Version 2 additionally aligns every section payload — and every
 /// POD array inside a payload — to an 8-byte file offset, which lets
-/// MmapReader/ReadMapped serve the Dataset arrays and the dense
-/// overlap triangle zero-copy out of the mapped file (the ArrayStore
-/// view backend). Version-1 files remain readable through the owned
-/// decode path.
+/// ReadMapped serve the Dataset arrays and the dense overlap triangle
+/// zero-copy out of the mapped file (the ArrayStore view backend).
+///
+/// Read and ReadMapped are one decoder over the file's bytes; they
+/// differ only in where the bytes come from (one sized read vs a
+/// read-only mapping) and whether arrays may alias them.
 
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -63,7 +63,8 @@ namespace snapshot {
 /// on any layout change; readers refuse versions they do not know.
 inline constexpr uint32_t kFormatVersion = 2;
 
-/// Oldest version this reader still decodes (via the owned path).
+/// Oldest version this reader still decodes (into copies, in either
+/// load mode).
 inline constexpr uint32_t kMinReadVersion = 1;
 
 /// First 8 bytes of every snapshot file. Like the PNG magic, the
@@ -163,10 +164,14 @@ struct SessionState {
 Status Write(const std::string& path, const SessionState& state);
 
 /// Reads and fully validates a snapshot file: magic, format version,
-/// section table, per-section checksums, cross-section generation
-/// consistency, and structural payload validation (every id in
-/// range, every CSR monotone) — a file that Read() accepts is safe
-/// to hand to the detection algorithms.
+/// section table (bounds, version-2 alignment), every per-section
+/// checksum, cross-section generation consistency, and structural
+/// payload validation (every id in range, every CSR monotone) — a
+/// file that Read() accepts is safe to hand to the detection
+/// algorithms. The file is read into memory once; the returned state
+/// owns every array and never touches the file again. Anything but a
+/// regular file (a FIFO, device or directory) is refused with an
+/// IOError naming the path, before any read.
 StatusOr<SessionState> Read(const std::string& path);
 
 /// Recovery scan: the `.cdsnap` files directly inside `dir`, sorted
@@ -179,62 +184,16 @@ StatusOr<SessionState> Read(const std::string& path);
 StatusOr<std::vector<std::string>> ListSnapshotFiles(
     const std::string& dir);
 
-/// A `.cdsnap` file mapped read-only into the address space. Open()
-/// validates the framing eagerly (magic, version, bounds-checked
-/// section table, meta checksum, v2 section alignment); section
-/// payload checksums are verified lazily at first Section() access —
-/// a server mapping a large snapshot pays for integrity checking only
-/// on the sections it touches. Instances are shared_ptr-managed
-/// because they double as the keepalive behind every ArrayStore view
-/// ReadMapped hands out: the mapping stays live for as long as any
-/// view into it does. Not thread-safe during Section() (the lazy
-/// verification mutates a flag); share only after loading completes.
-class MmapReader {
- public:
-  static StatusOr<std::shared_ptr<MmapReader>> Open(
-      const std::string& path);
-  ~MmapReader();
-  MmapReader(const MmapReader&) = delete;
-  MmapReader& operator=(const MmapReader&) = delete;
-
-  uint32_t version() const { return version_; }
-  uint64_t generation() const { return generation_; }
-
-  /// Section ids, in table order.
-  std::vector<uint32_t> SectionIds() const;
-
-  /// Payload bytes of section `id` (first occurrence), verifying its
-  /// checksum on first access. NotFound when the file has no such
-  /// section; InvalidArgument on checksum mismatch.
-  StatusOr<std::span<const uint8_t>> Section(uint32_t id);
-
- private:
-  struct Entry {
-    uint32_t id = 0;
-    uint64_t offset = 0;
-    uint64_t size = 0;
-    uint64_t checksum = 0;
-    bool verified = false;
-  };
-
-  MmapReader() = default;
-
-  std::string path_;
-  const uint8_t* base_ = nullptr;
-  size_t size_ = 0;
-  uint32_t version_ = 0;
-  uint64_t generation_ = 0;
-  std::vector<Entry> entries_;
-};
-
-/// Mapped-mode Read(): same validation and the same SessionState, but
-/// the Dataset's POD/string arrays and the dense overlap triangle are
-/// ArrayStore views straight into the mapped file instead of decoded
-/// heap copies — peak memory stays at roughly the resident mapped
-/// pages instead of file + decoded copy. Requires a version-2 file;
-/// version-1 files (and big-endian hosts) transparently fall back to
-/// the owned Read(). The returned state's views keep the mapping
-/// alive; Dataset::Apply and UpdateOverlaps copy-on-write out of it.
+/// Mapped-mode Read(): the same decoder, validation and SessionState,
+/// but over a read-only mapping of the file. When the file is version 2
+/// and the host little-endian, the Dataset's POD/string arrays and the
+/// dense overlap triangle are ArrayStore views straight into the
+/// mapping instead of decoded heap copies — peak memory stays at
+/// roughly the resident mapped pages instead of file + decoded copy.
+/// Otherwise (version-1 files, big-endian hosts) those arrays decode
+/// into copies and the mapping is released when the call returns. The
+/// returned state's views keep the mapping alive; Dataset::Apply and
+/// UpdateOverlaps copy-on-write out of it.
 StatusOr<SessionState> ReadMapped(const std::string& path);
 
 /// One shard's round output (ShardResult), framed exactly like a

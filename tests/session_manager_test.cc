@@ -1,7 +1,11 @@
 #include "copydetect/session_manager.h"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -218,6 +222,44 @@ TEST(SessionManager, CorruptSnapshotFailsStart) {
   auto manager = SessionManager::Start(options);
   EXPECT_FALSE(manager.ok());
   std::filesystem::remove_all(state_dir);
+}
+
+/// Start over a state dir holding one `<name>.cdsnap` that is not a
+/// regular file (made by `make`) must refuse it with a Status naming the
+/// file — not block in open() or read until memory runs out.
+void ExpectNonRegularSnapshotFailsStart(
+    const std::string& dir_name,
+    const std::function<int(const std::string&)>& make) {
+  const std::string state_dir = ::testing::TempDir() + "/" + dir_name;
+  std::filesystem::remove_all(state_dir);
+  std::filesystem::create_directories(state_dir);
+  const std::string path = state_dir + "/odd.cdsnap";
+  ASSERT_EQ(make(path), 0) << path;
+  SessionManagerOptions options;
+  options.state_dir = state_dir;
+  auto manager = SessionManager::Start(options);
+  ASSERT_FALSE(manager.ok());
+  EXPECT_NE(manager.status().message().find(path), std::string::npos)
+      << manager.status().message();
+  EXPECT_NE(manager.status().message().find("not a regular file"),
+            std::string::npos)
+      << manager.status().message();
+  std::filesystem::remove_all(state_dir);
+}
+
+// Registered with a short ctest TIMEOUT (tests/CMakeLists.txt): a
+// blocking open() of the FIFO would hang daemon start-up here.
+TEST(SessionManager, FifoSnapshotFailsStart) {
+  ExpectNonRegularSnapshotFailsStart(
+      "cd_manager_fifo",
+      [](const std::string& path) { return mkfifo(path.c_str(), 0600); });
+}
+
+TEST(SessionManager, DevZeroLinkSnapshotFailsStart) {
+  ExpectNonRegularSnapshotFailsStart(
+      "cd_manager_dev_zero", [](const std::string& path) {
+        return symlink("/dev/zero", path.c_str());
+      });
 }
 
 TEST(SessionManager, ShutdownIsIdempotentAndStopsOpens) {

@@ -1,10 +1,11 @@
-// snapshot::Write/Read — round-trip fidelity (every array bit for
-// bit, hash-table layouts included) and the fail-closed corruption
-// matrix: truncation at any prefix, foreign magic, unknown future
-// versions, checksum mismatches, cross-section generation
-// disagreement, and structurally inconsistent payloads. Every failure
-// must be a descriptive Status, never UB (the suite runs under
-// asan-ubsan in CI).
+// snapshot::Write/Read/ReadMapped — round-trip fidelity (every array
+// bit for bit, hash-table layouts included) and the fail-closed
+// corruption matrix, run through both load modes: truncation at any
+// prefix, foreign magic, unknown future versions, checksum mismatches,
+// forged tables, cross-section generation disagreement, structurally
+// inconsistent payloads, and paths that are not regular files. Every
+// failure must be a descriptive Status, never UB or a hang (the suite
+// runs under asan-ubsan in CI).
 #include "snapshot/snapshot_io.h"
 
 #include <gtest/gtest.h>
@@ -14,8 +15,12 @@
 #include <cstring>
 #include <fstream>
 
+#include <sys/stat.h>
 #include <unistd.h>
+
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/flat_hash.h"
@@ -304,8 +309,11 @@ TEST(SnapshotIo, MissingFileIsNotFound) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
-// --- The corruption matrix. Every case must produce a descriptive
-// InvalidArgument Status; none may crash or read out of bounds. ---
+// --- The corruption matrix. Every case runs through both load modes
+// (one decoder over two byte sources; the four basic framing cases
+// split them, with SnapshotIoMappedCorruption twins for the mapped
+// read) and must produce a descriptive InvalidArgument Status naming
+// what is wrong; none may crash or read out of bounds. ---
 
 /// Writes FullState() once and hands out its bytes.
 const std::vector<uint8_t>& GoodFileBytes() {
@@ -319,45 +327,89 @@ const std::vector<uint8_t>& GoodFileBytes() {
   return *bytes;
 }
 
-StatusOr<SessionState> ReadBytes(const std::vector<uint8_t>& bytes,
-                                 const std::string& name) {
-  const std::string path = TempPath(name);
+using ReadFn = StatusOr<SessionState> (*)(const std::string&);
+
+/// A load mode: its entry point's name (for failure messages) and the
+/// entry point itself.
+struct LoadMode {
+  const char* name;
+  ReadFn read;
+};
+const LoadMode kOwned = {"Read", &snapshot::Read};
+const LoadMode kMapped = {"ReadMapped", &snapshot::ReadMapped};
+
+/// Expects each of `modes` to refuse `bytes` with an InvalidArgument
+/// whose message contains `needle`.
+void ExpectRefusedBy(std::initializer_list<LoadMode> modes,
+                     const std::vector<uint8_t>& bytes,
+                     const std::string& needle) {
+  const std::string path = TempPath("corrupt.cdsnap");
   WriteFileBytes(path, bytes);
-  auto loaded = snapshot::Read(path);
+  for (const auto& [mode, read] : modes) {
+    auto loaded = read(path);
+    EXPECT_FALSE(loaded.ok()) << mode << " loaded the file";
+    if (loaded.ok()) continue;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << mode;
+    EXPECT_FALSE(loaded.status().message().empty()) << mode;
+    EXPECT_NE(loaded.status().message().find(needle), std::string::npos)
+        << mode << ": " << loaded.status().message();
+  }
   std::remove(path.c_str());
-  return loaded;
 }
 
-TEST(SnapshotIoCorruption, EveryTruncationFailsClosed) {
+/// ExpectRefusedBy in both load modes.
+void ExpectRefused(const std::vector<uint8_t>& bytes,
+                   const std::string& needle) {
+  ExpectRefusedBy({kOwned, kMapped}, bytes, needle);
+}
+
+/// ExpectRefused over the file snapshot::Write makes of `state` (Write
+/// serializes inconsistent state as given; only the readers refuse).
+void ExpectStateRefused(const SessionState& state,
+                        const std::string& needle) {
+  const std::string path = TempPath("inconsistent.cdsnap");
+  CD_CHECK_OK(snapshot::Write(path, state));
+  const std::vector<uint8_t> bytes = ReadFileBytes(path);
+  std::remove(path.c_str());
+  ExpectRefused(bytes, needle);
+}
+
+/// Expects `mode` to refuse every strict prefix of a good file: every
+/// prefix of the header + section table, then a sweep through the
+/// payloads, then the one-byte-short file. Sections cover the file
+/// exactly, so *no* strict prefix may load.
+void ExpectEveryTruncationRefusedBy(const LoadMode& mode) {
   const std::vector<uint8_t>& good = GoodFileBytes();
   ASSERT_GT(good.size(), 128u);
-  // Every prefix of the header + section table, then a sweep through
-  // the payloads, then the one-byte-short file. Sections cover the
-  // file exactly, so *no* strict prefix may load.
   std::vector<size_t> cuts;
   for (size_t n = 0; n < 128; ++n) cuts.push_back(n);
   for (size_t n = 128; n < good.size(); n += 97) cuts.push_back(n);
   cuts.push_back(good.size() - 1);
   for (size_t n : cuts) {
-    std::vector<uint8_t> truncated(good.begin(),
-                                   good.begin() +
-                                       static_cast<ptrdiff_t>(n));
-    auto loaded = ReadBytes(truncated, "truncated.cdsnap");
-    ASSERT_FALSE(loaded.ok()) << "prefix of " << n << " bytes loaded";
-    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
-        << "prefix " << n;
-    EXPECT_FALSE(loaded.status().message().empty()) << "prefix " << n;
+    SCOPED_TRACE("prefix of " + std::to_string(n) + " bytes");
+    ExpectRefusedBy({mode},
+                    std::vector<uint8_t>(
+                        good.begin(), good.begin() + static_cast<ptrdiff_t>(n)),
+                    "");
   }
 }
 
-TEST(SnapshotIoCorruption, ForeignMagicIsRefused) {
+// The four framing cases below run the owned read; their
+// SnapshotIoMappedCorruption twins run the mapped read.
+
+TEST(SnapshotIoCorruption, EveryTruncationFailsClosed) {
+  ExpectEveryTruncationRefusedBy(kOwned);
+}
+
+std::vector<uint8_t> ForeignMagicBytes() {
   std::vector<uint8_t> bytes = GoodFileBytes();
   bytes[0] = 'X';
-  auto loaded = ReadBytes(bytes, "magic.cdsnap");
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("bad magic"),
-            std::string::npos)
-      << loaded.status().message();
+  return bytes;
+}
+
+TEST(SnapshotIoCorruption, ForeignMagicIsRefused) {
+  ExpectRefusedBy({kOwned}, ForeignMagicBytes(), "bad magic");
 }
 
 TEST(SnapshotIoCorruption, TextModeManglingFailsAtTheMagic) {
@@ -366,47 +418,40 @@ TEST(SnapshotIoCorruption, TextModeManglingFailsAtTheMagic) {
   std::vector<uint8_t> bytes = GoodFileBytes();
   ASSERT_EQ(bytes[6], '\r');
   bytes.erase(bytes.begin() + 6);  // CRLF -> LF
-  auto loaded = ReadBytes(bytes, "crlf.cdsnap");
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("bad magic"),
-            std::string::npos);
+  ExpectRefused(bytes, "bad magic");
 }
 
 TEST(SnapshotIoCorruption, UnknownFutureVersionIsRefused) {
   std::vector<uint8_t> bytes = GoodFileBytes();
   // Format version lives at bytes [8, 12), little-endian.
   bytes[8] = static_cast<uint8_t>(snapshot::kFormatVersion + 1);
-  auto loaded = ReadBytes(bytes, "version.cdsnap");
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("format version"),
-            std::string::npos)
-      << loaded.status().message();
+  ExpectRefused(bytes, "format version");
+}
+
+std::vector<uint8_t> HeaderTableFlipBytes() {
+  std::vector<uint8_t> bytes = GoodFileBytes();
+  bytes[40] ^= 0x01;  // inside the first section-table entry
+  return bytes;
 }
 
 TEST(SnapshotIoCorruption, HeaderTableFlipFailsTheMetaChecksum) {
+  ExpectRefusedBy({kOwned}, HeaderTableFlipBytes(), "checksum mismatch");
+}
+
+std::vector<uint8_t> PayloadFlipBytes() {
   std::vector<uint8_t> bytes = GoodFileBytes();
-  bytes[40] ^= 0x01;  // inside the first section-table entry
-  auto loaded = ReadBytes(bytes, "table.cdsnap");
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("checksum mismatch"),
-            std::string::npos)
-      << loaded.status().message();
+  bytes.back() ^= 0x40;  // inside the last section's payload
+  return bytes;
 }
 
 TEST(SnapshotIoCorruption, PayloadFlipFailsTheSectionChecksum) {
-  std::vector<uint8_t> bytes = GoodFileBytes();
-  bytes.back() ^= 0x40;  // inside the last section's payload
-  auto loaded = ReadBytes(bytes, "payload.cdsnap");
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("checksum mismatch"),
-            std::string::npos)
-      << loaded.status().message();
+  ExpectRefusedBy({kOwned}, PayloadFlipBytes(), "checksum mismatch");
 }
 
 // The checksum is specified in docs/FORMATS.md precisely so an
 // independent implementation can verify or craft files. This
-// reimplementation (used to forge a consistent file with an unknown
-// section id below) doubles as a spec-conformance check.
+// reimplementation (used to forge consistent files below) doubles as
+// a spec-conformance check.
 uint64_t SpecHash64(const uint8_t* data, size_t size) {
   uint64_t h = 0xcbf29ce484222325ULL ^
                (static_cast<uint64_t>(size) * 0x100000001b3ULL);
@@ -426,198 +471,306 @@ uint64_t SpecHash64(const uint8_t* data, size_t size) {
   return h;
 }
 
+// Forging helpers over the framing of docs/FORMATS.md: a 32-byte
+// header (section count at byte 24), 32-byte table entries { u32 id,
+// u32 reserved, u64 offset, u64 size, u64 checksum }, then the u64
+// meta checksum over header + table.
+constexpr size_t kHeader = 32;
+
+size_t TableEnd(const std::vector<uint8_t>& bytes) {
+  return kHeader + static_cast<size_t>(bytes[24]) * 32;
+}
+
+uint64_t EntryField(const std::vector<uint8_t>& bytes, size_t entry,
+                    size_t field_offset) {
+  uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + kHeader + entry * 32 + field_offset, 8);
+  return v;
+}
+
+/// Re-seals the meta checksum after a header or table patch.
+void ResealTable(std::vector<uint8_t>* bytes) {
+  const size_t table_end = TableEnd(*bytes);
+  const uint64_t sum = SpecHash64(bytes->data(), table_end);
+  std::memcpy(bytes->data() + table_end, &sum, 8);
+}
+
+/// Re-seals table entry `entry`'s payload checksum after a payload
+/// patch, then the meta checksum over the table that now records it.
+void ResealSection(std::vector<uint8_t>* bytes, size_t entry) {
+  const uint64_t sum =
+      SpecHash64(bytes->data() + EntryField(*bytes, entry, 8),
+                 EntryField(*bytes, entry, 16));
+  std::memcpy(bytes->data() + kHeader + entry * 32 + 24, &sum, 8);
+  ResealTable(bytes);
+}
+
 TEST(SnapshotIoCorruption, UnknownSectionIdInAKnownVersionIsRefused) {
   std::vector<uint8_t> bytes = GoodFileBytes();
-  const size_t header_size = 32;
-  const uint32_t sections = bytes[24];  // section count, low byte
-  ASSERT_GE(sections, 4u);
-  const size_t table_end = header_size + sections * 32;
+  ASSERT_GE(bytes[24], 4u);  // section count, low byte
 
   // First prove the reimplementation matches the file's meta checksum.
+  const size_t table_end = TableEnd(bytes);
   uint64_t stored = 0;
   std::memcpy(&stored, bytes.data() + table_end, 8);
   ASSERT_EQ(stored, SpecHash64(bytes.data(), table_end))
       << "docs/FORMATS.md checksum spec drifted from the code";
 
-  // Forge: relabel the first section with an id version 1 does not
+  // Forge: relabel the first section with an id the version does not
   // define, re-seal the table, and expect a precise refusal.
-  bytes[header_size] = 99;
-  uint64_t resealed = SpecHash64(bytes.data(), table_end);
-  std::memcpy(bytes.data() + table_end, &resealed, 8);
-  auto loaded = ReadBytes(bytes, "unknown_section.cdsnap");
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("unknown section id 99"),
-            std::string::npos)
-      << loaded.status().message();
+  bytes[kHeader] = 99;
+  ResealTable(&bytes);
+  ExpectRefused(bytes, "unknown section id 99");
 }
 
 TEST(SnapshotIoCorruption, DuplicateSectionIdIsRefused) {
   std::vector<uint8_t> bytes = GoodFileBytes();
-  const size_t header_size = 32;
-  const uint32_t sections = bytes[24];
-  ASSERT_EQ(sections, 5u);  // OPTIONS, DATASET, OVERLAPS, FUSION, TAPE
-  const size_t table_end = header_size + sections * 32;
+  ASSERT_EQ(bytes[24], 5u);  // OPTIONS, DATASET, OVERLAPS, FUSION, TAPE
   // Relabel the TAPE entry as a second FUSION and re-seal the table:
   // the checksums all pass, so only the duplicate check can refuse a
   // section that would silently overwrite already-validated state.
-  bytes[header_size + 4 * 32] = 4;
-  uint64_t resealed = SpecHash64(bytes.data(), table_end);
-  std::memcpy(bytes.data() + table_end, &resealed, 8);
-  auto loaded = ReadBytes(bytes, "dup_section.cdsnap");
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("duplicate section id 4"),
-            std::string::npos)
-      << loaded.status().message();
+  bytes[kHeader + 4 * 32] = 4;
+  ResealTable(&bytes);
+  ExpectRefused(bytes, "duplicate section id 4");
+}
+
+TEST(SnapshotIoCorruption, MisalignedForgedOffsetIsRefused) {
+  // A version-2 file whose table places a section at an odd offset.
+  // Only a forged table can produce this (the writer always pads to
+  // 8); both modes must refuse it at the framing check rather than
+  // decode it (the mapped decode would alias misaligned memory). The
+  // table is re-sealed so the alignment check — not the checksum — is
+  // what fires.
+  std::vector<uint8_t> bytes = GoodFileBytes();
+  const uint64_t offset = EntryField(bytes, 2, 8) + 1;
+  std::memcpy(bytes.data() + kHeader + 2 * 32 + 8, &offset, 8);
+  ResealTable(&bytes);
+  ExpectRefused(bytes, "misaligned");
 }
 
 TEST(SnapshotIoCorruption, HostileTapeRoundCountIsRefusedCheaply) {
   // A small file declaring an enormous TAPE round count must be
   // refused by the count guard, not by an attempted huge allocation.
-  const std::string path = TempPath("tape_count.cdsnap");
-  SessionState state = FullState();
-  CD_CHECK_OK(snapshot::Write(path, state));
-  std::vector<uint8_t> bytes = ReadFileBytes(path);
-  std::remove(path.c_str());
-  const size_t header_size = 32;
-  const uint32_t sections = bytes[24];
-  const size_t table_end = header_size + sections * 32;
+  std::vector<uint8_t> bytes = GoodFileBytes();
   // The TAPE payload (entry 4) starts with u64 generation, u8
   // has_copies, then the u64 round count — overwrite it with a count
   // the section cannot possibly hold and re-seal the section.
-  uint64_t tape_offset = 0;
-  uint64_t tape_size = 0;
-  std::memcpy(&tape_offset, bytes.data() + header_size + 4 * 32 + 8, 8);
-  std::memcpy(&tape_size, bytes.data() + header_size + 4 * 32 + 16, 8);
   const uint64_t huge = 1ULL << 40;
-  std::memcpy(bytes.data() + tape_offset + 9, &huge, 8);
-  uint64_t section_sum =
-      SpecHash64(bytes.data() + tape_offset, tape_size);
-  std::memcpy(bytes.data() + header_size + 4 * 32 + 24, &section_sum,
-              8);
-  uint64_t resealed = SpecHash64(bytes.data(), table_end);
-  std::memcpy(bytes.data() + table_end, &resealed, 8);
-  auto loaded = ReadBytes(bytes, "tape_count_mod.cdsnap");
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("TAPE"), std::string::npos)
-      << loaded.status().message();
+  std::memcpy(bytes.data() + EntryField(bytes, 4, 8) + 9, &huge, 8);
+  ResealSection(&bytes, 4);
+  ExpectRefused(bytes, "TAPE");
 }
 
 TEST(SnapshotIoCorruption, OverlapsGenerationMismatchIsRefused) {
-  const std::string path = TempPath("gen_overlaps.cdsnap");
   SessionState state = FullState();
   state.overlaps_generation = state.generation + 1;
-  CD_CHECK_OK(snapshot::Write(path, state));
-  auto loaded = snapshot::Read(path);
-  std::remove(path.c_str());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("generation mismatch"),
-            std::string::npos)
-      << loaded.status().message();
+  ExpectStateRefused(state, "generation mismatch");
 }
 
 TEST(SnapshotIoCorruption, TapeGenerationMismatchIsRefused) {
-  const std::string path = TempPath("gen_tape.cdsnap");
   SessionState state = FullState();
   state.tape_generation = state.generation + 7;
-  CD_CHECK_OK(snapshot::Write(path, state));
-  auto loaded = snapshot::Read(path);
-  std::remove(path.c_str());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("generation mismatch"),
-            std::string::npos)
-      << loaded.status().message();
+  ExpectStateRefused(state, "generation mismatch");
 }
 
-TEST(SnapshotIoCorruption, OverlapsForWrongSourceCountAreRefused) {
-  const std::string path = TempPath("overlap_dims.cdsnap");
-  SessionState state = FullState();
-  DatasetBuilder bigger;
-  for (int s = 0; s < 6; ++s) {
+/// A data set of `n` sources that all provide the same value of one
+/// item, so every source pair overlaps.
+Dataset SharedValueData(int n) {
+  DatasetBuilder builder;
+  for (int s = 0; s < n; ++s) {
     // Built up with += to sidestep GCC 12's operator+ -Wrestrict
     // false positive (PR105651) under -Werror.
     std::string name = "B";
     name += std::to_string(s);
-    bigger.Add(name, "item", "v");
+    builder.Add(name, "item", "v");
   }
-  auto big = bigger.Build();
-  CD_CHECK_OK(big.status());
-  state.overlaps = ComputeOverlaps(*big);  // 6 sources, data has 4
-  CD_CHECK_OK(snapshot::Write(path, state));
-  auto loaded = snapshot::Read(path);
-  std::remove(path.c_str());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("sources"),
-            std::string::npos)
-      << loaded.status().message();
+  auto data = builder.Build();
+  CD_CHECK_OK(data.status());
+  return std::move(data).value();
+}
+
+TEST(SnapshotIoCorruption, OverlapsForWrongSourceCountAreRefused) {
+  SessionState state = FullState();
+  state.overlaps = ComputeOverlaps(SharedValueData(6));  // data has 4
+  ExpectStateRefused(state, "sources");
 }
 
 TEST(SnapshotIoCorruption, FusionDimensionMismatchIsRefused) {
-  const std::string path = TempPath("fusion_dims.cdsnap");
   SessionState state = FullState();
   state.fusion.value_probs.push_back(0.5);  // one slot too many
-  CD_CHECK_OK(snapshot::Write(path, state));
-  auto loaded = snapshot::Read(path);
-  std::remove(path.c_str());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("FUSION"), std::string::npos)
-      << loaded.status().message();
+  ExpectStateRefused(state, "FUSION");
 }
 
 TEST(SnapshotIoCorruption, TapeDimensionMismatchIsRefused) {
-  const std::string path = TempPath("tape_dims.cdsnap");
   SessionState state = FullState();
   state.tape[0].pre_accs.pop_back();  // one source short
-  CD_CHECK_OK(snapshot::Write(path, state));
-  auto loaded = snapshot::Read(path);
-  std::remove(path.c_str());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("TAPE"), std::string::npos)
-      << loaded.status().message();
+  ExpectStateRefused(state, "TAPE");
 }
 
 TEST(SnapshotIoCorruption, TruthSlotOutOfRangeIsRefused) {
-  const std::string path = TempPath("truth_range.cdsnap");
   SessionState state = FullState();
   state.fusion.truth[0] =
       static_cast<SlotId>(state.data.num_slots() + 3);
-  CD_CHECK_OK(snapshot::Write(path, state));
-  auto loaded = snapshot::Read(path);
-  std::remove(path.c_str());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("truth slot"),
-            std::string::npos)
-      << loaded.status().message();
+  ExpectStateRefused(state, "truth slot");
 }
 
 TEST(SnapshotIoCorruption, PairKeyOutOfSourceRangeIsRefused) {
-  const std::string path = TempPath("pair_range.cdsnap");
   SessionState state = FullState();
   PairPosterior posterior;
   posterior.p_indep = 0.4;
   state.fusion.copies.Set(0, 700, posterior);  // data has 4 sources
+  ExpectStateRefused(state, "pair key");
+}
+
+// --- Structural validation. Each case forges a payload that passes
+// every checksum (patched, then re-sealed) but describes an impossible
+// structure; only the DATASET/OVERLAPS validators can refuse it. ---
+
+/// The u32 arrays of the DATASET payload, in wire order.
+enum DatasetArray {
+  kSlotItem = 0,
+  kItemSlotBegin,
+  kProviderBegin,
+  kProviders,
+  kSrcBegin,
+  kObsItem,
+  kObsSlot,
+};
+
+/// File offset of element `index` of DATASET array `array` in a
+/// version-2 file (DATASET is table entry 1). Walks the payload per
+/// docs/FORMATS.md: four u64 counts, three string tables, then u32
+/// arrays, each padded to 8 bytes before its u64 count.
+size_t DatasetElement(const std::vector<uint8_t>& bytes,
+                      DatasetArray array, size_t index) {
+  const size_t payload = EntryField(bytes, 1, 8);
+  auto u64_at = [&](size_t pos) {
+    uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + payload + pos, 8);
+    return v;
+  };
+  size_t pos = 32;
+  for (int table = 0; table < 3; ++table) {
+    const uint64_t strings = u64_at(pos);
+    pos += 8;
+    for (uint64_t i = 0; i < strings; ++i) pos += 8 + u64_at(pos);
+  }
+  for (int a = 0;; ++a) {
+    pos = (pos + 7) & ~size_t{7};
+    const uint64_t count = u64_at(pos);
+    if (a == array) {
+      EXPECT_LT(index, count);
+      return payload + pos + 8 + index * 4;
+    }
+    pos += 8 + count * 4;
+  }
+}
+
+uint32_t U32At(const std::vector<uint8_t>& bytes, size_t offset) {
+  uint32_t v = 0;
+  std::memcpy(&v, bytes.data() + offset, 4);
+  return v;
+}
+
+TEST(SnapshotIoCorruption, ForgedDatasetStructureIsRefused) {
+  const std::vector<uint8_t>& good = GoodFileBytes();
+  const size_t payload = EntryField(good, 1, 8);
+  const struct {
+    size_t at;  // file offset of the u32 to replace
+    uint32_t value;
+    const char* needle;
+  } kForgeries[] = {
+      // A provider id at or above the data's 4 sources.
+      {DatasetElement(good, kProviders, 0), 4,
+       "provider lists not a valid CSR over sources"},
+      // Item 0's slot range would end after item 1's.
+      {DatasetElement(good, kItemSlotBegin, 1),
+       U32At(good, DatasetElement(good, kItemSlotBegin, 2)) + 1,
+       "item->slot boundaries not a valid CSR"},
+      // Slot 0 belongs to item 0; claim item 1 (still a valid item id).
+      {DatasetElement(good, kSlotItem, 0), 1,
+       "slot->item mapping disagrees with the item->slot boundaries"},
+      // An observation of slot num_slots, one past the last.
+      {DatasetElement(good, kObsSlot, 0),
+       static_cast<uint32_t>(FullState().data.num_slots()),
+       "per-source observation arrays out of range"},
+      // The payload opens with u64 num_sources, num_items, num_slots,
+      // num_obs; declare one item more than the arrays hold.
+      {payload + 8, U32At(good, payload + 8) + 1,
+       "array sizes disagree with the declared counts"},
+  };
+  for (const auto& forgery : kForgeries) {
+    SCOPED_TRACE(forgery.needle);
+    std::vector<uint8_t> bytes = good;
+    std::memcpy(bytes.data() + forgery.at, &forgery.value, 4);
+    ResealSection(&bytes, 1);
+    ExpectRefused(bytes, forgery.needle);
+  }
+}
+
+TEST(SnapshotIoCorruption, SparseOverlapKeyOutOfSourceRangeIsRefused) {
+  // Sparse counts over 6 sources carry pair keys naming sources 4 and
+  // 5; relabel the payload's source count to the data's 4 so that only
+  // the pair-key range check stands between them and the engine.
+  SessionState state = FullState();
+  state.overlaps =
+      ComputeOverlaps(SharedValueData(6), /*dense_threshold=*/2);
+  const std::string path = TempPath("sparse_keys.cdsnap");
   CD_CHECK_OK(snapshot::Write(path, state));
-  auto loaded = snapshot::Read(path);
+  std::vector<uint8_t> bytes = ReadFileBytes(path);
   std::remove(path.c_str());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("pair key"),
-            std::string::npos)
-      << loaded.status().message();
+  // OVERLAPS (entry 2): u64 generation, u8 dense flag, u32 sources.
+  const size_t sources_at = EntryField(bytes, 2, 8) + 9;
+  ASSERT_EQ(U32At(bytes, sources_at), 6u);
+  const uint32_t four = 4;
+  std::memcpy(bytes.data() + sources_at, &four, 4);
+  ResealSection(&bytes, 2);
+  ExpectRefused(bytes, "OVERLAPS pair key out of source range");
+}
+
+// --- Non-regular files: every reader refuses them at the opener with an
+// IOError naming the path, before any read — /dev/zero would otherwise
+// be read until memory runs out, and a FIFO would block open(). ---
+
+void ExpectNotARegularFile(const std::string& path) {
+  const Dataset data = SmallData();
+  const std::pair<const char*, Status> results[] = {
+      {"Read", snapshot::Read(path).status()},
+      {"ReadMapped", snapshot::ReadMapped(path).status()},
+      {"ReadShardResult", snapshot::ReadShardResult(path, data).status()},
+      {"ReadBspState", snapshot::ReadBspState(path, data).status()},
+  };
+  for (const auto& [reader, status] : results) {
+    EXPECT_EQ(status.code(), StatusCode::kIOError)
+        << reader << ": " << status.message();
+    EXPECT_NE(status.message().find(path), std::string::npos)
+        << reader << ": " << status.message();
+    EXPECT_NE(status.message().find("not a regular file"),
+              std::string::npos)
+        << reader << ": " << status.message();
+  }
+}
+
+TEST(SnapshotIoNonRegularFile, DeviceAndDirectoryAreRefused) {
+  ExpectNotARegularFile("/dev/zero");
+  const std::string dir = TempPath("dir.cdsnap");
+  ASSERT_EQ(mkdir(dir.c_str(), 0700), 0) << dir;
+  ExpectNotARegularFile(dir);
+  rmdir(dir.c_str());
+}
+
+// Registered with a short ctest TIMEOUT (tests/CMakeLists.txt): a
+// regression to a blocking open() hangs here rather than failing.
+TEST(SnapshotIoNonRegularFile, FifoIsRefusedWithoutBlocking) {
+  const std::string path = TempPath("fifo.cdsnap");
+  std::remove(path.c_str());
+  ASSERT_EQ(mkfifo(path.c_str(), 0600), 0) << path;
+  ExpectNotARegularFile(path);
+  std::remove(path.c_str());
 }
 
 // --- Version-2 mapped reading: ReadMapped must serve byte-identical
-// state out of the mapping, refuse the same corruption matrix, and
-// fall back to the owned decoder for version-1 files. ---
-
-StatusOr<SessionState> ReadBytesMapped(
-    const std::vector<uint8_t>& bytes, const std::string& name) {
-  const std::string path = TempPath(name);
-  WriteFileBytes(path, bytes);
-  auto loaded = snapshot::ReadMapped(path);
-  // Unlinking with the mapping live is fine on POSIX — the keepalive
-  // holds the pages; this doubles as a test of that property.
-  std::remove(path.c_str());
-  return loaded;
-}
+// state out of the mapping and read version-1 files too. ---
 
 void ExpectSameState(const SessionState& got, const SessionState& want) {
   EXPECT_EQ(got.generation, want.generation);
@@ -660,89 +813,42 @@ TEST(SnapshotIoMapped, MappedStateMatchesOwnedRead) {
 }
 
 TEST(SnapshotIoMapped, MappedStateOutlivesTheUnlinkedFile) {
-  auto mapped = ReadBytesMapped(GoodFileBytes(), "mapped_keep.cdsnap");
+  const std::string path = TempPath("mapped_keep.cdsnap");
+  WriteFileBytes(path, GoodFileBytes());
+  auto mapped = snapshot::ReadMapped(path);
+  // Unlinking with the mapping live is fine on POSIX: the backing file
+  // is gone, yet every array must still read correctly (the mapping
+  // keepalive owns the pages).
+  std::remove(path.c_str());
   CD_CHECK_OK(mapped.status());
-  // The backing file is gone; every array must still read correctly
-  // (the mapping keepalive owns the pages).
   SessionState want = FullState();
   ExpectSameDataset(mapped->data, want.data);
 }
 
+// The mapped-read twins of the four SnapshotIoCorruption framing cases
+// that run the owned read only.
+
 TEST(SnapshotIoMappedCorruption, EveryTruncationFailsClosed) {
-  const std::vector<uint8_t>& good = GoodFileBytes();
-  ASSERT_GT(good.size(), 128u);
-  std::vector<size_t> cuts;
-  for (size_t n = 0; n < 128; ++n) cuts.push_back(n);
-  for (size_t n = 128; n < good.size(); n += 97) cuts.push_back(n);
-  cuts.push_back(good.size() - 1);
-  for (size_t n : cuts) {
-    std::vector<uint8_t> truncated(good.begin(),
-                                   good.begin() +
-                                       static_cast<ptrdiff_t>(n));
-    auto loaded = ReadBytesMapped(truncated, "mtrunc.cdsnap");
-    ASSERT_FALSE(loaded.ok()) << "prefix of " << n << " bytes mapped";
-    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
-        << "prefix " << n;
-  }
+  ExpectEveryTruncationRefusedBy(kMapped);
 }
 
 TEST(SnapshotIoMappedCorruption, ForeignMagicIsRefused) {
-  std::vector<uint8_t> bytes = GoodFileBytes();
-  bytes[0] = 'X';
-  auto loaded = ReadBytesMapped(bytes, "mmagic.cdsnap");
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("bad magic"),
-            std::string::npos);
+  ExpectRefusedBy({kMapped}, ForeignMagicBytes(), "bad magic");
 }
 
 TEST(SnapshotIoMappedCorruption, PayloadFlipFailsTheSectionChecksum) {
-  std::vector<uint8_t> bytes = GoodFileBytes();
-  bytes.back() ^= 0x40;
-  auto loaded = ReadBytesMapped(bytes, "mpayload.cdsnap");
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("checksum mismatch"),
-            std::string::npos)
-      << loaded.status().message();
+  ExpectRefusedBy({kMapped}, PayloadFlipBytes(), "checksum mismatch");
 }
 
 TEST(SnapshotIoMappedCorruption, HeaderTableFlipFailsTheMetaChecksum) {
-  std::vector<uint8_t> bytes = GoodFileBytes();
-  bytes[40] ^= 0x01;
-  auto loaded = ReadBytesMapped(bytes, "mtable.cdsnap");
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("checksum mismatch"),
-            std::string::npos)
-      << loaded.status().message();
-}
-
-TEST(SnapshotIoMappedCorruption, MisalignedForgedOffsetIsRefused) {
-  // A version-2 file whose table places a section at an odd offset.
-  // Only a forged table can produce this (the writer always pads to
-  // 8); the mapped reader must refuse it eagerly rather than hand out
-  // views aliasing misaligned memory. The table is re-sealed so the
-  // alignment check — not the checksum — is what fires.
-  std::vector<uint8_t> bytes = GoodFileBytes();
-  const size_t header_size = 32;
-  const uint32_t sections = bytes[24];
-  const size_t table_end = header_size + sections * 32;
-  uint64_t offset = 0;
-  std::memcpy(&offset, bytes.data() + header_size + 2 * 32 + 8, 8);
-  offset += 1;
-  std::memcpy(bytes.data() + header_size + 2 * 32 + 8, &offset, 8);
-  uint64_t resealed = SpecHash64(bytes.data(), table_end);
-  std::memcpy(bytes.data() + table_end, &resealed, 8);
-  auto loaded = ReadBytesMapped(bytes, "malign.cdsnap");
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("misaligned"),
-            std::string::npos)
-      << loaded.status().message();
+  ExpectRefusedBy({kMapped}, HeaderTableFlipBytes(), "checksum mismatch");
 }
 
 TEST(SnapshotIoMapped, Version1GoldenFallsBackToOwnedRead) {
   // A committed pre-mmap (version 1) snapshot: both entry points must
-  // read it, producing identical state — ReadMapped transparently
-  // falls back to the owned decoder for files without the version-2
-  // alignment guarantee.
+  // read it, producing identical state. Its packed arrays carry no
+  // alignment guarantee, so the mapped read decodes them into copies
+  // exactly as the owned read does.
   const std::string path =
       std::string(CD_TEST_DATA_DIR) + "/v1_golden.cdsnap";
   auto owned = snapshot::Read(path);

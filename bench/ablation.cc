@@ -2,9 +2,9 @@
 //   (a) the tail set E̅ (skip pairs sharing only weak values) on/off;
 //   (b) the HYBRID threshold (items shared before switching from INDEX
 //       bookkeeping to BOUND+), swept around the paper's 16;
-//   (c) the §VIII parallel index scan, thread sweep.
-#include "core/bound.h"           // cd-lint: allow(layering) white-box ablation bench (docs/API.md exemption)
-#include "core/parallel_index.h"  // cd-lint: allow(layering) white-box ablation bench (docs/API.md exemption)
+//   (c) the §VIII parallel index scan: INDEX on the session executor,
+//       thread sweep.
+#include "core/bound.h"  // cd-lint: allow(layering) white-box ablation bench (docs/API.md exemption)
 
 #include "bench_util.h"
 #include "fusion/truth_finder.h"  // cd-lint: allow(layering) white-box ablation bench (docs/API.md exemption)
@@ -19,7 +19,6 @@ class ConfiguredScanDetector : public CopyDetector {
  public:
   ConfiguredScanDetector(const DetectionParams& params, bool respect_tail)
       : CopyDetector(params), respect_tail_(respect_tail) {}
-  std::string_view name() const override { return "configured-scan"; }
   Status DetectRound(const DetectionInput& in, int round,
                      CopyResult* out) override {
     (void)round;
@@ -53,17 +52,17 @@ int main(int argc, char** argv) {
                   "pairs"});
   for (const BenchDataset& spec : DefaultDatasets(scale)) {
     World world = MakeWorld(spec, seed);
-    FusionOptions options = OptionsFor(world);
+    FusionOptions options = SessionOptionsFor(world).ToFusionOptions();
     ConfiguredScanDetector with_tail(options.params, true);
     ConfiguredScanDetector without_tail(options.params, false);
-    auto a = RunFusionWithDetector(world, &with_tail, options);
-    auto b = RunFusionWithDetector(world, &without_tail, options);
+    auto a = IterativeFusion(options).Run(world.data, &with_tail);
+    auto b = IterativeFusion(options).Run(world.data, &without_tail);
     CD_CHECK_OK(a.status());
     CD_CHECK_OK(b.status());
-    tail.AddRow({spec.name, HumanSeconds(a->fusion.detect_seconds),
-                 WithCommas(a->counters.pairs_tracked),
-                 HumanSeconds(b->fusion.detect_seconds),
-                 WithCommas(b->counters.pairs_tracked)});
+    tail.AddRow({spec.name, HumanSeconds(a->detect_seconds),
+                 WithCommas(with_tail.counters().pairs_tracked),
+                 HumanSeconds(b->detect_seconds),
+                 WithCommas(without_tail.counters().pairs_tracked)});
   }
   std::printf("%s\n",
               tail.Render("Ablation (a) — tail set E̅ on/off (HYBRID)")
@@ -75,13 +74,13 @@ int main(int argc, char** argv) {
   for (const BenchDataset& spec : QualityDatasets(scale)) {
     World world = MakeWorld(spec, seed);
     for (size_t threshold : {0UL, 4UL, 16UL, 64UL, 256UL}) {
-      FusionOptions options = OptionsFor(world);
-      options.params.hybrid_threshold = threshold;
-      auto outcome = RunFusion(world, DetectorKind::kHybrid, options);
-      CD_CHECK_OK(outcome.status());
+      SessionOptions options = SessionOptionsFor(world);
+      options.detector = "hybrid";
+      options.hybrid_threshold = threshold;
+      Report report = RunSession(options, world.data);
       sweep.AddRow({spec.name, StrFormat("%zu", threshold),
-                    Millions(outcome->counters.Total()),
-                    HumanSeconds(outcome->fusion.detect_seconds)});
+                    Millions(report.counters.Total()),
+                    HumanSeconds(report.fusion.detect_seconds)});
     }
   }
   std::printf(
@@ -94,13 +93,12 @@ int main(int argc, char** argv) {
   par.SetHeader({"Threads", "detect time", "speedup vs 1"});
   {
     World world = MakeWorld(DefaultDatasets(scale).back(), seed);
-    FusionOptions options = OptionsFor(world, /*max_rounds=*/4);
+    SessionOptions options = SessionOptionsFor(world, /*max_rounds=*/4);
+    options.detector = "index";
     double base = 0.0;
     for (size_t threads : {1UL, 2UL, 4UL, 8UL, 16UL}) {
-      ParallelIndexDetector detector(options.params, threads);
-      auto outcome = RunFusionWithDetector(world, &detector, options);
-      CD_CHECK_OK(outcome.status());
-      double secs = outcome->fusion.detect_seconds;
+      options.threads = threads;
+      double secs = RunSession(options, world.data).fusion.detect_seconds;
       if (threads == 1) base = secs;
       par.AddRow({StrFormat("%zu", threads), HumanSeconds(secs),
                   Fmt(base / secs, "%.2fx")});

@@ -45,21 +45,10 @@ inline std::vector<BenchDataset> QualityDatasets(double scale) {
   };
 }
 
-/// Standard fusion options for a generated world: the paper's alpha
-/// and s, with n matched to the generator's false pool.
-inline FusionOptions OptionsFor(const World& world, int max_rounds = 8) {
-  FusionOptions options;
-  options.params.alpha = 0.1;
-  options.params.s = 0.8;
-  options.params.n = world.suggested_n;
-  options.max_rounds = max_rounds;
-  options.epsilon = 1e-4;
-  return options;
-}
-
-/// The same standard configuration as one facade SessionOptions —
-/// the setup path for harnesses driving the pipeline through
-/// copydetect/session.h.
+/// Standard configuration for a generated world: the paper's alpha
+/// and s, with n matched to the generator's false pool. White-box
+/// harnesses that drive IterativeFusion with a hand-built detector
+/// take its ToFusionOptions().
 inline SessionOptions SessionOptionsFor(const World& world,
                                         int max_rounds = 8) {
   SessionOptions options;
@@ -76,6 +65,32 @@ inline World MakeWorld(const BenchDataset& spec, uint64_t seed) {
   auto world = MakeWorldByName(spec.name, spec.scale, seed);
   CD_CHECK_OK(world.status());
   return std::move(world).value();
+}
+
+/// One-shot Session run of `options` over `data`, dying on error.
+inline Report RunSession(const SessionOptions& options,
+                         const Dataset& data) {
+  auto session = Session::Create(options);
+  CD_CHECK_OK(session.status());
+  auto report = session->Run(data);
+  CD_CHECK_OK(report.status());
+  return std::move(report).value();
+}
+
+/// The standard one-shot run of `detector` over `world`. A nonzero
+/// `sample_rate` runs it on a §VI sample drawn by `method` with
+/// `sample_seed`.
+inline Report RunDetector(
+    const World& world, const std::string& detector,
+    double sample_rate = 0.0,
+    SamplingMethod method = SamplingMethod::kScaleSample,
+    uint64_t sample_seed = 42) {
+  SessionOptions options = SessionOptionsFor(world);
+  options.detector = detector;
+  options.sample_rate = sample_rate;
+  options.sample_method = method;
+  options.sample_seed = sample_seed;
+  return RunSession(options, world.data);
 }
 
 inline std::string Fmt(double v, const char* fmt = "%.3f") {

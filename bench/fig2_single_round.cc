@@ -21,24 +21,15 @@ int main(int argc, char** argv) {
   TextTable time;
   time.SetHeader({"Dataset", "index", "bound", "boundplus", "hybrid"});
 
-  const DetectorKind kinds[] = {
-      DetectorKind::kIndex,
-      DetectorKind::kBound,
-      DetectorKind::kBoundPlus,
-      DetectorKind::kHybrid,
-  };
-
   for (const BenchDataset& spec : DefaultDatasets(scale)) {
     World world = MakeWorld(spec, seed);
-    FusionOptions options = OptionsFor(world);
 
     std::vector<std::string> comp_row = {spec.name};
     std::vector<std::string> time_row = {spec.name};
-    for (DetectorKind kind : kinds) {
-      auto outcome = RunFusion(world, kind, options);
-      CD_CHECK_OK(outcome.status());
-      comp_row.push_back(Millions(outcome->counters.Total()));
-      time_row.push_back(HumanSeconds(outcome->fusion.detect_seconds));
+    for (const char* detector : {"index", "bound", "boundplus", "hybrid"}) {
+      Report report = RunDetector(world, detector);
+      comp_row.push_back(Millions(report.counters.Total()));
+      time_row.push_back(HumanSeconds(report.fusion.detect_seconds));
     }
     computations.AddRow(comp_row);
     time.AddRow(time_row);

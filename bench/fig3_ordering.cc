@@ -24,9 +24,9 @@ double RunWithOrdering(const World& world, const FusionOptions& options,
                                                /*lazy=*/false, ordering,
                                                seed);
   }
-  auto outcome = RunFusionWithDetector(world, detector.get(), options);
-  CD_CHECK_OK(outcome.status());
-  return outcome->fusion.detect_seconds;
+  auto result = IterativeFusion(options).Run(world.data, detector.get());
+  CD_CHECK_OK(result.status());
+  return result->detect_seconds;
 }
 
 }  // namespace
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
                      "contribution/random"});
     for (const BenchDataset& spec : DefaultDatasets(scale)) {
       World world = MakeWorld(spec, seed);
-      FusionOptions options = OptionsFor(world);
+      FusionOptions options = SessionOptionsFor(world).ToFusionOptions();
       double random =
           RunWithOrdering(world, options, hybrid,
                           EntryOrdering::kRandom, seed);

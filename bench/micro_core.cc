@@ -306,8 +306,7 @@ void DetectorRoundLoop(benchmark::State& state, const WorldInputs& inputs,
   Executor executor(threads);
   DetectionParams params = Params();
   params.executor = &executor;
-  auto detector =
-      DetectorRegistry::Global().Create(detector_name, params);
+  auto detector = CreateDetector(detector_name, params);
   if (!detector.ok()) {
     state.SkipWithError(detector.status().message().c_str());
     return;
@@ -644,8 +643,7 @@ void BM_FusionRunBookFull(benchmark::State& state) {
     Executor executor(1);
     FusionOptions fusion = options.ToFusionOptions();
     fusion.params.executor = &executor;
-    auto detector =
-        DetectorRegistry::Global().Create("index", fusion.params);
+    auto detector = CreateDetector("index", fusion.params);
     if (!detector.ok()) {
       state.SkipWithError(detector.status().message().c_str());
       break;
@@ -684,7 +682,7 @@ constexpr std::string_view kShardedDetectPrefix =
 
 void RegisterDetectorBenchmarks(size_t multi_threads) {
   // Every registered detector, straight from the registry — a
-  // detector added by one CD_REGISTER_DETECTOR stanza shows up here
+  // detector added as one row of the detector table shows up here
   // (and in --detector=<name>) with no bench change.
   for (const std::string& name : ListDetectors()) {
     std::string bench_name = std::string(kDetectorPrefix) + name;

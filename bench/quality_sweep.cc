@@ -48,22 +48,22 @@ int main(int argc, char** argv) {
   flags.String("scenarios", &scenarios_csv,
                "comma-separated scenario names (default: all)");
   flags.String("detectors", &detectors_csv,
-               "comma-separated detector kinds to sweep");
+               "comma-separated detector names to sweep");
   JsonFlag(flags, &json_path);
   flags.ParseOrDie(argc, argv);
 
   std::vector<std::string> scenario_names =
       scenarios_csv.empty() ? ScenarioNames() : Split(scenarios_csv, ',');
-  std::vector<DetectorKind> kinds;
-  for (const std::string& name : Split(detectors_csv, ',')) {
-    DetectorKind kind;
-    if (!ParseDetectorKind(name, &kind)) {
-      std::fprintf(stderr,
-                   "quality_sweep: unknown detector kind '%s'\n",
-                   name.c_str());
+  std::vector<std::string> detectors = Split(detectors_csv, ',');
+  for (const std::string& name : detectors) {
+    SessionOptions options;
+    options.detector = name;
+    Status valid = options.Validate();
+    if (!valid.ok()) {
+      std::fprintf(stderr, "quality_sweep: %s\n",
+                   valid.ToString().c_str());
       return 2;
     }
-    kinds.push_back(kind);
   }
 
   QualityReporter reporter("quality_sweep");
@@ -75,27 +75,27 @@ int main(int argc, char** argv) {
     TextTable table;
     table.SetHeader({"Detector", "Prec", "Rec", "F-msr", "Accu",
                      "Pairs", "Rounds", "Time"});
-    for (DetectorKind kind : kinds) {
-      auto result = EvaluateScenario(scenario, kind);
-      CD_CHECK_OK(result.status());
-      table.AddRow({result->detector, Fmt(result->pairs.precision),
-                    Fmt(result->pairs.recall), Fmt(result->pairs.f1),
-                    Fmt(result->fusion_accuracy),
-                    StrFormat("%zu/%zu", result->pairs.output_pairs,
-                              result->pairs.reference_pairs),
-                    StrFormat("%d", result->rounds),
-                    HumanSeconds(result->seconds)});
+    for (const std::string& name : detectors) {
+      Report report = RunDetector(scenario.world, name);
+      ScenarioResult result = ScoreScenario(scenario, report.fusion);
+      table.AddRow({report.detector, Fmt(result.pairs.precision),
+                    Fmt(result.pairs.recall), Fmt(result.pairs.f1),
+                    Fmt(result.fusion_accuracy),
+                    StrFormat("%zu/%zu", result.pairs.output_pairs,
+                              result.pairs.reference_pairs),
+                    StrFormat("%d", result.rounds),
+                    HumanSeconds(result.seconds)});
 
       QualityRecord record;
       record.scenario = scenario.name;
-      record.detector = result->detector;
+      record.detector = report.detector;
       record.scale = scale;
-      record.precision = result->pairs.precision;
-      record.recall = result->pairs.recall;
-      record.f1 = result->pairs.f1;
-      record.fusion_accuracy = result->fusion_accuracy;
-      record.output_pairs = result->pairs.output_pairs;
-      record.reference_pairs = result->pairs.reference_pairs;
+      record.precision = result.pairs.precision;
+      record.recall = result.pairs.recall;
+      record.f1 = result.pairs.f1;
+      record.fusion_accuracy = result.fusion_accuracy;
+      record.output_pairs = result.pairs.output_pairs;
+      record.reference_pairs = result.pairs.reference_pairs;
       reporter.Add(std::move(record));
     }
     std::printf("%s\n",

@@ -20,16 +20,12 @@ int main(int argc, char** argv) {
 
   for (const BenchDataset& spec : DefaultDatasets(scale)) {
     World world = MakeWorld(spec, seed);
-    FusionOptions options = OptionsFor(world);
-
-    auto run = [&](DetectorKind kind) {
-      auto outcome = RunFusion(world, kind, options);
-      CD_CHECK_OK(outcome.status());
-      return outcome->fusion.detect_seconds;
+    auto run = [&](const char* detector) {
+      return RunDetector(world, detector).fusion.detect_seconds;
     };
-    double fagin = run(DetectorKind::kFaginInput);
-    double hybrid = run(DetectorKind::kHybrid);
-    double incremental = run(DetectorKind::kIncremental);
+    double fagin = run("fagin-input");
+    double hybrid = run("hybrid");
+    double incremental = run("incremental");
 
     table.AddRow({spec.name, HumanSeconds(fagin), HumanSeconds(hybrid),
                   HumanSeconds(incremental),

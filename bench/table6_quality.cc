@@ -5,8 +5,6 @@
 // Columns: detection precision / recall / F vs PAIRWISE; fusion
 // accuracy on the gold standard; fusion difference and accuracy
 // variance vs PAIRWISE.
-#include <memory>
-
 #include "bench_util.h"
 
 using namespace copydetect;
@@ -16,12 +14,12 @@ namespace {
 
 struct MethodResult {
   std::string name;
-  RunOutcome outcome;
+  Report report;
 };
 
 void PrintQualityReport(const World& world, const std::string& dataset,
             const std::vector<MethodResult>& methods,
-            const RunOutcome& reference) {
+            const Report& reference) {
   TextTable table;
   table.SetHeader({"Method", "Prec", "Rec", "F-msr", "Accu",
                    "Fusion diff", "Accu var"});
@@ -30,13 +28,13 @@ void PrintQualityReport(const World& world, const std::string& dataset,
   table.AddRow({"pairwise", "-", "-", "-", Fmt(ref_acc), "-", "-"});
   for (const MethodResult& m : methods) {
     PrfScores prf =
-        ComparePairs(m.outcome.fusion.copies, reference.fusion.copies);
+        ComparePairs(m.report.fusion.copies, reference.fusion.copies);
     table.AddRow(
         {m.name, Fmt(prf.precision), Fmt(prf.recall), Fmt(prf.f1),
-         Fmt(world.gold.Accuracy(world.data, m.outcome.fusion.truth)),
-         Fmt(FusionDifference(world.data, m.outcome.fusion.truth,
+         Fmt(world.gold.Accuracy(world.data, m.report.fusion.truth)),
+         Fmt(FusionDifference(world.data, m.report.fusion.truth,
                               reference.fusion.truth)),
-         Fmt(AccuracyVariance(m.outcome.fusion.accuracies,
+         Fmt(AccuracyVariance(m.report.fusion.accuracies,
                               reference.fusion.accuracies), "%.4f")});
   }
   std::printf("%s\n",
@@ -55,42 +53,29 @@ int main(int argc, char** argv) {
 
   for (const BenchDataset& spec : QualityDatasets(scale)) {
     World world = MakeWorld(spec, seed);
-    FusionOptions options = OptionsFor(world);
     double rate = DefaultSamplingRate(spec.name);
 
-    auto reference = RunFusion(world, DetectorKind::kPairwise, options);
-    CD_CHECK_OK(reference.status());
+    auto run = [&](const char* detector, double r = 0.0,
+                   SamplingMethod method = SamplingMethod::kScaleSample) {
+      return RunDetector(world, detector, r, method, seed);
+    };
 
+    Report reference = run("pairwise");
     std::vector<MethodResult> methods;
-    auto run_kind = [&](const std::string& name, DetectorKind kind) {
-      auto outcome = RunFusion(world, kind, options);
-      CD_CHECK_OK(outcome.status());
-      methods.push_back({name, std::move(outcome).value()});
-    };
-    auto run_sampled = [&](const std::string& name, DetectorKind base,
-                           SamplingMethod method, double r) {
-      auto detector =
-          MakeSampledDetector(options.params, base, method, r, seed);
-      auto outcome =
-          RunFusionWithDetector(world, detector.get(), options);
-      CD_CHECK_OK(outcome.status());
-      methods.push_back({name, std::move(outcome).value()});
-    };
-
     // SAMPLE1/SAMPLE2: naive sampling + PAIRWISE (§VI-A).
-    run_sampled("sample1 (by-item)", DetectorKind::kPairwise,
-                SamplingMethod::kByItem, rate);
-    run_sampled("sample2 (by-cell)", DetectorKind::kPairwise,
-                SamplingMethod::kByCell,
-                spec.name == "stock-1day" ? rate : rate * 3.0);
-    run_kind("index", DetectorKind::kIndex);
-    run_kind("hybrid", DetectorKind::kHybrid);
-    run_kind("incremental", DetectorKind::kIncremental);
-    run_sampled("scalesample", DetectorKind::kIncremental,
-                SamplingMethod::kScaleSample, rate);
+    methods.push_back({"sample1 (by-item)",
+                       run("pairwise", rate, SamplingMethod::kByItem)});
+    methods.push_back(
+        {"sample2 (by-cell)",
+         run("pairwise", spec.name == "stock-1day" ? rate : rate * 3.0,
+             SamplingMethod::kByCell)});
+    methods.push_back({"index", run("index")});
+    methods.push_back({"hybrid", run("hybrid")});
+    methods.push_back({"incremental", run("incremental")});
+    methods.push_back({"scalesample", run("incremental", rate)});
 
     PrintQualityReport(world, spec.name + StrFormat(" (scale %.2f)", spec.scale),
-           methods, *reference);
+           methods, reference);
   }
   std::printf(
       "Paper reference (Table VI): INDEX = exact match to PAIRWISE "

@@ -30,37 +30,29 @@ int main(int argc, char** argv) {
 
   for (const BenchDataset& spec : DefaultDatasets(scale)) {
     World world = MakeWorld(spec, seed);
-    FusionOptions options = OptionsFor(world);
     double rate = DefaultSamplingRate(spec.name);
 
-    auto detect_seconds = [&](DetectorKind kind) {
-      auto outcome = RunFusion(world, kind, options);
-      CD_CHECK_OK(outcome.status());
-      return outcome->fusion.detect_seconds;
-    };
-    auto sampled_seconds = [&](DetectorKind base, SamplingMethod method,
-                               double r) {
-      auto detector =
-          MakeSampledDetector(options.params, base, method, r, seed);
-      auto outcome =
-          RunFusionWithDetector(world, detector.get(), options);
-      CD_CHECK_OK(outcome.status());
-      return outcome->fusion.detect_seconds;
+    // Detection seconds of `detector`, on a sample when `r` > 0.
+    auto detect_seconds = [&](const char* detector, double r = 0.0,
+                              SamplingMethod method =
+                                  SamplingMethod::kScaleSample) {
+      return RunDetector(world, detector, r, method, seed)
+          .fusion.detect_seconds;
     };
 
-    double pairwise = detect_seconds(DetectorKind::kPairwise);
-    double sample1 = sampled_seconds(DetectorKind::kPairwise,
-                                     SamplingMethod::kByItem, rate);
-    double sample2 = sampled_seconds(
-        DetectorKind::kPairwise, SamplingMethod::kByCell,
+    double pairwise = detect_seconds("pairwise");
+    double sample1 =
+        detect_seconds("pairwise", rate, SamplingMethod::kByItem);
+    double sample2 = detect_seconds(
+        "pairwise",
         spec.name == "stock-1day" || spec.name == "stock-2wk"
             ? rate
-            : rate * 3.0);
-    double index = detect_seconds(DetectorKind::kIndex);
-    double hybrid = detect_seconds(DetectorKind::kHybrid);
-    double incremental = detect_seconds(DetectorKind::kIncremental);
-    double scalesample = sampled_seconds(
-        DetectorKind::kIncremental, SamplingMethod::kScaleSample, rate);
+            : rate * 3.0,
+        SamplingMethod::kByCell);
+    double index = detect_seconds("index");
+    double hybrid = detect_seconds("hybrid");
+    double incremental = detect_seconds("incremental");
+    double scalesample = detect_seconds("incremental", rate);
 
     std::vector<TimedMethod> rows = {
         {"pairwise", pairwise, "-"},

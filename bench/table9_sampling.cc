@@ -20,22 +20,26 @@ int main(int argc, char** argv) {
 
   for (const BenchDataset& spec : QualityDatasets(scale)) {
     World world = MakeWorld(spec, seed);
-    FusionOptions options = OptionsFor(world);
     double rate = DefaultSamplingRate(spec.name);
 
-    auto reference = RunFusion(world, DetectorKind::kIndex, options);
-    CD_CHECK_OK(reference.status());
+    Report reference = RunDetector(world, "index");
+
+    // The sample a SampledDetector draws for `method` at `r`: the
+    // draw is deterministic in (data, spec), so this is the sample
+    // the run below detects on.
+    auto sample = [&](SamplingMethod method, double r) {
+      SampleSpec sample_spec;
+      sample_spec.method = method;
+      sample_spec.rate = r;
+      sample_spec.seed = seed;
+      auto sampled = SampleDataset(world.data, sample_spec);
+      CD_CHECK_OK(sampled.status());
+      return std::move(sampled).value();
+    };
 
     // SCALESAMPLE first: its achieved item/cell fractions set the
     // rates for the naive strategies (the paper's fairness rule).
-    SampleSpec scale_spec;
-    scale_spec.method = SamplingMethod::kScaleSample;
-    scale_spec.rate = rate;
-    scale_spec.seed = seed;
-    auto probe = SampleDataset(world.data, scale_spec);
-    CD_CHECK_OK(probe.status());
-    double item_fraction = probe->item_fraction;
-    double cell_fraction = probe->cell_fraction;
+    SampledData probe = sample(SamplingMethod::kScaleSample, rate);
 
     struct Entry {
       const char* name;
@@ -44,24 +48,18 @@ int main(int argc, char** argv) {
     };
     const Entry entries[] = {
         {"scalesample", SamplingMethod::kScaleSample, rate},
-        {"by-item", SamplingMethod::kByItem, item_fraction},
-        {"by-cell", SamplingMethod::kByCell, cell_fraction},
+        {"by-item", SamplingMethod::kByItem, probe.item_fraction},
+        {"by-cell", SamplingMethod::kByCell, probe.cell_fraction},
     };
     for (const Entry& e : entries) {
-      auto detector = MakeSampledDetector(
-          options.params, DetectorKind::kIncremental, e.method, e.r,
-          seed);
-      auto outcome =
-          RunFusionWithDetector(world, detector.get(), options);
-      CD_CHECK_OK(outcome.status());
-      auto* sampled = dynamic_cast<SampledDetector*>(detector.get());
-      PrfScores prf = ComparePairs(outcome->fusion.copies,
-                                   reference->fusion.copies);
-      table.AddRow(
-          {spec.name, e.name,
-           Fmt(sampled->sample()->item_fraction * 100.0, "%.0f%%"),
-           Fmt(sampled->sample()->cell_fraction * 100.0, "%.0f%%"),
-           Fmt(prf.precision), Fmt(prf.recall), Fmt(prf.f1)});
+      Report report = RunDetector(world, "incremental", e.r, e.method, seed);
+      SampledData kept = sample(e.method, e.r);
+      PrfScores prf =
+          ComparePairs(report.fusion.copies, reference.fusion.copies);
+      table.AddRow({spec.name, e.name,
+                    Fmt(kept.item_fraction * 100.0, "%.0f%%"),
+                    Fmt(kept.cell_fraction * 100.0, "%.0f%%"),
+                    Fmt(prf.precision), Fmt(prf.recall), Fmt(prf.f1)});
     }
   }
   std::printf("%s\n",

@@ -371,8 +371,7 @@ Status SessionOptions::Validate() const {
   Require(damping >= 0.0 && damping < 1.0, &problems,
           StrFormat("damping must be in [0, 1), got %g", damping));
   // Detector and sampling.
-  if (use_copy_detection &&
-      !DetectorRegistry::Global().Contains(detector)) {
+  if (use_copy_detection && ResolveDetector(detector).empty()) {
     problems.push_back("unknown detector '" + detector +
                        "' (available: " + ListDetectorsJoined() + ")");
   }
@@ -459,8 +458,8 @@ StatusOr<Session> Session::Create(const SessionOptions& options) {
   std::string name;
   std::unique_ptr<CopyDetector> detector;
   if (options.use_copy_detection) {
-    name = DetectorRegistry::Global().Resolve(options.detector);
-    auto made = DetectorRegistry::Global().Create(name, params);
+    name = ResolveDetector(options.detector);
+    auto made = CreateDetector(name, params);
     if (!made.ok()) return made.status();
     detector = std::move(made).value();
     if (options.sample_rate > 0.0) {
@@ -1078,8 +1077,6 @@ class PrecomputedDetector : public CopyDetector {
  public:
   PrecomputedDetector(const DetectionParams& params, CopyResult copies)
       : CopyDetector(params), copies_(std::move(copies)) {}
-
-  std::string_view name() const override { return "precomputed"; }
 
   Status DetectRound(const DetectionInput& in, int round,
                      CopyResult* out) override {

@@ -8,9 +8,9 @@
 ///   #include "copydetect/session.h"
 ///
 /// A Session owns the whole pipeline: the shared Executor runtime, a
-/// detector resolved by name through the DetectorRegistry, and the
-/// iterative copy-aware fusion loop. Configure everything with one
-/// SessionOptions, then either
+/// detector resolved by name through the detector table
+/// (core/detector_registry.h), and the iterative copy-aware fusion
+/// loop. Configure everything with one SessionOptions, then either
 ///
 ///   * one-shot:   auto report = session->Run(data);
 ///   * streaming:  session->Start(data);
@@ -77,8 +77,11 @@ struct SessionState;
 struct SessionOptions {
   /// Registry name of the detection algorithm (see ListDetectors()):
   /// "pairwise", "index", "bound", "boundplus", "hybrid",
-  /// "incremental", "fagin-input", "parallel-index". Ignored when
-  /// use_copy_detection is false.
+  /// "incremental", "fagin-input"; the aliases "bound+" and
+  /// "parallel-index" (an older spelling of "index") also resolve.
+  /// Stored as spelled; Session::detector_name() and Report::detector
+  /// carry the canonical name. Ignored when use_copy_detection is
+  /// false.
   std::string detector = "hybrid";
 
   // --- Bayesian copy-detection model (§II), DetectionParams. ---

@@ -1,7 +1,5 @@
 #include "core/bound.h"
 
-#include "core/detector_registry.h"
-
 #include <algorithm>
 #include <cmath>
 
@@ -252,7 +250,6 @@ Status BoundedScan(const DetectionInput& in, const DetectionParams& params,
       std::make_unique<InvertedIndex>(std::move(index_or).value());
   const InvertedIndex& index = *index_holder;
   if (extras != nullptr) {
-    extras->index_seconds = index.build_seconds();
     extras->num_entries = index.num_entries();
   }
 
@@ -283,23 +280,8 @@ Status BoundDetector::DetectRound(const DetectionInput& in, int round,
   config.hybrid_threshold = 0;
   config.ordering = ordering_;
   config.seed = seed_;
-  ScanOutputs extras;
-  Status st = BoundedScan(in, params_, config,
-                          overlap_cache_.Get(*in.data), &counters_, out,
-                          nullptr, &extras);
-  last_index_seconds_ = extras.index_seconds;
-  return st;
+  return BoundedScan(in, params_, config, overlap_cache_.Get(*in.data),
+                     &counters_, out, /*book=*/nullptr, /*extras=*/nullptr);
 }
-
-CD_REGISTER_DETECTOR(bound, "bound", [](const DetectionParams& p) {
-  return std::make_unique<BoundDetector>(p, /*lazy=*/false);
-});
-
-CD_REGISTER_DETECTOR(
-    boundplus, "boundplus",
-    [](const DetectionParams& p) {
-      return std::make_unique<BoundDetector>(p, /*lazy=*/true);
-    },
-    {"bound+"});
 
 }  // namespace copydetect

@@ -42,7 +42,6 @@ struct ScanConfig {
 
 /// Extra artifacts a scan can hand back to its caller.
 struct ScanOutputs {
-  double index_seconds = 0.0;
   size_t num_entries = 0;
   /// When `keep_index` was set in advance, the built index moves here
   /// (INCREMENTAL freezes it across rounds).
@@ -79,10 +78,6 @@ class BoundDetector : public CopyDetector {
       : CopyDetector(params), lazy_(lazy), ordering_(ordering),
         seed_(seed) {}
 
-  std::string_view name() const override {
-    return lazy_ ? "boundplus" : "bound";
-  }
-
   void Reset() override {
     CopyDetector::Reset();
     overlap_cache_.Clear();
@@ -91,14 +86,11 @@ class BoundDetector : public CopyDetector {
   Status DetectRound(const DetectionInput& in, int round,
                      CopyResult* out) override;
 
-  double last_index_seconds() const { return last_index_seconds_; }
-
  private:
   bool lazy_;
   EntryOrdering ordering_;
   uint64_t seed_;
   OverlapCache overlap_cache_;
-  double last_index_seconds_ = 0.0;
 };
 
 }  // namespace copydetect

@@ -1,7 +1,5 @@
 #include "core/detector.h"
 
-#include "core/detector_registry.h"
-
 namespace copydetect {
 
 Status DetectionInput::Validate() const {
@@ -17,61 +15,6 @@ Status DetectionInput::Validate() const {
         "accuracies size does not match source count");
   }
   return Status::OK();
-}
-
-std::string_view DetectorKindName(DetectorKind kind) {
-  switch (kind) {
-    case DetectorKind::kPairwise:
-      return "pairwise";
-    case DetectorKind::kIndex:
-      return "index";
-    case DetectorKind::kBound:
-      return "bound";
-    case DetectorKind::kBoundPlus:
-      return "boundplus";
-    case DetectorKind::kHybrid:
-      return "hybrid";
-    case DetectorKind::kIncremental:
-      return "incremental";
-    case DetectorKind::kFaginInput:
-      return "fagin-input";
-    case DetectorKind::kParallelIndex:
-      return "parallel-index";
-  }
-  return "?";
-}
-
-bool ParseDetectorKind(std::string_view name, DetectorKind* out) {
-  static constexpr DetectorKind kAll[] = {
-      DetectorKind::kPairwise,     DetectorKind::kIndex,
-      DetectorKind::kBound,        DetectorKind::kBoundPlus,
-      DetectorKind::kHybrid,       DetectorKind::kIncremental,
-      DetectorKind::kFaginInput,   DetectorKind::kParallelIndex,
-  };
-  for (DetectorKind kind : kAll) {
-    if (DetectorKindName(kind) == name) {
-      *out = kind;
-      return true;
-    }
-  }
-  // Legacy spelling kept for old scripts; the registry carries the
-  // same alias.
-  if (name == "bound+") {
-    *out = DetectorKind::kBoundPlus;
-    return true;
-  }
-  return false;
-}
-
-std::unique_ptr<CopyDetector> MakeDetector(DetectorKind kind,
-                                           const DetectionParams& params) {
-  // The registry (populated by each detector TU's self-registration
-  // stanza) is the single source of truth; the enum is a thin
-  // compatibility layer over the canonical names.
-  auto made =
-      DetectorRegistry::Global().Create(DetectorKindName(kind), params);
-  if (!made.ok()) return nullptr;
-  return std::move(made).value();
 }
 
 }  // namespace copydetect

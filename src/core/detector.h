@@ -1,9 +1,6 @@
 #ifndef COPYDETECT_CORE_DETECTOR_H_
 #define COPYDETECT_CORE_DETECTOR_H_
 
-#include <memory>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -79,9 +76,6 @@ class CopyDetector {
  public:
   virtual ~CopyDetector() = default;
 
-  /// Algorithm name for reports ("pairwise", "index", "hybrid", ...).
-  virtual std::string_view name() const = 0;
-
   /// Runs one detection round. `out` is cleared first.
   virtual Status DetectRound(const DetectionInput& in, int round,
                              CopyResult* out) = 0;
@@ -99,28 +93,6 @@ class CopyDetector {
   DetectionParams params_;
   Counters counters_;
 };
-
-/// The algorithms of the paper, plus the parallel extension.
-enum class DetectorKind {
-  kPairwise,      ///< §II-B baseline
-  kIndex,         ///< §III
-  kBound,         ///< §IV-A
-  kBoundPlus,     ///< §IV-B
-  kHybrid,        ///< §IV end
-  kIncremental,   ///< §V (HYBRID for rounds 1-2)
-  kFaginInput,    ///< §II-B NRA baseline
-  kParallelIndex, ///< §VIII future-work extension
-};
-
-/// Name of a detector kind ("pairwise", "index", ...).
-std::string_view DetectorKindName(DetectorKind kind);
-
-/// Parses a detector kind by name; false when unknown.
-bool ParseDetectorKind(std::string_view name, DetectorKind* out);
-
-/// Factory for all detector kinds.
-std::unique_ptr<CopyDetector> MakeDetector(DetectorKind kind,
-                                           const DetectionParams& params);
 
 }  // namespace copydetect
 

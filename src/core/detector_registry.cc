@@ -1,115 +1,72 @@
 #include "core/detector_registry.h"
 
-#include <algorithm>
-#include <utility>
+#include "core/bound.h"
+#include "core/fagin_input.h"
+#include "core/hybrid.h"
+#include "core/incremental.h"
+#include "core/index_algo.h"
+#include "core/pairwise.h"
 
 namespace copydetect {
 
-// Anchors defined by the CD_REGISTER_DETECTOR stanzas in the detector
-// translation units. Each detector lives in its own TU inside the
-// copydetect_core static library; without a reference into those TUs
-// the linker drops them — registrars included — from any binary that
-// only pulls in the registry, silently emptying it. Summing the
-// anchors here forces every built-in detector TU into the link
-// whenever the registry itself is linked.
-extern int cd_detector_anchor_pairwise;
-extern int cd_detector_anchor_index;
-extern int cd_detector_anchor_bound;
-extern int cd_detector_anchor_boundplus;
-extern int cd_detector_anchor_hybrid;
-extern int cd_detector_anchor_incremental;
-extern int cd_detector_anchor_fagin_input;
-extern int cd_detector_anchor_parallel_index;
+namespace {
 
-// External linkage on purpose: an internal-linkage use of the anchors
-// is dead code the optimizer deletes together with the references,
-// re-breaking the link-time pull. Never called at runtime — the
-// undefined-symbol references in this object file do the work.
-int cd_force_link_builtin_detectors() {
-  return cd_detector_anchor_pairwise + cd_detector_anchor_index +
-         cd_detector_anchor_bound + cd_detector_anchor_boundplus +
-         cd_detector_anchor_hybrid + cd_detector_anchor_incremental +
-         cd_detector_anchor_fagin_input +
-         cd_detector_anchor_parallel_index;
+template <typename D, auto... kArgs>
+std::unique_ptr<CopyDetector> Make(const DetectionParams& params) {
+  return std::make_unique<D>(params, kArgs...);
 }
 
-DetectorRegistry& DetectorRegistry::Global() {
-  // Construct-on-first-use: registrars run during static init from
-  // arbitrary TUs and must find a live registry.
-  // cd-lint: allow(banned-new-delete) intentional leak; destructor order vs. registrars is undefined
-  static DetectorRegistry* registry = new DetectorRegistry();
-  return *registry;
-}
+struct DetectorRow {
+  std::string_view name;
+  std::string_view alias;  ///< "" when the detector has none
+  std::unique_ptr<CopyDetector> (*make)(const DetectionParams&);
+};
 
-const DetectorRegistry::Entry* DetectorRegistry::Find(
-    std::string_view name) const {
-  for (const auto& [key, entry] : entries_) {
-    if (key == name) return &entry;
+// Sorted by canonical name. Aliases are older spellings that saved
+// session options (docs/FORMATS.md) and scripts may still carry:
+// "parallel-index" was INDEX at threads > 1 before every detector ran
+// on the session's executor.
+constexpr DetectorRow kDetectors[] = {
+    {"bound", "", Make<BoundDetector, /*lazy=*/false>},
+    {"boundplus", "bound+", Make<BoundDetector, /*lazy=*/true>},
+    {"fagin-input", "", Make<FaginInputDetector>},
+    {"hybrid", "", Make<HybridDetector>},
+    {"incremental", "", Make<IncrementalDetector>},
+    {"index", "parallel-index", Make<IndexDetector>},
+    {"pairwise", "", Make<PairwiseDetector>},
+};
+
+const DetectorRow* Find(std::string_view name) {
+  for (const DetectorRow& row : kDetectors) {
+    if (row.name == name || (!row.alias.empty() && row.alias == name)) {
+      return &row;
+    }
   }
   return nullptr;
 }
 
-Status DetectorRegistry::Register(std::string name,
-                                  DetectorFactory factory,
-                                  std::vector<std::string> aliases) {
-  if (name.empty()) {
-    return Status::InvalidArgument("detector name must be non-empty");
-  }
-  if (factory == nullptr) {
-    return Status::InvalidArgument("detector factory must be non-null");
-  }
-  if (Find(name) != nullptr) {
-    return Status::AlreadyExists("detector '" + name +
-                                 "' is already registered");
-  }
-  for (const std::string& alias : aliases) {
-    if (Find(alias) != nullptr || alias == name) {
-      return Status::AlreadyExists("detector alias '" + alias +
-                                   "' is already registered");
-    }
-  }
-  entries_.emplace_back(name, Entry{"", std::move(factory)});
-  for (std::string& alias : aliases) {
-    entries_.emplace_back(std::move(alias), Entry{name, nullptr});
-  }
-  return Status::OK();
-}
+}  // namespace
 
-StatusOr<std::unique_ptr<CopyDetector>> DetectorRegistry::Create(
-    std::string_view name, const DetectionParams& params) const {
-  const Entry* entry = Find(name);
-  if (entry != nullptr && !entry->canonical.empty()) {
-    entry = Find(entry->canonical);
-  }
-  if (entry == nullptr) {
+StatusOr<std::unique_ptr<CopyDetector>> CreateDetector(
+    std::string_view name, const DetectionParams& params) {
+  const DetectorRow* row = Find(name);
+  if (row == nullptr) {
     return Status::NotFound("unknown detector '" + std::string(name) +
                             "' (available: " + ListDetectorsJoined() +
                             ")");
   }
-  return entry->factory(params);
+  return row->make(params);
 }
 
-bool DetectorRegistry::Contains(std::string_view name) const {
-  return Find(name) != nullptr;
-}
-
-std::string DetectorRegistry::Resolve(std::string_view name) const {
-  const Entry* entry = Find(name);
-  if (entry == nullptr) return "";
-  return entry->canonical.empty() ? std::string(name) : entry->canonical;
-}
-
-std::vector<std::string> DetectorRegistry::Names() const {
-  std::vector<std::string> names;
-  for (const auto& [key, entry] : entries_) {
-    if (entry.canonical.empty()) names.push_back(key);
-  }
-  std::sort(names.begin(), names.end());
-  return names;
+std::string ResolveDetector(std::string_view name) {
+  const DetectorRow* row = Find(name);
+  return row == nullptr ? "" : std::string(row->name);
 }
 
 std::vector<std::string> ListDetectors() {
-  return DetectorRegistry::Global().Names();
+  std::vector<std::string> names;
+  for (const DetectorRow& row : kDetectors) names.emplace_back(row.name);
+  return names;
 }
 
 std::string ListDetectorsJoined() {
@@ -119,14 +76,6 @@ std::string ListDetectorsJoined() {
     joined += name;
   }
   return joined;
-}
-
-DetectorRegistrar::DetectorRegistrar(
-    const char* name, DetectorFactory factory,
-    std::initializer_list<const char*> aliases) {
-  std::vector<std::string> alias_vec(aliases.begin(), aliases.end());
-  CD_CHECK_OK(DetectorRegistry::Global().Register(
-      name, std::move(factory), std::move(alias_vec)));
 }
 
 }  // namespace copydetect

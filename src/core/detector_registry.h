@@ -1,8 +1,6 @@
 #ifndef COPYDETECT_CORE_DETECTOR_REGISTRY_H_
 #define COPYDETECT_CORE_DETECTOR_REGISTRY_H_
 
-#include <functional>
-#include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -13,81 +11,27 @@
 
 namespace copydetect {
 
-/// Builds a detector from validated parameters. Factories must be
-/// stateless: every call returns a fresh detector.
-using DetectorFactory =
-    std::function<std::unique_ptr<CopyDetector>(const DetectionParams&)>;
+// The one place a copy-detection algorithm is named: a sorted table of
+// {canonical name, alias, factory} rows in detector_registry.cc, one
+// row per built-in detector, so adding an algorithm means adding one
+// row. The public facade (copydetect/session.h) resolves
+// SessionOptions::detector and the CLI's --detector=<name> here;
+// ListDetectors() feeds --detector=help and error messages.
 
-/// String-keyed factory registry over every copy-detection algorithm.
-/// Each detector translation unit registers itself (see
-/// CD_REGISTER_DETECTOR below), so adding an algorithm means adding
-/// one .cc file — no central switch to edit. The public facade
-/// (copydetect/session.h) resolves SessionOptions::detector and the
-/// CLI's --detector=<name> through this registry; ListDetectors()
-/// feeds --detector=help and error messages.
-class DetectorRegistry {
- public:
-  /// The process-wide registry holding the built-in detectors.
-  static DetectorRegistry& Global();
+/// Builds a fresh detector by canonical name or alias. NotFound
+/// (listing every canonical name) for unknown spellings.
+StatusOr<std::unique_ptr<CopyDetector>> CreateDetector(
+    std::string_view name, const DetectionParams& params);
 
-  /// Registers `factory` under its canonical `name`, optionally with
-  /// alternate spellings. Returns AlreadyExists when the name or an
-  /// alias collides with any previously registered spelling.
-  Status Register(std::string name, DetectorFactory factory,
-                  std::vector<std::string> aliases = {});
+/// Canonical name for `name` (resolving aliases); "" when unknown.
+std::string ResolveDetector(std::string_view name);
 
-  /// Builds a detector by canonical name or alias. NotFound (listing
-  /// every canonical name) for unknown spellings.
-  StatusOr<std::unique_ptr<CopyDetector>> Create(
-      std::string_view name, const DetectionParams& params) const;
-
-  /// True when `name` resolves (canonical or alias).
-  bool Contains(std::string_view name) const;
-
-  /// Canonical name for `name` (resolving aliases); "" when unknown.
-  std::string Resolve(std::string_view name) const;
-
-  /// Canonical names, sorted; aliases are not listed.
-  std::vector<std::string> Names() const;
-
- private:
-  struct Entry {
-    std::string canonical;  ///< "" when this key is the canonical one
-    DetectorFactory factory;  ///< set only on canonical entries
-  };
-  const Entry* Find(std::string_view name) const;
-
-  // Keyed by every accepted spelling. Small and built once at static
-  // init, so a sorted vector beats a map for lookups and Names().
-  std::vector<std::pair<std::string, Entry>> entries_;
-};
-
-/// Sorted canonical names of DetectorRegistry::Global().
+/// Canonical names, sorted; aliases are not listed.
 std::vector<std::string> ListDetectors();
 
 /// The same list joined for error messages / --detector=help:
 /// "bound, boundplus, fagin-input, ...".
 std::string ListDetectorsJoined();
-
-/// Registers a detector at static-initialization time; dies on
-/// duplicate names so a bad registration cannot be shadowed silently.
-struct DetectorRegistrar {
-  DetectorRegistrar(const char* name, DetectorFactory factory,
-                    std::initializer_list<const char*> aliases = {});
-};
-
-/// Self-registration stanza for a detector TU. `ident` must be a
-/// unique C identifier; it also names the TU's link anchor
-/// (cd_detector_anchor_<ident>) which detector_registry.cc references
-/// so static-library links keep the registrar alive. Use inside
-/// namespace copydetect.
-#define CD_REGISTER_DETECTOR(ident, ...)                                \
-  int cd_detector_anchor_##ident = 0;                                   \
-  namespace {                                                           \
-  const ::copydetect::DetectorRegistrar cd_detector_registrar_##ident(  \
-      __VA_ARGS__);                                                     \
-  }                                                                     \
-  static_assert(true, "")  /* require a trailing semicolon */
 
 }  // namespace copydetect
 

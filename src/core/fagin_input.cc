@@ -1,10 +1,7 @@
 #include "core/fagin_input.h"
 
-#include "core/detector_registry.h"
-
 #include <algorithm>
 
-#include "common/timer.h"
 #include "core/bayes.h"
 #include "core/inverted_index.h"
 
@@ -15,8 +12,6 @@ StatusOr<FaginInput> BuildFaginInput(const DetectionInput& in,
                                      const OverlapCounts& overlaps,
                                      Counters* counters) {
   CD_RETURN_IF_ERROR(in.Validate());
-  Stopwatch watch;
-  watch.Start();
 
   auto index_or = InvertedIndex::Build(in, params,
                                        EntryOrdering::kByContribution);
@@ -78,9 +73,6 @@ StatusOr<FaginInput> BuildFaginInput(const DetectionInput& in,
               return a.first < b.first;
             });
   input.bwd_lists.back() = diff_fwd;
-
-  watch.Stop();
-  input.build_seconds = watch.Seconds();
   return input;
 }
 
@@ -97,10 +89,9 @@ Status FaginInputDetector::DetectRound(const DetectionInput& in,
                                   &counters_);
   if (!input_or.ok()) return input_or.status();
   const FaginInput& input = *input_or;
-  last_build_seconds_ = input.build_seconds;
 
   // Aggregate the lists exactly (NRA with k = everything degenerates
-  // to this; the measured point of the baseline is build_seconds).
+  // to this; the measured point of the baseline is the input build).
   FlatHashMap<std::pair<double, double>> sums;
   for (size_t i = 0; i < input.fwd_lists.size(); ++i) {
     for (const auto& [key, score] : input.fwd_lists[i].entries) {
@@ -118,10 +109,5 @@ Status FaginInputDetector::DetectRound(const DetectionInput& in,
   });
   return Status::OK();
 }
-
-CD_REGISTER_DETECTOR(fagin_input, "fagin-input",
-                     [](const DetectionParams& p) {
-                       return std::make_unique<FaginInputDetector>(p);
-                     });
 
 }  // namespace copydetect

@@ -16,7 +16,6 @@ namespace copydetect {
 struct FaginInput {
   std::vector<NraList> fwd_lists;  ///< per-entry lists + trailing diff list
   std::vector<NraList> bwd_lists;
-  double build_seconds = 0.0;
 };
 
 /// Materializes the NRA input. This already costs as much as a full
@@ -39,12 +38,8 @@ class FaginInputDetector : public CopyDetector {
   explicit FaginInputDetector(const DetectionParams& params)
       : CopyDetector(params) {}
 
-  std::string_view name() const override { return "fagin-input"; }
-
   Status DetectRound(const DetectionInput& in, int round,
                      CopyResult* out) override;
-
-  double last_build_seconds() const { return last_build_seconds_; }
 
   void Reset() override {
     CopyDetector::Reset();
@@ -53,7 +48,6 @@ class FaginInputDetector : public CopyDetector {
 
  private:
   OverlapCache overlap_cache_;
-  double last_build_seconds_ = 0.0;
 };
 
 }  // namespace copydetect

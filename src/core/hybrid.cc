@@ -1,7 +1,5 @@
 #include "core/hybrid.h"
 
-#include "core/detector_registry.h"
-
 namespace copydetect {
 
 Status HybridDetector::DetectRound(const DetectionInput& in, int round,
@@ -19,16 +17,8 @@ Status HybridDetector::DetectWithBookkeeping(const DetectionInput& in,
   config.hybrid_threshold = params_.hybrid_threshold;
   config.ordering = ordering_;
   config.seed = seed_;
-  ScanOutputs extras;
-  Status st = BoundedScan(in, params_, config,
-                          overlap_cache_.Get(*in.data), &counters_, out,
-                          book, &extras);
-  last_index_seconds_ = extras.index_seconds;
-  return st;
+  return BoundedScan(in, params_, config, overlap_cache_.Get(*in.data),
+                     &counters_, out, book, /*extras=*/nullptr);
 }
-
-CD_REGISTER_DETECTOR(hybrid, "hybrid", [](const DetectionParams& p) {
-  return std::make_unique<HybridDetector>(p);
-});
 
 }  // namespace copydetect

@@ -16,8 +16,6 @@ class HybridDetector : public CopyDetector {
                           uint64_t seed = 1)
       : CopyDetector(params), ordering_(ordering), seed_(seed) {}
 
-  std::string_view name() const override { return "hybrid"; }
-
   Status DetectRound(const DetectionInput& in, int round,
                      CopyResult* out) override;
 
@@ -25,8 +23,6 @@ class HybridDetector : public CopyDetector {
   /// INCREMENTAL detector seeds itself with.
   Status DetectWithBookkeeping(const DetectionInput& in, CopyResult* out,
                                ScanBookkeeping* book);
-
-  double last_index_seconds() const { return last_index_seconds_; }
 
   void Reset() override {
     CopyDetector::Reset();
@@ -37,7 +33,6 @@ class HybridDetector : public CopyDetector {
   EntryOrdering ordering_;
   uint64_t seed_;
   OverlapCache overlap_cache_;
-  double last_index_seconds_ = 0.0;
 };
 
 }  // namespace copydetect

@@ -1,7 +1,5 @@
 #include "core/incremental.h"
 
-#include "core/detector_registry.h"
-
 #include <algorithm>
 #include <cmath>
 
@@ -388,10 +386,5 @@ Status IncrementalDetector::IncrementalRound(const DetectionInput& in,
   stats_.push_back(rs);
   return Status::OK();
 }
-
-CD_REGISTER_DETECTOR(incremental, "incremental",
-                     [](const DetectionParams& p) {
-                       return std::make_unique<IncrementalDetector>(p);
-                     });
 
 }  // namespace copydetect

@@ -45,8 +45,6 @@ class IncrementalDetector : public CopyDetector {
   explicit IncrementalDetector(const DetectionParams& params)
       : CopyDetector(params) {}
 
-  std::string_view name() const override { return "incremental"; }
-
   Status DetectRound(const DetectionInput& in, int round,
                      CopyResult* out) override;
 

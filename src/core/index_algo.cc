@@ -1,7 +1,5 @@
 #include "core/index_algo.h"
 
-#include "core/detector_registry.h"
-
 #include "common/arena.h"
 #include "common/executor.h"
 #include "core/bayes.h"
@@ -92,12 +90,11 @@ void ScanShard(const InvertedIndex& index, const std::vector<double>& accs,
 
 }  // namespace
 
-Status IndexScan(const DetectionInput& in, const DetectionParams& params,
-                 EntryOrdering ordering, uint64_t seed,
-                 Executor* executor, const OverlapCounts& overlaps,
-                 Counters* counters, CopyResult* out,
-                 double* index_seconds) {
+Status IndexDetector::DetectRound(const DetectionInput& in, int round,
+                                  CopyResult* out) {
+  (void)round;
   CD_RETURN_IF_ERROR(in.Validate());
+  const OverlapCounts& overlaps = overlap_cache_.Get(*in.data);
   out->Clear();
 
   // Online updates: when the previous run's index for this round is
@@ -105,7 +102,7 @@ Status IndexScan(const DetectionInput& in, const DetectionParams& params,
   // instead of building from scratch. Rebase is bit-identical to
   // Build — it verifies its own preconditions and falls back.
   const bool can_rebase =
-      ordering == EntryOrdering::kByContribution && in.hints != nullptr &&
+      ordering_ == EntryOrdering::kByContribution && in.hints != nullptr &&
       in.hints->prev_index != nullptr &&
       in.hints->prev_index_accuracies != nullptr &&
       in.hints->summary != nullptr;
@@ -113,34 +110,20 @@ Status IndexScan(const DetectionInput& in, const DetectionParams& params,
       can_rebase
           ? InvertedIndex::Rebase(*in.hints->prev_index,
                                   *in.hints->prev_index_accuracies, in,
-                                  params, *in.hints->summary)
-          : InvertedIndex::Build(in, params, ordering, seed);
+                                  params_, *in.hints->summary)
+          : InvertedIndex::Build(in, params_, ordering_, seed_);
   if (!index_or.ok()) return index_or.status();
   const InvertedIndex& index = *index_or;
-  if (index_seconds != nullptr) *index_seconds = index.build_seconds();
   if (in.index_sink != nullptr) *in.index_sink = index;
   const std::vector<double>& accs = *in.accuracies;
 
-  RunShardedScan(executor, counters, out,
+  RunShardedScan(params_.executor, &counters_, out,
                  [&](size_t shard, size_t num_shards, Counters* c,
                      CopyResult* o, Arena* arena) {
-                   ScanShard(index, accs, params, overlaps, shard,
+                   ScanShard(index, accs, params_, overlaps, shard,
                              num_shards, c, o, arena);
                  });
   return Status::OK();
 }
-
-Status IndexDetector::DetectRound(const DetectionInput& in, int round,
-                                  CopyResult* out) {
-  (void)round;
-  CD_RETURN_IF_ERROR(in.Validate());
-  const OverlapCounts& overlaps = overlap_cache_.Get(*in.data);
-  return IndexScan(in, params_, ordering_, seed_, params_.executor,
-                   overlaps, &counters_, out, &last_index_seconds_);
-}
-
-CD_REGISTER_DETECTOR(index, "index", [](const DetectionParams& p) {
-  return std::make_unique<IndexDetector>(p);
-});
 
 }  // namespace copydetect

@@ -7,24 +7,6 @@
 
 namespace copydetect {
 
-class Executor;
-
-/// One full INDEX round (§III), shared by IndexDetector and
-/// ParallelIndexDetector: builds the inverted index, scans it, and
-/// finalizes with the different-value penalty. When `executor` runs
-/// more than one thread the scan shards *by pair ownership*
-/// (Mix64(PairKey) mod shard count): every worker walks the whole
-/// entry stream in rank order but accumulates only the pairs it owns,
-/// so each pair's floating-point sums are formed in exactly the
-/// sequential order and the result is bit-identical to the serial scan
-/// at every thread count. `index_seconds` (optional) receives the
-/// index build time.
-Status IndexScan(const DetectionInput& in, const DetectionParams& params,
-                 EntryOrdering ordering, uint64_t seed,
-                 Executor* executor, const OverlapCounts& overlaps,
-                 Counters* counters, CopyResult* out,
-                 double* index_seconds);
-
 /// The INDEX algorithm (§III): scan the inverted index in decreasing
 /// score order, create pair state only for pairs co-occurring in a
 /// head (non-tail) entry, accumulate exact contributions for every
@@ -32,6 +14,13 @@ Status IndexScan(const DetectionInput& in, const DetectionParams& params,
 /// ln(1-s)·(l - n). Produces the same binary decisions as PAIRWISE
 /// (Prop. 3.5) while skipping pairs that share nothing or only tail
 /// values.
+///
+/// When params.executor runs more than one thread the scan shards *by
+/// pair ownership* (Mix64(PairKey) mod shard count): every worker
+/// walks the whole entry stream in rank order but accumulates only the
+/// pairs it owns, so each pair's floating-point sums are formed in
+/// exactly the sequential order and the result is bit-identical to the
+/// serial scan at every thread count.
 class IndexDetector : public CopyDetector {
  public:
   explicit IndexDetector(const DetectionParams& params,
@@ -40,14 +29,8 @@ class IndexDetector : public CopyDetector {
                          uint64_t seed = 1)
       : CopyDetector(params), ordering_(ordering), seed_(seed) {}
 
-  std::string_view name() const override { return "index"; }
-
   Status DetectRound(const DetectionInput& in, int round,
                      CopyResult* out) override;
-
-  /// Indexing seconds of the most recent round (the paper reports
-  /// indexing cost separately from scanning).
-  double last_index_seconds() const { return last_index_seconds_; }
 
   void Reset() override {
     CopyDetector::Reset();
@@ -58,7 +41,6 @@ class IndexDetector : public CopyDetector {
   EntryOrdering ordering_;
   uint64_t seed_;
   OverlapCache overlap_cache_;
-  double last_index_seconds_ = 0.0;
 };
 
 }  // namespace copydetect

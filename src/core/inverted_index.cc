@@ -6,7 +6,6 @@
 
 #include "common/random.h"
 #include "common/stringutil.h"
-#include "common/timer.h"
 #include "core/bayes.h"
 
 namespace copydetect {
@@ -46,9 +45,6 @@ StatusOr<InvertedIndex> InvertedIndex::Build(const DetectionInput& in,
   InvertedIndex index;
   index.data_ = in.data;
   index.ordering_ = ordering;
-
-  Stopwatch watch;
-  watch.Start();
 
   const Dataset& data = *in.data;
   index.entries_.reserve(data.num_slots() / 2);
@@ -101,8 +97,6 @@ StatusOr<InvertedIndex> InvertedIndex::Build(const DetectionInput& in,
     index.tail_begin_ = rank;
   }
 
-  watch.Stop();
-  index.build_seconds_ = watch.Seconds();
   return index;
 }
 
@@ -125,8 +119,6 @@ StatusOr<InvertedIndex> InvertedIndex::Rebase(
     if (accs[s] != prev_accuracies[s]) return fallback();
   }
 
-  Stopwatch watch;
-  watch.Start();
   const Dataset& data = *in.data;
   const Dataset& old_data = *prev.data_;
   const std::vector<double>& probs = *in.value_probs;
@@ -193,8 +185,6 @@ StatusOr<InvertedIndex> InvertedIndex::Rebase(
   }
   index.tail_begin_ = rank;
 
-  watch.Stop();
-  index.build_seconds_ = watch.Seconds();
   return index;
 }
 

@@ -110,16 +110,11 @@ class InvertedIndex {
                                            size_t tail_begin,
                                            EntryOrdering ordering);
 
-  /// Wall-clock seconds spent building (indexing cost, reported
-  /// separately by the paper's Table VIII discussion).
-  double build_seconds() const { return build_seconds_; }
-
  private:
   const Dataset* data_ = nullptr;
   std::vector<IndexEntry> entries_;
   size_t tail_begin_ = 0;
   EntryOrdering ordering_ = EntryOrdering::kByContribution;
-  double build_seconds_ = 0.0;
 };
 
 }  // namespace copydetect

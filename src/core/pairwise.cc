@@ -1,7 +1,5 @@
 #include "core/pairwise.h"
 
-#include "core/detector_registry.h"
-
 #include <bit>
 #include <vector>
 
@@ -205,9 +203,5 @@ Status PairwiseDetector::DetectRound(const DetectionInput& in, int round,
   }
   return Status::OK();
 }
-
-CD_REGISTER_DETECTOR(pairwise, "pairwise", [](const DetectionParams& p) {
-  return std::make_unique<PairwiseDetector>(p);
-});
 
 }  // namespace copydetect

@@ -28,8 +28,6 @@ class PairwiseDetector : public CopyDetector {
   explicit PairwiseDetector(const DetectionParams& params)
       : CopyDetector(params) {}
 
-  std::string_view name() const override { return "pairwise"; }
-
   Status DetectRound(const DetectionInput& in, int round,
                      CopyResult* out) override;
 

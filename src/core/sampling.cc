@@ -4,21 +4,8 @@
 #include <cassert>
 
 #include "common/random.h"
-#include "common/timer.h"
 
 namespace copydetect {
-
-std::string_view SamplingMethodName(SamplingMethod method) {
-  switch (method) {
-    case SamplingMethod::kByItem:
-      return "by-item";
-    case SamplingMethod::kByCell:
-      return "by-cell";
-    case SamplingMethod::kScaleSample:
-      return "scale-sample";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -171,25 +158,18 @@ StatusOr<SampledData> SampleDataset(const Dataset& full,
 SampledDetector::SampledDetector(const DetectionParams& params,
                                  std::unique_ptr<CopyDetector> base,
                                  const SampleSpec& spec)
-    : CopyDetector(params), base_(std::move(base)), spec_(spec) {
-  name_ = std::string(SamplingMethodName(spec.method)) + "(" +
-          std::string(base_->name()) + ")";
-}
+    : CopyDetector(params), base_(std::move(base)), spec_(spec) {}
 
 Status SampledDetector::DetectRound(const DetectionInput& in, int round,
                                     CopyResult* out) {
   CD_RETURN_IF_ERROR(in.Validate());
   if (sample_ == nullptr || sampled_from_ != in.data) {
-    Stopwatch watch;
-    watch.Start();
     auto sampled = SampleDataset(*in.data, spec_);
     if (!sampled.ok()) return sampled.status();
     sample_ =
         std::make_unique<SampledData>(std::move(sampled).value());
     sampled_from_ = in.data;
     base_->Reset();
-    watch.Stop();
-    sample_seconds_ = watch.Seconds();
   }
   // Project the fusion loop's value probabilities onto the sample.
   projected_probs_.resize(sample_->data.num_slots());
@@ -210,7 +190,6 @@ void SampledDetector::Reset() {
   base_->Reset();
   sample_.reset();
   sampled_from_ = nullptr;
-  sample_seconds_ = 0.0;
 }
 
 }  // namespace copydetect

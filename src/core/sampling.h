@@ -16,8 +16,6 @@ enum class SamplingMethod {
   kScaleSample,  ///< item sample + >= N items per source (SCALESAMPLE)
 };
 
-std::string_view SamplingMethodName(SamplingMethod method);
-
 /// Sampling specification. `rate` is the item fraction for kByItem and
 /// kScaleSample and the non-empty-cell fraction for kByCell.
 struct SampleSpec {
@@ -56,8 +54,6 @@ class SampledDetector : public CopyDetector {
                   std::unique_ptr<CopyDetector> base,
                   const SampleSpec& spec);
 
-  std::string_view name() const override { return name_; }
-
   Status DetectRound(const DetectionInput& in, int round,
                      CopyResult* out) override;
 
@@ -65,8 +61,6 @@ class SampledDetector : public CopyDetector {
 
   /// The sample drawn for the current data set (null before first use).
   const SampledData* sample() const { return sample_.get(); }
-  /// Seconds spent drawing the sample (the paper's sampling overhead).
-  double sample_seconds() const { return sample_seconds_; }
   /// The wrapped detector, so callers (e.g. the Session facade's
   /// incremental-stats surfacing) can see through the sampling layer.
   const CopyDetector& base() const { return *base_; }
@@ -74,11 +68,9 @@ class SampledDetector : public CopyDetector {
  private:
   std::unique_ptr<CopyDetector> base_;
   SampleSpec spec_;
-  std::string name_;
   const Dataset* sampled_from_ = nullptr;
   std::unique_ptr<SampledData> sample_;
   std::vector<double> projected_probs_;
-  double sample_seconds_ = 0.0;
 };
 
 }  // namespace copydetect

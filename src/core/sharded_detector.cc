@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/stringutil.h"
 #include "core/detector_registry.h"
 #include "core/shard_merge.h"
 
@@ -21,17 +20,13 @@ StatusOr<std::unique_ptr<ShardedDetector>> ShardedDetector::Create(
     DetectionParams shard_params = params;
     shard_params.plan.num_shards = num_shards;
     shard_params.plan.shard_id = i;
-    auto made =
-        DetectorRegistry::Global().Create(inner_name, shard_params);
+    auto made = CreateDetector(inner_name, shard_params);
     if (!made.ok()) return made.status();
     inners.push_back(std::move(made).value());
   }
-  std::string name = StrFormat("sharded-%.*s/%u",
-                               static_cast<int>(inner_name.size()),
-                               inner_name.data(), num_shards);
   // cd-lint: allow(banned-new-delete) private ctor; make_unique cannot reach it
   return std::unique_ptr<ShardedDetector>(new ShardedDetector(
-      std::move(name), params, std::move(inners)));
+      params, std::move(inners)));
 }
 
 Status ShardedDetector::DetectRound(const DetectionInput& in, int round,

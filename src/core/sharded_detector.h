@@ -2,7 +2,6 @@
 #define COPYDETECT_CORE_SHARDED_DETECTOR_H_
 
 #include <memory>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -27,21 +26,16 @@ class ShardedDetector : public CopyDetector {
       std::string_view inner_name, const DetectionParams& params,
       uint32_t num_shards);
 
-  std::string_view name() const override { return name_; }
-
   Status DetectRound(const DetectionInput& in, int round,
                      CopyResult* out) override;
 
   void Reset() override;
 
  private:
-  ShardedDetector(std::string name, const DetectionParams& params,
+  ShardedDetector(const DetectionParams& params,
                   std::vector<std::unique_ptr<CopyDetector>> inners)
-      : CopyDetector(params),
-        name_(std::move(name)),
-        inners_(std::move(inners)) {}
+      : CopyDetector(params), inners_(std::move(inners)) {}
 
-  std::string name_;
   std::vector<std::unique_ptr<CopyDetector>> inners_;
 };
 

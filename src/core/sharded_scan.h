@@ -12,7 +12,7 @@
 namespace copydetect {
 
 /// Shard-dispatch-and-merge boilerplate shared by the pair-ownership
-/// sharded scans (IndexScan, BoundedScan). `scan(shard, num_shards,
+/// sharded scans (IndexDetector, BoundedScan). `scan(shard, num_shards,
 /// counters, out, arena)` must process exactly the pairs with
 /// Mix64(PairKey) % num_shards == shard; distinct shards then touch
 /// disjoint pairs, the merge is a plain union, and counters sum to the

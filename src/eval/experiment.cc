@@ -1,6 +1,5 @@
 #include "eval/experiment.h"
 
-#include "common/timer.h"
 #include "datagen/motivating_example.h"
 
 namespace copydetect {
@@ -19,43 +18,6 @@ StatusOr<World> MakeWorldByName(const std::string& name, double scale,
 
 double DefaultSamplingRate(const std::string& dataset_name) {
   return dataset_name == "stock-2wk" ? 0.01 : 0.1;
-}
-
-StatusOr<RunOutcome> RunFusion(const World& world, DetectorKind kind,
-                               const FusionOptions& options) {
-  std::unique_ptr<CopyDetector> detector =
-      MakeDetector(kind, options.params);
-  return RunFusionWithDetector(world, detector.get(), options);
-}
-
-StatusOr<RunOutcome> RunFusionWithDetector(const World& world,
-                                           CopyDetector* detector,
-                                           const FusionOptions& options) {
-  IterativeFusion fusion(options);
-  Stopwatch watch;
-  watch.Start();
-  auto result = fusion.Run(world.data, detector);
-  watch.Stop();
-  if (!result.ok()) return result.status();
-  RunOutcome outcome;
-  outcome.detector_name =
-      detector != nullptr ? std::string(detector->name()) : "none";
-  outcome.fusion = std::move(result).value();
-  if (detector != nullptr) outcome.counters = detector->counters();
-  outcome.seconds = watch.Seconds();
-  return outcome;
-}
-
-std::unique_ptr<CopyDetector> MakeSampledDetector(
-    const DetectionParams& params, DetectorKind base,
-    SamplingMethod method, double rate, uint64_t seed) {
-  SampleSpec spec;
-  spec.method = method;
-  spec.rate = rate;
-  spec.seed = seed;
-  return std::make_unique<SampledDetector>(params,
-                                           MakeDetector(base, params),
-                                           spec);
 }
 
 }  // namespace copydetect

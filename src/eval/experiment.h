@@ -1,13 +1,9 @@
 #ifndef COPYDETECT_EVAL_EXPERIMENT_H_
 #define COPYDETECT_EVAL_EXPERIMENT_H_
 
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "core/sampling.h"
 #include "datagen/generator.h"
-#include "fusion/truth_finder.h"
 
 namespace copydetect {
 
@@ -20,31 +16,6 @@ StatusOr<World> MakeWorldByName(const std::string& name, double scale,
 /// The default per-data-set sampling rates of §VI (SAMPLE1 /
 /// SCALESAMPLE): 1% on Stock-2wk, 10% elsewhere.
 double DefaultSamplingRate(const std::string& dataset_name);
-
-/// One full fusion run with one detector: result + wall time + the
-/// detector's counters.
-struct RunOutcome {
-  std::string detector_name;
-  FusionResult fusion;
-  Counters counters;
-  double seconds = 0.0;  ///< fusion total (detection + aggregation)
-};
-
-/// Runs iterative fusion with a freshly made detector of `kind`.
-StatusOr<RunOutcome> RunFusion(const World& world, DetectorKind kind,
-                               const FusionOptions& options);
-
-/// Runs iterative fusion with a caller-provided detector (sampling
-/// wrappers, custom orderings, the parallel extension, ...).
-StatusOr<RunOutcome> RunFusionWithDetector(const World& world,
-                                           CopyDetector* detector,
-                                           const FusionOptions& options);
-
-/// Convenience: wraps `base` in a SampledDetector with the named
-/// method and rate.
-std::unique_ptr<CopyDetector> MakeSampledDetector(
-    const DetectionParams& params, DetectorKind base,
-    SamplingMethod method, double rate, uint64_t seed = 42);
 
 }  // namespace copydetect
 

@@ -22,34 +22,16 @@ PrfScores ScoreCopyPairs(
   return scores;
 }
 
-FusionOptions ScenarioFusionOptions(const Scenario& scenario,
-                                    int max_rounds) {
-  FusionOptions options;
-  options.params.alpha = 0.1;
-  options.params.s = 0.8;
-  options.params.n = scenario.world.suggested_n;
-  options.max_rounds = max_rounds;
-  options.epsilon = 1e-4;
-  return options;
-}
-
-StatusOr<ScenarioResult> EvaluateScenario(const Scenario& scenario,
-                                          DetectorKind kind,
-                                          const FusionOptions* options) {
-  const FusionOptions resolved =
-      options != nullptr ? *options : ScenarioFusionOptions(scenario);
-  auto outcome = RunFusion(scenario.world, kind, resolved);
-  if (!outcome.ok()) return outcome.status();
+ScenarioResult ScoreScenario(const Scenario& scenario,
+                             const FusionResult& fusion) {
   ScenarioResult result;
   result.scenario = scenario.name;
-  result.detector = outcome->detector_name;
-  result.pairs =
-      ScoreCopyPairs(outcome->fusion.copies, scenario.world.copy_pairs);
-  result.fusion_accuracy = scenario.world.gold.Accuracy(
-      scenario.world.data, outcome->fusion.truth);
-  result.rounds = outcome->fusion.rounds;
-  result.converged = outcome->fusion.converged;
-  result.seconds = outcome->seconds;
+  result.pairs = ScoreCopyPairs(fusion.copies, scenario.world.copy_pairs);
+  result.fusion_accuracy =
+      scenario.world.gold.Accuracy(scenario.world.data, fusion.truth);
+  result.rounds = fusion.rounds;
+  result.converged = fusion.converged;
+  result.seconds = fusion.total_seconds;
   return result;
 }
 

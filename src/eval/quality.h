@@ -1,26 +1,27 @@
 #ifndef COPYDETECT_EVAL_QUALITY_H_
 #define COPYDETECT_EVAL_QUALITY_H_
 
-// Quality-gate harness over the adversarial scenario library
-// (datagen/scenarios.h): one ScenarioResult per (scenario, detector)
-// pair, scoring the detected copy graph against the planted one and
-// the fused truth against the gold standard. bench/quality_sweep
-// serializes these as QUALITY.json; the quality-gate CI job compares
-// that against the committed baseline (tools/bench_compare.py
-// --quality), so speed work cannot silently trade away recall.
+// Quality-gate scoring over the adversarial scenario library
+// (datagen/scenarios.h): one ScenarioResult per finished (scenario,
+// detector) run, scoring the detected copy graph against the planted
+// one and the fused truth against the gold standard. The caller runs
+// the scenario (through copydetect/session.h) and names the run.
+// bench/quality_sweep serializes these as QUALITY.json; the
+// quality-gate CI job compares that against the committed baseline
+// (tools/bench_compare.py --quality), so speed work cannot silently
+// trade away recall.
 
 #include <string>
 
 #include "datagen/scenarios.h"
-#include "eval/experiment.h"
 #include "eval/metrics.h"
+#include "fusion/truth_finder.h"
 
 namespace copydetect {
 
-/// Quality of one detector on one scenario.
+/// Quality of one fusion run on one scenario.
 struct ScenarioResult {
   std::string scenario;
-  std::string detector;
   /// Copy-graph quality: precision against the clique closure of the
   /// planted pairs (co-copiers are indistinguishable from copiers —
   /// see CopyClosure), recall against the direct planted edges, f1 of
@@ -30,7 +31,7 @@ struct ScenarioResult {
   double fusion_accuracy = 0.0;
   int rounds = 0;
   bool converged = false;
-  double seconds = 0.0;  ///< fusion wall time
+  double seconds = 0.0;  ///< fusion wall time (FusionResult::total_seconds)
 };
 
 /// Scores a detected copy graph against planted pairs the way the
@@ -40,19 +41,9 @@ PrfScores ScoreCopyPairs(
     const CopyResult& copies,
     const std::vector<std::pair<SourceId, SourceId>>& true_pairs);
 
-/// The standard fusion configuration for a scenario world — the
-/// paper's alpha/s with n matched to the generator's false pool
-/// (mirrors bench_util.h's OptionsFor, which bench/ cannot share with
-/// eval/).
-FusionOptions ScenarioFusionOptions(const Scenario& scenario,
-                                    int max_rounds = 8);
-
-/// Runs fusion with `kind` on the scenario's final world and scores
-/// it. Uses ScenarioFusionOptions defaults when `options` is null.
-StatusOr<ScenarioResult> EvaluateScenario(const Scenario& scenario,
-                                          DetectorKind kind,
-                                          const FusionOptions* options =
-                                              nullptr);
+/// Scores a finished fusion run on the scenario's final world.
+ScenarioResult ScoreScenario(const Scenario& scenario,
+                             const FusionResult& fusion);
 
 }  // namespace copydetect
 

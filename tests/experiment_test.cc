@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "copydetect/session.h"
 #include "eval/metrics.h"
 #include "eval/table.h"
 #include "test_util.h"
@@ -34,37 +35,18 @@ TEST(DefaultSamplingRate, MatchesPaper) {
   EXPECT_EQ(DefaultSamplingRate("stock-1day"), 0.1);
 }
 
-TEST(RunFusion, SmokeOnSmallWorld) {
-  testutil::World world = testutil::SmallWorld(601);
-  FusionOptions options;
-  options.params = testutil::PaperParams();
-  options.max_rounds = 6;
-  auto outcome = RunFusion(world, DetectorKind::kHybrid, options);
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_EQ(outcome->detector_name, "hybrid");
-  EXPECT_GT(outcome->counters.Total(), 0u);
-  EXPECT_GT(outcome->seconds, 0.0);
-  EXPECT_EQ(outcome->fusion.truth.size(), world.data.num_items());
-}
-
-TEST(RunFusion, DetectorsFindPlantedCopiers) {
+TEST(SessionRun, PairwiseFindsPlantedCopiers) {
   testutil::World world = testutil::SmallWorld(602);
-  FusionOptions options;
-  options.params = testutil::PaperParams();
+  SessionOptions options;
+  options.detector = "pairwise";
   options.max_rounds = 6;
-  auto outcome = RunFusion(world, DetectorKind::kPairwise, options);
-  ASSERT_TRUE(outcome.ok());
+  auto session = Session::Create(options);
+  ASSERT_TRUE(session.ok());
+  auto report = session->Run(world.data);
+  ASSERT_TRUE(report.ok());
   PrfScores prf =
-      ComparePairsToTruth(outcome->fusion.copies, world.copy_pairs);
+      ComparePairsToTruth(report->fusion.copies, world.copy_pairs);
   EXPECT_GE(prf.recall, 0.7);
-}
-
-TEST(MakeSampledDetector, WrapsBase) {
-  auto detector = MakeSampledDetector(testutil::PaperParams(),
-                                      DetectorKind::kIncremental,
-                                      SamplingMethod::kScaleSample, 0.1);
-  ASSERT_NE(detector, nullptr);
-  EXPECT_EQ(detector->name(), "scale-sample(incremental)");
 }
 
 TEST(TextTable, RendersAligned) {
@@ -78,23 +60,6 @@ TEST(TextTable, RendersAligned) {
   EXPECT_NE(out.find("Method"), std::string::npos);
   // Column alignment: "Time" starts at the same offset in each line.
   EXPECT_EQ(table.num_rows(), 2u);
-}
-
-TEST(DetectorKinds, NamesRoundTrip) {
-  for (DetectorKind kind :
-       {DetectorKind::kPairwise, DetectorKind::kIndex,
-        DetectorKind::kBound, DetectorKind::kBoundPlus,
-        DetectorKind::kHybrid, DetectorKind::kIncremental,
-        DetectorKind::kFaginInput, DetectorKind::kParallelIndex}) {
-    DetectorKind parsed;
-    ASSERT_TRUE(ParseDetectorKind(DetectorKindName(kind), &parsed));
-    EXPECT_EQ(parsed, kind);
-    auto detector = MakeDetector(kind, testutil::PaperParams());
-    ASSERT_NE(detector, nullptr);
-    EXPECT_EQ(detector->name(), DetectorKindName(kind));
-  }
-  DetectorKind parsed;
-  EXPECT_FALSE(ParseDetectorKind("bogus", &parsed));
 }
 
 }  // namespace

@@ -2,9 +2,7 @@
 // checking the paper's qualitative claims on a reduced Book-CS world.
 #include <gtest/gtest.h>
 
-#include "eval/experiment.h"
-#include "eval/metrics.h"
-#include "test_util.h"
+#include "copydetect/session.h"
 
 namespace copydetect {
 namespace {
@@ -16,33 +14,38 @@ class PipelineTest : public ::testing::Test {
     ASSERT_TRUE(world.ok());
     world_ = new World(std::move(world).value());
 
-    FusionOptions options;
-    options.params = testutil::PaperParams();
-    options.max_rounds = 8;
-    options_ = new FusionOptions(options);
-
-    auto pairwise = RunFusion(*world_, DetectorKind::kPairwise, options);
+    auto pairwise = Run(Options("pairwise"));
     ASSERT_TRUE(pairwise.ok());
-    pairwise_ = new RunOutcome(std::move(pairwise).value());
+    pairwise_ = new Report(std::move(pairwise).value());
   }
 
   static void TearDownTestSuite() {
     delete world_;
-    delete options_;
     delete pairwise_;
     world_ = nullptr;
-    options_ = nullptr;
     pairwise_ = nullptr;
   }
 
+  /// The suite's configuration: the paper's parameters, 8 rounds.
+  static SessionOptions Options(const std::string& detector) {
+    SessionOptions options;
+    options.detector = detector;
+    options.max_rounds = 8;
+    return options;
+  }
+
+  static StatusOr<Report> Run(const SessionOptions& options) {
+    auto session = Session::Create(options);
+    if (!session.ok()) return session.status();
+    return session->Run(world_->data);
+  }
+
   static World* world_;
-  static FusionOptions* options_;
-  static RunOutcome* pairwise_;
+  static Report* pairwise_;
 };
 
 World* PipelineTest::world_ = nullptr;
-FusionOptions* PipelineTest::options_ = nullptr;
-RunOutcome* PipelineTest::pairwise_ = nullptr;
+Report* PipelineTest::pairwise_ = nullptr;
 
 TEST_F(PipelineTest, PairwiseFindsPlantedCopiers) {
   // Copier pairs are detectable only via shared *false* values; with
@@ -54,7 +57,7 @@ TEST_F(PipelineTest, PairwiseFindsPlantedCopiers) {
 }
 
 TEST_F(PipelineTest, IndexMatchesPairwiseExactly) {
-  auto outcome = RunFusion(*world_, DetectorKind::kIndex, *options_);
+  auto outcome = Run(Options("index"));
   ASSERT_TRUE(outcome.ok());
   PrfScores prf = ComparePairs(outcome->fusion.copies,
                                pairwise_->fusion.copies);
@@ -66,7 +69,7 @@ TEST_F(PipelineTest, IndexMatchesPairwiseExactly) {
 }
 
 TEST_F(PipelineTest, HybridCloseToPairwise) {
-  auto outcome = RunFusion(*world_, DetectorKind::kHybrid, *options_);
+  auto outcome = Run(Options("hybrid"));
   ASSERT_TRUE(outcome.ok());
   PrfScores prf = ComparePairs(outcome->fusion.copies,
                                pairwise_->fusion.copies);
@@ -77,9 +80,8 @@ TEST_F(PipelineTest, HybridCloseToPairwise) {
 }
 
 TEST_F(PipelineTest, IncrementalCloseToPairwiseAndCheaperThanHybrid) {
-  auto incremental =
-      RunFusion(*world_, DetectorKind::kIncremental, *options_);
-  auto hybrid = RunFusion(*world_, DetectorKind::kHybrid, *options_);
+  auto incremental = Run(Options("incremental"));
+  auto hybrid = Run(Options("hybrid"));
   ASSERT_TRUE(incremental.ok());
   ASSERT_TRUE(hybrid.ok());
   PrfScores prf = ComparePairs(incremental->fusion.copies,
@@ -90,11 +92,10 @@ TEST_F(PipelineTest, IncrementalCloseToPairwiseAndCheaperThanHybrid) {
 }
 
 TEST_F(PipelineTest, ScaleSampleStillFindsCopiers) {
-  auto detector = MakeSampledDetector(options_->params,
-                                      DetectorKind::kIncremental,
-                                      SamplingMethod::kScaleSample, 0.1);
-  auto outcome = RunFusionWithDetector(*world_, detector.get(),
-                                       *options_);
+  SessionOptions options = Options("incremental");
+  options.sample_method = SamplingMethod::kScaleSample;
+  options.sample_rate = 0.1;
+  auto outcome = Run(options);
   ASSERT_TRUE(outcome.ok());
   // Sampling on low-coverage noisy data trades detection quality for
   // speed (Table IX's point); a sizable fraction of PAIRWISE's pairs
@@ -108,14 +109,14 @@ TEST_F(PipelineTest, ScaleSampleStillFindsCopiers) {
 }
 
 TEST_F(PipelineTest, CopyAwareFusionBeatsAccuracyOnlyOnGold) {
-  FusionOptions no_copy = *options_;
+  SessionOptions no_copy = Options("pairwise");
   no_copy.use_copy_detection = false;
-  IterativeFusion fusion(no_copy);
-  auto naive = fusion.Run(world_->data, nullptr);
+  auto naive = Run(no_copy);
   ASSERT_TRUE(naive.ok());
   double aware_acc =
       world_->gold.Accuracy(world_->data, pairwise_->fusion.truth);
-  double naive_acc = world_->gold.Accuracy(world_->data, naive->truth);
+  double naive_acc =
+      world_->gold.Accuracy(world_->data, naive->fusion.truth);
   // Copy-awareness must not hurt, and with planted copier cliques it
   // should help.
   EXPECT_GE(aware_acc + 1e-9, naive_acc);

@@ -29,6 +29,12 @@ TEST(LintTree, FindsEveryPlantedViolationExactly) {
   options.root = kFixtureRoot;
   const std::vector<std::string> expected = {
       "bench/app_layering.cc:4:layering",
+      "bench/retired_detector_names.cc:6:deprecated-shim",
+      "bench/retired_detector_names.cc:7:deprecated-shim",
+      "bench/retired_detector_names.cc:8:deprecated-shim",
+      "bench/retired_detector_names.cc:9:deprecated-shim",
+      "bench/retired_detector_names.cc:10:deprecated-shim",
+      "bench/retired_detector_names.cc:11:deprecated-shim",
       "src/api/banned_assert.cc:5:banned-assert",
       "src/api/deprecated_load.cc:5:deprecated-shim",
       "src/common/deprecated_flagparser.cc:5:deprecated-shim",

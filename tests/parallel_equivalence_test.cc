@@ -1,6 +1,6 @@
 // Parallel/sequential equivalence of the executor-backed scan paths.
 //
-// The parallel paths shard by pair ownership (see IndexScan and
+// The parallel paths shard by pair ownership (see IndexDetector and
 // BoundedScan), which keeps every pair's floating-point accumulation
 // in exact sequential order — so the contract is *bit-identical*
 // CopyResults, not approximate agreement, at every thread count
@@ -13,8 +13,6 @@
 #include "common/executor.h"
 #include "core/detector.h"
 #include "core/detector_registry.h"
-#include "core/index_algo.h"
-#include "core/parallel_index.h"
 #include "fusion/truth_finder.h"
 #include "simjoin/intersect.h"
 #include "test_util.h"
@@ -22,6 +20,7 @@
 namespace copydetect {
 namespace {
 
+using testutil::NewDetector;
 using testutil::PaperParams;
 
 /// Asserts `got` and `want` are the same result bit for bit: same
@@ -41,18 +40,18 @@ void ExpectBitIdentical(const CopyResult& got, const CopyResult& want) {
   EXPECT_EQ(checked, want.NumTracked());
 }
 
-/// Runs `kind` serially and with an executor of `threads` workers and
+/// Runs `name` serially and with an executor of `threads` workers and
 /// compares results and work counters.
-void CheckDetectorEquivalence(DetectorKind kind, const DetectionInput& in,
+void CheckDetectorEquivalence(const char* name, const DetectionInput& in,
                               size_t threads) {
-  auto serial = MakeDetector(kind, PaperParams());
+  auto serial = NewDetector(name, PaperParams());
   CopyResult want;
   ASSERT_TRUE(serial->DetectRound(in, 1, &want).ok());
 
   Executor executor(threads);
   DetectionParams params = PaperParams();
   params.executor = &executor;
-  auto parallel = MakeDetector(kind, params);
+  auto parallel = NewDetector(name, params);
   CopyResult got;
   ASSERT_TRUE(parallel->DetectRound(in, 1, &got).ok());
 
@@ -78,44 +77,29 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelEquivalenceTest,
 TEST_P(ParallelEquivalenceTest, IndexBitIdentical) {
   testutil::World world = testutil::SmallWorld(601, 40, 300);
   testutil::WorldInput wi(world);
-  CheckDetectorEquivalence(DetectorKind::kIndex, wi.Input(world),
+  CheckDetectorEquivalence("index", wi.Input(world),
                            GetParam());
 }
 
 TEST_P(ParallelEquivalenceTest, PairwiseBitIdentical) {
   testutil::World world = testutil::SmallWorld(602, 35, 250);
   testutil::WorldInput wi(world);
-  CheckDetectorEquivalence(DetectorKind::kPairwise, wi.Input(world),
+  CheckDetectorEquivalence("pairwise", wi.Input(world),
                            GetParam());
 }
 
 TEST_P(ParallelEquivalenceTest, HybridBitIdentical) {
   testutil::World world = testutil::SmallWorld(603, 40, 300);
   testutil::WorldInput wi(world);
-  CheckDetectorEquivalence(DetectorKind::kHybrid, wi.Input(world),
+  CheckDetectorEquivalence("hybrid", wi.Input(world),
                            GetParam());
 }
 
 TEST_P(ParallelEquivalenceTest, BoundPlusBitIdentical) {
   testutil::World world = testutil::SmallWorld(604, 35, 250);
   testutil::WorldInput wi(world);
-  CheckDetectorEquivalence(DetectorKind::kBoundPlus, wi.Input(world),
+  CheckDetectorEquivalence("boundplus", wi.Input(world),
                            GetParam());
-}
-
-TEST_P(ParallelEquivalenceTest, ParallelIndexMatchesSequentialIndex) {
-  testutil::World world = testutil::SmallWorld(605, 40, 300);
-  testutil::WorldInput wi(world);
-  DetectionInput in = wi.Input(world);
-
-  IndexDetector sequential(PaperParams());
-  CopyResult want;
-  ASSERT_TRUE(sequential.DetectRound(in, 1, &want).ok());
-
-  ParallelIndexDetector parallel(PaperParams(), GetParam());
-  CopyResult got;
-  ASSERT_TRUE(parallel.DetectRound(in, 1, &got).ok());
-  ExpectBitIdentical(got, want);
 }
 
 TEST_P(ParallelEquivalenceTest, FusionLoopBitIdentical) {
@@ -127,8 +111,7 @@ TEST_P(ParallelEquivalenceTest, FusionLoopBitIdentical) {
   FusionOptions serial_options;
   serial_options.params = PaperParams();
   serial_options.max_rounds = 4;
-  auto serial_detector =
-      MakeDetector(DetectorKind::kHybrid, serial_options.params);
+  auto serial_detector = NewDetector("hybrid", serial_options.params);
   auto want =
       IterativeFusion(serial_options).Run(world.data, serial_detector.get());
   ASSERT_TRUE(want.ok());
@@ -136,7 +119,7 @@ TEST_P(ParallelEquivalenceTest, FusionLoopBitIdentical) {
   Executor executor(GetParam());
   FusionOptions options = serial_options;
   options.params.executor = &executor;
-  auto detector = MakeDetector(DetectorKind::kHybrid, options.params);
+  auto detector = NewDetector("hybrid", options.params);
   auto got = IterativeFusion(options).Run(world.data, detector.get());
   ASSERT_TRUE(got.ok());
 
@@ -149,15 +132,15 @@ TEST_P(ParallelEquivalenceTest, FusionLoopBitIdentical) {
 }
 
 TEST(ParallelEquivalence, EveryRegisteredDetectorBitIdenticalAtFourThreads) {
-  // Registry-driven: a detector added by one CD_REGISTER_DETECTOR
-  // stanza is covered here with no test change. Serial vs 1-thread
+  // Registry-driven: a detector added as one row of the detector
+  // table is covered here with no test change. Serial vs 1-thread
   // executor vs 4-thread executor, all bit-identical.
   testutil::World world = testutil::SmallWorld(607, 40, 300);
   testutil::WorldInput wi(world);
   DetectionInput in = wi.Input(world);
   for (const std::string& name : ListDetectors()) {
     SCOPED_TRACE(name);
-    auto serial = DetectorRegistry::Global().Create(name, PaperParams());
+    auto serial = CreateDetector(name, PaperParams());
     ASSERT_TRUE(serial.ok()) << serial.status().message();
     CopyResult want;
     ASSERT_TRUE((*serial)->DetectRound(in, 1, &want).ok());
@@ -166,7 +149,7 @@ TEST(ParallelEquivalence, EveryRegisteredDetectorBitIdenticalAtFourThreads) {
       Executor executor(threads);
       DetectionParams params = PaperParams();
       params.executor = &executor;
-      auto parallel = DetectorRegistry::Global().Create(name, params);
+      auto parallel = CreateDetector(name, params);
       ASSERT_TRUE(parallel.ok()) << parallel.status().message();
       CopyResult got;
       ASSERT_TRUE((*parallel)->DetectRound(in, 1, &got).ok());
@@ -198,8 +181,7 @@ TEST(ParallelEquivalence, ForcedIntersectionKernelsBitIdentical) {
   for (const std::string& name : ListDetectors()) {
     SCOPED_TRACE(name);
     ForceKernelForTest(Kernel::kScalar);
-    auto scalar_det =
-        DetectorRegistry::Global().Create(name, PaperParams());
+    auto scalar_det = CreateDetector(name, PaperParams());
     ASSERT_TRUE(scalar_det.ok());
     CopyResult want;
     ASSERT_TRUE((*scalar_det)->DetectRound(in, 1, &want).ok());
@@ -210,7 +192,7 @@ TEST(ParallelEquivalence, ForcedIntersectionKernelsBitIdentical) {
     }
     for (Kernel kernel : others) {
       ForceKernelForTest(kernel);
-      auto det = DetectorRegistry::Global().Create(name, PaperParams());
+      auto det = CreateDetector(name, PaperParams());
       ASSERT_TRUE(det.ok());
       CopyResult got;
       ASSERT_TRUE((*det)->DetectRound(in, 1, &got).ok());
@@ -224,10 +206,8 @@ TEST(ParallelEquivalence, MoreThreadsThanEntriesDegenerateCase) {
   // The running example has only a handful of index entries; a 64-way
   // executor leaves most shards empty and must still be exact.
   testutil::ExampleFixture fx;
-  for (DetectorKind kind :
-       {DetectorKind::kPairwise, DetectorKind::kIndex,
-        DetectorKind::kHybrid}) {
-    CheckDetectorEquivalence(kind, fx.Input(), 64);
+  for (const char* name : {"pairwise", "index", "hybrid"}) {
+    CheckDetectorEquivalence(name, fx.Input(), 64);
   }
 }
 

@@ -1,34 +1,50 @@
-// DetectorRegistry: self-registration of the built-in detectors,
-// alias resolution, duplicate rejection, and the compatibility of the
-// legacy DetectorKind layer with the registry.
+// The detector table: every built-in resolves and builds under its
+// canonical name, the listing is sorted and duplicate-free, and the
+// legacy aliases resolve to their canonical rows.
 #include "core/detector_registry.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
+#include <typeindex>
+#include <utility>
 
+#include "core/fagin_input.h"
+#include "core/hybrid.h"
+#include "core/incremental.h"
+#include "core/index_algo.h"
 #include "core/pairwise.h"
 
 namespace copydetect {
 namespace {
 
-// The satellite list of the API redesign: every built-in must be
-// registered under exactly this canonical spelling.
+// Every built-in must be registered under exactly this canonical
+// spelling.
 const char* const kBuiltins[] = {
-    "pairwise",    "index",       "bound",          "boundplus",
-    "hybrid",      "incremental", "parallel-index", "fagin-input",
+    "pairwise", "index",       "bound",       "boundplus",
+    "hybrid",   "incremental", "fagin-input",
 };
 
 TEST(DetectorRegistry, EveryBuiltinResolvesAndRoundTripsName) {
-  DetectionParams params;
-  for (const char* name : kBuiltins) {
+  // Each row builds its own algorithm (BOUND and BOUND+ share a class).
+  const std::pair<const char*, std::type_index> kRows[] = {
+      {"pairwise", typeid(PairwiseDetector)},
+      {"index", typeid(IndexDetector)},
+      {"bound", typeid(BoundDetector)},
+      {"boundplus", typeid(BoundDetector)},
+      {"hybrid", typeid(HybridDetector)},
+      {"incremental", typeid(IncrementalDetector)},
+      {"fagin-input", typeid(FaginInputDetector)},
+  };
+  ASSERT_EQ(std::size(kRows), std::size(kBuiltins));
+  for (const auto& [name, type] : kRows) {
     SCOPED_TRACE(name);
-    EXPECT_TRUE(DetectorRegistry::Global().Contains(name));
-    auto detector = DetectorRegistry::Global().Create(name, params);
+    EXPECT_EQ(ResolveDetector(name), name);
+    auto detector = CreateDetector(name, DetectionParams());
     ASSERT_TRUE(detector.ok()) << detector.status().ToString();
     ASSERT_NE(*detector, nullptr);
-    EXPECT_EQ((*detector)->name(), name);
+    const CopyDetector& made = **detector;
+    EXPECT_EQ(std::type_index(typeid(made)), type);
   }
 }
 
@@ -43,53 +59,36 @@ TEST(DetectorRegistry, ListDetectorsIsSortedCanonicalSet) {
   // Aliases are accepted for lookup but never listed.
   EXPECT_EQ(std::find(names.begin(), names.end(), "bound+"),
             names.end());
+  EXPECT_EQ(std::find(names.begin(), names.end(), "parallel-index"),
+            names.end());
+}
+
+TEST(DetectorRegistry, ListDetectorsHasNoDuplicates) {
+  std::vector<std::string> names = ListDetectors();
+  EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
 }
 
 TEST(DetectorRegistry, LegacyBoundPlusAliasResolves) {
-  EXPECT_TRUE(DetectorRegistry::Global().Contains("bound+"));
-  EXPECT_EQ(DetectorRegistry::Global().Resolve("bound+"), "boundplus");
-  auto detector =
-      DetectorRegistry::Global().Create("bound+", DetectionParams());
+  EXPECT_EQ(ResolveDetector("bound+"), "boundplus");
+  auto detector = CreateDetector("bound+", DetectionParams());
   ASSERT_TRUE(detector.ok());
-  EXPECT_EQ((*detector)->name(), "boundplus");
+  ASSERT_NE(*detector, nullptr);
 }
 
-TEST(DetectorRegistry, DuplicateNameIsRejected) {
-  auto factory = [](const DetectionParams& p) {
-    return std::unique_ptr<CopyDetector>(
-        std::make_unique<PairwiseDetector>(p));
-  };
-  Status dup = DetectorRegistry::Global().Register("pairwise", factory);
-  EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
-  // Colliding via an alias is rejected just the same, and the failed
-  // registration must not leak the fresh name into the registry.
-  Status alias_dup = DetectorRegistry::Global().Register(
-      "fresh-detector", factory, {"boundplus"});
-  EXPECT_EQ(alias_dup.code(), StatusCode::kAlreadyExists);
-  EXPECT_FALSE(DetectorRegistry::Global().Contains("fresh-detector"));
-}
-
-TEST(DetectorRegistry, LocalInstanceRegistersAndCreates) {
-  DetectorRegistry registry;
-  EXPECT_TRUE(registry.Names().empty());
-  Status st = registry.Register(
-      "mine",
-      [](const DetectionParams& p) {
-        return std::unique_ptr<CopyDetector>(
-            std::make_unique<PairwiseDetector>(p));
-      },
-      {"alias"});
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(registry.Names(), std::vector<std::string>{"mine"});
-  EXPECT_EQ(registry.Resolve("alias"), "mine");
-  auto made = registry.Create("alias", DetectionParams());
-  ASSERT_TRUE(made.ok());
-  EXPECT_EQ((*made)->name(), "pairwise");
+TEST(DetectorRegistry, ParallelIndexAliasResolvesToIndex) {
+  EXPECT_EQ(ResolveDetector("parallel-index"), "index");
+  auto detector = CreateDetector("parallel-index", DetectionParams());
+  ASSERT_TRUE(detector.ok());
+  ASSERT_NE(*detector, nullptr);
+  const CopyDetector& made = **detector;
+  EXPECT_EQ(std::type_index(typeid(made)),
+            std::type_index(typeid(IndexDetector)));
 }
 
 TEST(DetectorRegistry, UnknownNameErrorListsRegistry) {
-  auto made =
-      DetectorRegistry::Global().Create("typo", DetectionParams());
+  EXPECT_EQ(ResolveDetector("typo"), "");
+  EXPECT_EQ(ResolveDetector(""), "");
+  auto made = CreateDetector("typo", DetectionParams());
   ASSERT_FALSE(made.ok());
   EXPECT_EQ(made.status().code(), StatusCode::kNotFound);
   EXPECT_NE(made.status().message().find("available:"),
@@ -98,46 +97,6 @@ TEST(DetectorRegistry, UnknownNameErrorListsRegistry) {
     EXPECT_NE(made.status().message().find(name), std::string::npos)
         << name;
   }
-}
-
-TEST(DetectorRegistry, EmptyOrNullRegistrationsRejected) {
-  DetectorRegistry registry;
-  EXPECT_EQ(registry
-                .Register("",
-                          [](const DetectionParams& p) {
-                            return std::unique_ptr<CopyDetector>(
-                                std::make_unique<PairwiseDetector>(p));
-                          })
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(registry.Register("x", nullptr).code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(DetectorKindCompat, KindNamesMatchRegistryAndParseBack) {
-  static constexpr DetectorKind kAll[] = {
-      DetectorKind::kPairwise,   DetectorKind::kIndex,
-      DetectorKind::kBound,      DetectorKind::kBoundPlus,
-      DetectorKind::kHybrid,     DetectorKind::kIncremental,
-      DetectorKind::kFaginInput, DetectorKind::kParallelIndex,
-  };
-  DetectionParams params;
-  for (DetectorKind kind : kAll) {
-    std::string name(DetectorKindName(kind));
-    SCOPED_TRACE(name);
-    EXPECT_TRUE(DetectorRegistry::Global().Contains(name));
-    DetectorKind parsed;
-    ASSERT_TRUE(ParseDetectorKind(name, &parsed));
-    EXPECT_EQ(parsed, kind);
-    // MakeDetector is a thin shim over the registry now.
-    auto made = MakeDetector(kind, params);
-    ASSERT_NE(made, nullptr);
-    EXPECT_EQ(made->name(), name);
-  }
-  DetectorKind parsed;
-  EXPECT_TRUE(ParseDetectorKind("bound+", &parsed));
-  EXPECT_EQ(parsed, DetectorKind::kBoundPlus);
-  EXPECT_FALSE(ParseDetectorKind("nope", &parsed));
 }
 
 }  // namespace

@@ -114,8 +114,7 @@ TEST(SampledDetector, ProducesReasonablePairsOnStockLikeData) {
   spec.method = SamplingMethod::kScaleSample;
   spec.rate = 0.3;
   SampledDetector sampled(PaperParams(),
-                          MakeDetector(DetectorKind::kHybrid,
-                                       PaperParams()),
+                          testutil::NewDetector("hybrid", PaperParams()),
                           spec);
   HybridDetector full(PaperParams());
   CopyResult sampled_result;
@@ -144,8 +143,7 @@ TEST(SampledDetector, ReusesSampleAcrossRounds) {
   spec.method = SamplingMethod::kByItem;
   spec.rate = 0.5;
   SampledDetector detector(PaperParams(),
-                           MakeDetector(DetectorKind::kIndex,
-                                        PaperParams()),
+                           testutil::NewDetector("index", PaperParams()),
                            spec);
   CopyResult r1;
   CopyResult r2;

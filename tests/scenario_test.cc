@@ -211,17 +211,25 @@ TEST_P(ScenarioQuality, MeetsFloor) {
   const auto& [scenario_name, detector_name] = GetParam();
   auto scenario = MakeScenario(scenario_name, kScale, kSeed);
   ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
-  DetectorKind kind;
-  ASSERT_TRUE(ParseDetectorKind(detector_name, &kind));
-  auto result = EvaluateScenario(*scenario, kind);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // The quality gate's configuration (bench/quality_sweep): the
+  // paper's alpha/s with n matched to the generator's false pool.
+  SessionOptions options;
+  options.detector = detector_name;
+  options.n = scenario->world.suggested_n;
+  options.max_rounds = 8;
+  options.epsilon = 1e-4;
+  auto session = Session::Create(options);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto report = session->Run(scenario->world.data);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const ScenarioResult result = ScoreScenario(*scenario, report->fusion);
 
   const QualityFloor floor = FloorFor(scenario_name);
-  EXPECT_GE(result->pairs.recall, floor.recall);
-  EXPECT_GE(result->pairs.precision, floor.precision);
-  EXPECT_GE(result->fusion_accuracy, floor.accuracy);
-  EXPECT_GT(result->pairs.output_pairs, 0u);
-  EXPECT_TRUE(result->converged || result->rounds > 0);
+  EXPECT_GE(result.pairs.recall, floor.recall);
+  EXPECT_GE(result.pairs.precision, floor.precision);
+  EXPECT_GE(result.fusion_accuracy, floor.accuracy);
+  EXPECT_GT(result.pairs.output_pairs, 0u);
+  EXPECT_TRUE(result.converged || result.rounds > 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -321,6 +321,44 @@ TEST(SessionSnapshot, SampledSessionRoundTrips) {
   ExpectSameReport(loaded->report(), live->report());
 }
 
+TEST(SessionSnapshot, ParallelIndexAliasRendersIndexBytes) {
+  // "parallel-index" is an alias of "index". Saved options keep the
+  // caller's spelling, so older state files name it: both spellings
+  // must serve the same report bytes, live and after Save -> Load.
+  auto world = MakeWorldByName("book-cs", 0.1, 11);
+  CD_CHECK_OK(world.status());
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SessionOptions options;
+    options.n = world->suggested_n;
+    options.threads = threads;
+    options.online_updates = true;  // keeps the run's state to Save
+    options.detector = "index";
+    auto index = Session::Create(options);
+    CD_CHECK_OK(index.status());
+    CD_CHECK_OK(index->Run(world->data).status());
+    const std::string want =
+        index->report().ToJson(*index->current_data());
+    EXPECT_NE(want.find("\"detector\":\"index\""), std::string::npos);
+
+    options.detector = "parallel-index";
+    auto alias = Session::Create(options);
+    CD_CHECK_OK(alias.status());
+    CD_CHECK_OK(alias->Run(world->data).status());
+    EXPECT_EQ(alias->detector_name(), "index");
+    EXPECT_EQ(alias->report().ToJson(*alias->current_data()), want);
+
+    const std::string path =
+        TempPath("parallel_index_t" + std::to_string(threads) + ".cdsnap");
+    CD_CHECK_OK(alias->Save(path));
+    auto loaded = Session::Load(path, LoadOptions());
+    CD_CHECK_OK(loaded.status());
+    std::remove(path.c_str());
+    EXPECT_EQ(loaded->options().detector, "parallel-index");
+    EXPECT_EQ(loaded->report().ToJson(*loaded->current_data()), want);
+  }
+}
+
 TEST(SessionSnapshot, OptionsRoundTripExactly) {
   World world = MotivatingExample();
   const std::string path = TempPath("options.cdsnap");

@@ -204,8 +204,7 @@ FusionResult RunPreFacade(const Dataset& data,
   fusion_options.params.executor = &executor;
   std::unique_ptr<CopyDetector> detector;
   if (options.use_copy_detection) {
-    auto made = DetectorRegistry::Global().Create(
-        options.detector, fusion_options.params);
+    auto made = CreateDetector(options.detector, fusion_options.params);
     CD_CHECK_OK(made.status());
     detector = std::move(made).value();
   }
@@ -280,13 +279,17 @@ TEST(SessionEquivalence, SampledSessionMatchesSampledDetector) {
 
   // Pre-facade sampled wiring (what book_aggregator used to build).
   FusionOptions fusion_options = options.ToFusionOptions();
-  auto sampled = MakeSampledDetector(
-      fusion_options.params, DetectorKind::kIncremental,
-      SamplingMethod::kScaleSample, 0.3, 11);
-  auto outcome =
-      RunFusionWithDetector(*world, sampled.get(), fusion_options);
-  CD_CHECK_OK(outcome.status());
-  ExpectSameFusion(report.fusion, outcome->fusion);
+  auto base = CreateDetector("incremental", fusion_options.params);
+  CD_CHECK_OK(base.status());
+  SampleSpec spec;
+  spec.method = SamplingMethod::kScaleSample;
+  spec.rate = 0.3;
+  spec.seed = 11;
+  SampledDetector sampled(fusion_options.params, std::move(base).value(),
+                          spec);
+  auto want = IterativeFusion(fusion_options).Run(world->data, &sampled);
+  CD_CHECK_OK(want.status());
+  ExpectSameFusion(report.fusion, *want);
   // The sampling wrapper must not hide the incremental detector's
   // per-round pass statistics from the report.
   EXPECT_EQ(report.incremental_rounds.size(),

@@ -180,8 +180,7 @@ TEST(ShardedDetector, BitIdenticalToUnshardedEveryDetector) {
                      " threads=" + std::to_string(threads));
         Executor baseline_executor(threads);
         FusionOptions options = TestFusionOptions(&baseline_executor);
-        auto plain =
-            DetectorRegistry::Global().Create(name, options.params);
+        auto plain = CreateDetector(name, options.params);
         ASSERT_TRUE(plain.ok()) << plain.status().message();
         auto want =
             IterativeFusion(options).Run(world.data, plain->get());

@@ -3,9 +3,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "core/detector.h"
+#include "core/detector_registry.h"
 #include "datagen/generator.h"
 #include "datagen/motivating_example.h"
 #include "datagen/profiles.h"
@@ -22,6 +24,14 @@ inline DetectionParams PaperParams() {
   params.s = 0.8;
   params.n = 50.0;
   return params;
+}
+
+/// A fresh detector by registry name; dies on an unknown name.
+inline std::unique_ptr<CopyDetector> NewDetector(
+    std::string_view name, const DetectionParams& params) {
+  auto made = CreateDetector(name, params);
+  CD_CHECK_OK(made.status());
+  return std::move(made).value();
 }
 
 /// A fixture bundling the running example with the converged value

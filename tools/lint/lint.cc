@@ -474,19 +474,60 @@ void CheckBannedAssert(FileScan* scan) {
   }
 }
 
+/// Retired names and what replaced them: a use of the word anywhere,
+/// harnesses included, is a finding.
+struct RetiredName {
+  const char* word;
+  const char* message;
+};
+
+constexpr RetiredName kRetiredNames[] = {
+    {"FlagParser",
+     "FlagParser was removed after its one-release deprecation window "
+     "— use FlagSet (common/flags.h)"},
+    {"DetectorKind",
+     "the DetectorKind enum was removed — name detectors by their "
+     "detector-table string (CreateDetector/ResolveDetector, "
+     "core/detector_registry.h)"},
+    {"DetectorKindName",
+     "DetectorKindName was removed — detectors are named by their "
+     "detector-table string (ResolveDetector)"},
+    {"ParseDetectorKind",
+     "ParseDetectorKind was removed — use ResolveDetector"},
+    {"MakeDetector",
+     "MakeDetector was removed — use CreateDetector(name, params)"},
+    {"MakeSampledDetector",
+     "MakeSampledDetector was removed — run a Session with "
+     "sample_method/sample_rate/sample_seed"},
+    {"RunFusion",
+     "RunFusion was removed — Session (copydetect/session.h) is the "
+     "one path that runs a detector to a report"},
+    {"RunFusionWithDetector",
+     "RunFusionWithDetector was removed — run through Session, or "
+     "IterativeFusion(...).Run for a hand-built detector"},
+    {"ParallelIndexDetector",
+     "ParallelIndexDetector was removed — use the 'index' detector; "
+     "it scans in parallel on the session executor (threads > 1)"},
+    {"CD_REGISTER_DETECTOR",
+     "detector self-registration was removed — add a row to the "
+     "detector table in core/detector_registry.cc"},
+    {"DetectorRegistry",
+     "the DetectorRegistry class was removed — the detector table in "
+     "core/detector_registry.cc names every detector "
+     "(CreateDetector/ResolveDetector/ListDetectors)"},
+};
+
 /// Shims that completed their one-release deprecation window must not
 /// creep back in: once the window closes, the old spelling is a lint
-/// error, not a courtesy. The registry below names each retired shim
-/// and how to spot a reintroduction.
+/// error, not a courtesy. The table above and the checks below name
+/// each retired shim and how to spot a reintroduction.
 void CheckDeprecatedShim(FileScan* scan) {
   const std::string& code = scan->cleaned.code;
 
-  // PR 9 deprecation, removed PR 10: the parse-first FlagParser
-  // (superseded by FlagSet).
-  for (size_t pos : FindWord(code, "FlagParser")) {
-    scan->Add(pos, "deprecated-shim",
-              "FlagParser was removed after its one-release "
-              "deprecation window — use FlagSet (common/flags.h)");
+  for (const RetiredName& retired : kRetiredNames) {
+    for (size_t pos : FindWord(code, retired.word)) {
+      scan->Add(pos, "deprecated-shim", retired.message);
+    }
   }
 
   // PR 9 deprecation, removed PR 10: the forwarding include that let

@@ -55,12 +55,15 @@ struct Options {
 ///                          flagged).
 ///  * banned-assert       — assert() in src/api or src/snapshot, where
 ///                          Status is the error convention.
-///  * deprecated-shim     — a shim that already served its one-release
-///                          deprecation window coming back: the
+///  * deprecated-shim     — a retired name coming back: the
 ///                          FlagParser class, its forwarding include
-///                          in common/stringutil.h, or a
-///                          single-argument Session::Load overload in
-///                          the api layer (use LoadOptions).
+///                          in common/stringutil.h, a single-argument
+///                          Session::Load overload in the api layer
+///                          (use LoadOptions), or a name of the old
+///                          detector plumbing (DetectorKind,
+///                          MakeDetector, RunFusion,
+///                          ParallelIndexDetector, DetectorRegistry,
+///                          ... — use the detector table and Session).
 ///  * suppression         — malformed/unknown/unjustified/unused
 ///                          cd-lint annotations (not itself
 ///                          suppressible).

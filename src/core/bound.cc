@@ -38,16 +38,17 @@ uint32_t CeilToU32(double v) {
 }
 
 /// One shard of the bounded scan over a prebuilt index. Pairs are
-/// partitioned by ownership (Mix64(PairKey) mod num_shards); pair
-/// states never interact, and the per-source observed-value counts
-/// n_src every shard recomputes identically from the shared entry
-/// stream, so each owned pair evolves exactly as in the sequential
-/// scan — the parallel result is bit-identical at any shard count.
+/// partitioned by row ownership (OwnsRow on the pair's smaller
+/// source), and a shard enumerates only its own rows; pair states
+/// never interact, and the per-source observed-value counts n_src
+/// every shard recomputes identically from the shared entry stream,
+/// so each owned pair evolves exactly as in the sequential scan — the
+/// parallel result is bit-identical at any shard count.
 /// entries_scanned is charged to shard 0 only. params.plan partitions
-/// pairs the same way one level up (across processes): non-owned
-/// pairs are skipped entirely and the stream-level charge goes to the
-/// plan's primary shard, so merged shard counters match the unsharded
-/// run.
+/// pairs one level up (across processes, by a salted pair hash):
+/// non-owned pairs are skipped entirely and the stream-level charge
+/// goes to the plan's primary shard, so merged shard counters match
+/// the unsharded run.
 void ScanShard(const InvertedIndex& index, const DetectionInput& in,
                const DetectionParams& params, const ScanConfig& config,
                const OverlapCounts& overlaps, size_t shard,
@@ -83,12 +84,13 @@ void ScanShard(const InvertedIndex& index, const DetectionInput& in,
     for (SourceId s : providers) ++n_src[s];
 
     for (size_t i = 0; i + 1 < providers.size(); ++i) {
+      // Providers ascend: lo is the smaller source of the whole row.
+      const SourceId lo = providers[i];
+      if (!OwnsRow(lo, shard, num_shards)) continue;
       for (size_t j = i + 1; j < providers.size(); ++j) {
-        SourceId lo = std::min(providers[i], providers[j]);
-        SourceId hi = std::max(providers[i], providers[j]);
+        const SourceId hi = providers[j];
         uint64_t key = PairKey(lo, hi);
         if (!params.plan.Owns(key)) continue;
-        if (num_shards > 1 && Mix64(key) % num_shards != shard) continue;
 
         ScanState* st;
         if (tail) {

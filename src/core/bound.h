@@ -58,11 +58,13 @@ struct ScanOutputs {
 /// every entry as a head entry.
 ///
 /// When `params.executor` runs more than one thread and `book` is
-/// null, the scan shards by pair ownership over the shared executor:
-/// the index is built once, every worker walks it maintaining its own
-/// n_src counts, and each pair's state evolves inside its single owner
-/// exactly as it would sequentially — bit-identical results at every
-/// thread count. The bookkeeping path stays sequential.
+/// null, the scan shards by row ownership over the shared executor
+/// (core/sharded_scan.h: pair (lo, hi) belongs to shard lo mod shard
+/// count): the index is built once, every worker steps through it
+/// maintaining its own n_src counts but enumerates only the pairs of
+/// the rows it owns, and each pair's state evolves inside its single
+/// owner exactly as it would sequentially — bit-identical results at
+/// every thread count. The bookkeeping path stays sequential.
 Status BoundedScan(const DetectionInput& in, const DetectionParams& params,
                    const ScanConfig& config,
                    const OverlapCounts& overlaps, Counters* counters,

@@ -15,13 +15,14 @@ struct IndexPairState {
   uint32_t n_shared = 0;
 };
 
-/// Scans every entry in rank order, processing only the pairs this
-/// shard owns, then finalizes them. With num_shards == 1 this is
-/// exactly the sequential INDEX algorithm; with more shards each pair
-/// still accumulates in rank order inside its single owner, which is
-/// what makes the parallel path bit-identical to the serial one.
-/// entries_scanned is charged to shard 0 only (every shard walks the
-/// same stream; the work is shared, not repeated per pair). The same
+/// Scans every entry in rank order, enumerating only the pairs whose
+/// row this shard owns (OwnsRow on the pair's smaller source), then
+/// finalizes them. With num_shards == 1 this is exactly the
+/// sequential INDEX algorithm; with more shards each pair still
+/// accumulates in rank order inside its single owner, which is what
+/// makes the parallel path bit-identical to the serial one.
+/// entries_scanned is charged to shard 0 only (every shard steps
+/// through the same entries, each enumerating its own rows). The same
 /// two rules apply one level up to params.plan, the process-level
 /// partition: a pair is skipped unless this process owns it, and the
 /// stream-level charge goes to the plan's primary shard only, so
@@ -44,12 +45,14 @@ void ScanShard(const InvertedIndex& index, const std::vector<double>& accs,
     std::span<const SourceId> providers = index.providers(rank);
     const bool tail = index.in_tail(rank);
     for (size_t i = 0; i + 1 < providers.size(); ++i) {
+      // Providers ascend, so lo is the smaller source of every pair in
+      // this row; fwd is "lo copies from hi".
+      const SourceId lo = providers[i];
+      if (!OwnsRow(lo, shard, num_shards)) continue;
       for (size_t j = i + 1; j < providers.size(); ++j) {
-        SourceId a = providers[i];
-        SourceId b = providers[j];
-        uint64_t key = PairKey(a, b);
+        const SourceId hi = providers[j];
+        uint64_t key = PairKey(lo, hi);
         if (!params.plan.Owns(key)) continue;
-        if (num_shards > 1 && Mix64(key) % num_shards != shard) continue;
         IndexPairState* state;
         if (tail) {
           state = pairs.Find(key);
@@ -59,9 +62,6 @@ void ScanShard(const InvertedIndex& index, const std::vector<double>& accs,
           state = &pairs[key];
           if (fresh) ++counters->pairs_tracked;
         }
-        // fwd is "smaller id copies from larger id".
-        SourceId lo = a < b ? a : b;
-        SourceId hi = a < b ? b : a;
         state->c_fwd +=
             SharedContribution(e.probability, accs[lo], accs[hi], params);
         state->c_bwd +=

@@ -16,11 +16,12 @@ namespace copydetect {
 /// values.
 ///
 /// When params.executor runs more than one thread the scan shards *by
-/// pair ownership* (Mix64(PairKey) mod shard count): every worker
-/// walks the whole entry stream in rank order but accumulates only the
-/// pairs it owns, so each pair's floating-point sums are formed in
-/// exactly the sequential order and the result is bit-identical to the
-/// serial scan at every thread count.
+/// row ownership* (core/sharded_scan.h: pair (lo, hi) belongs to
+/// shard lo mod shard count): every worker steps through the entries
+/// in rank order but enumerates only the pairs of the rows it owns,
+/// so each pair's floating-point sums are formed in exactly the
+/// sequential order and the result is bit-identical to the serial
+/// scan at every thread count.
 class IndexDetector : public CopyDetector {
  public:
   explicit IndexDetector(const DetectionParams& params,

@@ -9,20 +9,16 @@
 
 namespace copydetect {
 
-/// Deterministic pair-space partition for multi-process detection —
-/// the first-class form of the Mix64 ownership split the in-process
-/// thread sharding (core/sharded_scan.h) has always used. A plan
-/// {num_shards, shard_id} makes a detector process only the source
-/// pairs it owns; merging every shard's partial posteriors in fixed
-/// shard order reproduces the single-process run bit for bit, because
-/// each pair's floating-point accumulation happens entirely inside
-/// its one owning shard (the same argument that makes the threaded
-/// scan deterministic).
-///
-/// The ownership hash is salted so plan-level and thread-level
-/// partitions stay independent: both derive from Mix64(PairKey), and
-/// without the salt a run with num_shards == num_threads would funnel
-/// every owned pair onto a single thread.
+/// Deterministic pair-space partition for multi-process detection. A
+/// plan {num_shards, shard_id} makes a detector process only the
+/// source pairs it owns, by a salted Mix64 of the pair key; merging
+/// every shard's partial posteriors in fixed shard order reproduces
+/// the single-process run bit for bit, because each pair's
+/// floating-point accumulation happens entirely inside its one owning
+/// shard (the same argument that makes the threaded scan, which
+/// partitions by row ownership in core/sharded_scan.h, deterministic).
+/// The two partitions compose: a plan shard's pairs spread over its
+/// threads by their smaller source.
 struct ShardPlan {
   uint32_t num_shards = 1;
   uint32_t shard_id = 0;
@@ -44,9 +40,9 @@ struct ShardPlan {
   Status Validate() const;
 
  private:
-  // Decouples the plan partition from the thread partition (which is
-  // unsalted Mix64 in core/sharded_scan.h consumers). Part of the
-  // shard-file wire contract: changing it invalidates emitted shards.
+  // The thread split partitions by row, not by this hash, so nothing
+  // depends on the salt but the shard-file wire contract
+  // (docs/FORMATS.md, SHARD): changing it invalidates emitted shards.
   static constexpr uint64_t kOwnershipSalt = 0x9e3779b97f4a7c15ULL;
 };
 

@@ -543,10 +543,24 @@ bool AllBelow(std::span<const uint32_t> ids, size_t bound) {
   return true;
 }
 
+/// Whether every row of the CSR (`begin`, `ids`) is strictly
+/// ascending. `begin` must already be a valid CSR over `ids`.
+bool RowsStrictlyAscending(std::span<const uint32_t> begin,
+                           std::span<const uint32_t> ids) {
+  for (size_t row = 0; row + 1 < begin.size(); ++row) {
+    for (uint32_t k = begin[row] + 1; k < begin[row + 1]; ++k) {
+      if (ids[k] <= ids[k - 1]) return false;
+    }
+  }
+  return true;
+}
+
 /// Structural validation of a decoded DATASET section, owned or
 /// mapped alike: everything the detection algorithms index with must
-/// be in range, every CSR monotone — a Dataset accepted here cannot
-/// take the engine out of bounds.
+/// be in range, every CSR monotone, every provider list strictly
+/// ascending (the row-owned sharded scans read a list's earlier id as
+/// the smaller source of each pair) — a Dataset accepted here cannot
+/// take the engine out of bounds or out of its partition.
 Status ValidateDatasetShape(uint64_t num_sources, uint64_t num_items,
                             uint64_t num_slots, uint64_t num_obs,
                             const DatasetSerde::Arrays& a) {
@@ -579,6 +593,10 @@ Status ValidateDatasetShape(uint64_t num_sources, uint64_t num_items,
   if (!ValidCsr(a.provider_begin.span(), num_slots, a.providers.size()) ||
       !AllBelow(a.providers.span(), num_sources)) {
     return corrupt("provider lists not a valid CSR over sources");
+  }
+  if (!RowsStrictlyAscending(a.provider_begin.span(),
+                             a.providers.span())) {
+    return corrupt("provider list not strictly ascending");
   }
   if (!ValidCsr(a.src_begin.span(), num_sources, num_obs) ||
       a.obs_slot.size() != num_obs ||

@@ -1,16 +1,19 @@
 // Parallel/sequential equivalence of the executor-backed scan paths.
 //
-// The parallel paths shard by pair ownership (see IndexDetector and
-// BoundedScan), which keeps every pair's floating-point accumulation
-// in exact sequential order — so the contract is *bit-identical*
-// CopyResults, not approximate agreement, at every thread count
-// including the degenerate "more threads than index entries" case.
+// The index scans shard by row ownership (core/sharded_scan.h: pair
+// (lo, hi) belongs to shard lo % shards, and each shard enumerates
+// only its own rows), which keeps every pair's floating-point
+// accumulation in exact sequential order inside one shard — so the
+// contract is *bit-identical* CopyResults and equal work counters,
+// not approximate agreement, at every thread count including the
+// degenerate "more threads than index entries" case.
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/executor.h"
+#include "core/counters.h"
 #include "core/detector.h"
 #include "core/detector_registry.h"
 #include "fusion/truth_finder.h"
@@ -40,8 +43,20 @@ void ExpectBitIdentical(const CopyResult& got, const CopyResult& want) {
   EXPECT_EQ(checked, want.NumTracked());
 }
 
+/// Asserts every work counter of `got` equals `want`'s.
+void ExpectSameCounters(const Counters& got, const Counters& want) {
+  EXPECT_EQ(got.score_evals, want.score_evals);
+  EXPECT_EQ(got.bound_evals, want.bound_evals);
+  EXPECT_EQ(got.finalize_evals, want.finalize_evals);
+  EXPECT_EQ(got.pairs_tracked, want.pairs_tracked);
+  EXPECT_EQ(got.entries_scanned, want.entries_scanned);
+  EXPECT_EQ(got.values_examined, want.values_examined);
+  EXPECT_EQ(got.early_copy, want.early_copy);
+  EXPECT_EQ(got.early_nocopy, want.early_nocopy);
+}
+
 /// Runs `name` serially and with an executor of `threads` workers and
-/// compares results and work counters.
+/// compares results and every work counter.
 void CheckDetectorEquivalence(const char* name, const DetectionInput& in,
                               size_t threads) {
   auto serial = NewDetector(name, PaperParams());
@@ -56,20 +71,14 @@ void CheckDetectorEquivalence(const char* name, const DetectionInput& in,
   ASSERT_TRUE(parallel->DetectRound(in, 1, &got).ok());
 
   ExpectBitIdentical(got, want);
-  EXPECT_EQ(parallel->counters().score_evals,
-            serial->counters().score_evals);
-  EXPECT_EQ(parallel->counters().entries_scanned,
-            serial->counters().entries_scanned);
-  EXPECT_EQ(parallel->counters().pairs_tracked,
-            serial->counters().pairs_tracked);
-  EXPECT_EQ(parallel->counters().Total(), serial->counters().Total());
+  ExpectSameCounters(parallel->counters(), serial->counters());
 }
 
 class ParallelEquivalenceTest
     : public ::testing::TestWithParam<size_t> {};
 
 // 1 exercises the serial fallback, 2/4/7 real sharding (7 is odd on
-// purpose: uneven pair ownership; 4 is the acceptance width of the
+// purpose: uneven row ownership; 4 is the acceptance width of the
 // hot-path layout rework).
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelEquivalenceTest,
                          ::testing::Values(1, 2, 4, 7));
@@ -146,6 +155,7 @@ TEST(ParallelEquivalence, EveryRegisteredDetectorBitIdenticalAtFourThreads) {
     ASSERT_TRUE((*serial)->DetectRound(in, 1, &want).ok());
 
     for (size_t threads : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(threads);
       Executor executor(threads);
       DetectionParams params = PaperParams();
       params.executor = &executor;
@@ -154,9 +164,7 @@ TEST(ParallelEquivalence, EveryRegisteredDetectorBitIdenticalAtFourThreads) {
       CopyResult got;
       ASSERT_TRUE((*parallel)->DetectRound(in, 1, &got).ok());
       ExpectBitIdentical(got, want);
-      EXPECT_EQ((*parallel)->counters().score_evals,
-                (*serial)->counters().score_evals)
-          << name << " @ " << threads;
+      ExpectSameCounters((*parallel)->counters(), (*serial)->counters());
     }
   }
 }
@@ -206,7 +214,9 @@ TEST(ParallelEquivalence, MoreThreadsThanEntriesDegenerateCase) {
   // The running example has only a handful of index entries; a 64-way
   // executor leaves most shards empty and must still be exact.
   testutil::ExampleFixture fx;
-  for (const char* name : {"pairwise", "index", "hybrid"}) {
+  for (const char* name :
+       {"pairwise", "index", "bound", "boundplus", "hybrid"}) {
+    SCOPED_TRACE(name);
     CheckDetectorEquivalence(name, fx.Input(), 64);
   }
 }

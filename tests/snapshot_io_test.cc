@@ -675,6 +675,8 @@ uint32_t U32At(const std::vector<uint8_t>& bytes, size_t offset) {
 TEST(SnapshotIoCorruption, ForgedDatasetStructureIsRefused) {
   const std::vector<uint8_t>& good = GoodFileBytes();
   const size_t payload = EntryField(good, 1, 8);
+  // The ordering forgery below needs slot 0 to have two providers.
+  ASSERT_GE(U32At(good, DatasetElement(good, kProviderBegin, 1)), 2u);
   const struct {
     size_t at;  // file offset of the u32 to replace
     uint32_t value;
@@ -683,6 +685,11 @@ TEST(SnapshotIoCorruption, ForgedDatasetStructureIsRefused) {
       // A provider id at or above the data's 4 sources.
       {DatasetElement(good, kProviders, 0), 4,
        "provider lists not a valid CSR over sources"},
+      // Slot 0 lists its first provider twice: every id in range, but
+      // the list no longer strictly ascends.
+      {DatasetElement(good, kProviders, 1),
+       U32At(good, DatasetElement(good, kProviders, 0)),
+       "provider list not strictly ascending"},
       // Item 0's slot range would end after item 1's.
       {DatasetElement(good, kItemSlotBegin, 1),
        U32At(good, DatasetElement(good, kItemSlotBegin, 2)) + 1,

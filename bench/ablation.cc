@@ -1,4 +1,4 @@
-// Ablations of the design choices DESIGN.md calls out:
+// Ablations of the design choices docs/DESIGN.md §5 calls out:
 //   (a) the tail set E̅ (skip pairs sharing only weak values) on/off;
 //   (b) the HYBRID threshold (items shared before switching from INDEX
 //       bookkeeping to BOUND+), swept around the paper's 16;
@@ -41,7 +41,7 @@ class ConfiguredScanDetector : public CopyDetector {
 int main(int argc, char** argv) {
   double scale = 1.0;
   uint64_t seed = 7;
-  FlagSet flags("ablation: DESIGN.md design-choice ablations");
+  FlagSet flags("ablation: docs/DESIGN.md §5 design-choice ablations");
   flags.Double("scale", &scale, "data-set scale factor");
   flags.Uint64("seed", &seed, "world generator seed");
   flags.ParseOrDie(argc, argv);

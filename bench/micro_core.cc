@@ -368,8 +368,8 @@ void BM_SessionRunBookFull(benchmark::State& state) {
 /// delta (one source's first ten items re-pushed) against a live
 /// book-full session, steady state. BM_SessionRun is the cold
 /// full-run twin; the perf-gate CI compares both against the
-/// committed baseline so a regression in either the update machinery
-/// (apply, overlap patching, index rebase, pair splicing) or the
+/// committed baseline so a regression in either the update path
+/// (Dataset::Apply, overlap patching, then a plain re-run) or the
 /// plain pipeline fails the PR.
 void BM_SessionUpdateBookFull(benchmark::State& state) {
   const World& world = BookFullWorld().world;

@@ -123,8 +123,8 @@ int main(int argc, char** argv) {
 
   // --- Online updates: Session::Update vs full rebuild + re-run. ---
   TextTable online;
-  online.SetHeader({"Dataset", "Detector", "update", "rebuild",
-                    "speedup", "reused pairs"});
+  online.SetHeader(
+      {"Dataset", "Detector", "update", "rebuild", "speedup"});
   for (const BenchDataset& spec : DefaultDatasets(scale)) {
     World world = MakeWorld(spec, seed);
     const Dataset& base = world.data;
@@ -151,8 +151,6 @@ int main(int argc, char** argv) {
           update_cpu = cpu;
         }
       }
-      uint64_t reused = session->last_update_stats().reused_pairs;
-
       // The no-Apply alternative: rebuild the merged observations
       // from scratch and run a cold session.
       const Dataset& merged = *session->current_data();
@@ -188,9 +186,7 @@ int main(int argc, char** argv) {
 
       online.AddRow({spec.name, detector, HumanSeconds(update_seconds),
                      HumanSeconds(rebuild_seconds),
-                     Fmt(rebuild_seconds / update_seconds, "%.2fx"),
-                     StrFormat("%llu", static_cast<unsigned long long>(
-                                           reused))});
+                     Fmt(rebuild_seconds / update_seconds, "%.2fx")});
       reporter.Add({.name = "update",
                     .detector = detector,
                     .dataset = spec.name,

@@ -5,10 +5,9 @@
 // This demo keeps one Session alive across a week of simulated stock
 // feeds. Day 0 runs full detection; every following day one or two
 // feeds re-publish a slice of their symbols through a DatasetDelta and
-// Session::Update re-detects incrementally: the snapshot is spliced by
-// Dataset::Apply, overlap counts are patched per touched item, the
-// round-1 inverted index is rebased, and unchanged pairs reuse the
-// recorded previous round. The refreshed report is bit-identical to
+// Session::Update refreshes the report: the snapshot is spliced by
+// Dataset::Apply, overlap counts are patched per touched item, and
+// detection + fusion re-run. The refreshed report is bit-identical to
 // rebuilding the data set and re-running from scratch — the demo
 // proves it against exactly that rebuild each day.
 //

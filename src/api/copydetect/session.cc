@@ -8,8 +8,6 @@
 #include "common/json.h"
 #include "common/timer.h"
 #include "core/incremental.h"
-#include "core/inverted_index.h"
-#include "core/pairwise.h"
 #include "fusion/value_probs.h"
 #include "simjoin/overlap.h"
 #include "snapshot/snapshot_io.h"
@@ -27,324 +25,70 @@ void Require(bool ok, std::vector<std::string>* problems,
 
 }  // namespace
 
-/// The session-side machinery of Session::Update. One object lives
-/// for the session's lifetime and plays two roles through the
-/// FusionLoop observer interface:
-///
-///  * recorder — during every run it tapes each round's entering
-///    state (value probs, accuracies), the round's copy result, and
-///    the round-1 inverted index (via DetectionInput::index_sink);
-///  * replayer — during an update run it compares the current round's
-///    state against the previous run's tape and hands the detector
-///    UpdateHints naming the provably unchanged parts: clean sources
-///    for pair splicing, and the previous round-1 index for
-///    InvertedIndex::Rebase.
-///
-/// It also owns the session's maintained overlap counts and publishes
-/// them through SharedOverlaps so every detector's private
-/// OverlapCache borrows them instead of recounting.
-class SessionUpdateState : public RoundObserver {
+/// The overlap counts an online session maintains across updates. It
+/// publishes them through SharedOverlaps so every detector's private
+/// OverlapCache borrows them instead of recounting, and steps them
+/// across each delta (Session::Update) by patching the touched items.
+class MaintainedOverlaps {
  public:
-  explicit SessionUpdateState(bool maintain_overlaps)
-      : maintain_overlaps_(maintain_overlaps) {}
+  MaintainedOverlaps() = default;
+  MaintainedOverlaps(const MaintainedOverlaps&) = delete;
+  MaintainedOverlaps& operator=(const MaintainedOverlaps&) = delete;
 
-  ~SessionUpdateState() override {
-    if (overlaps_generation_ != 0) {
-      SharedOverlaps::Withdraw(overlaps_generation_);
-    }
+  ~MaintainedOverlaps() {
+    if (generation_ != 0) SharedOverlaps::Withdraw(generation_);
   }
-
-  // --- Overlap maintenance. ---
 
   /// Publishes counts for `data`, computing them cold when the
   /// maintained ones belong to another generation.
-  void EnsureOverlaps(const Dataset& data) {
-    if (!maintain_overlaps_) return;
-    if (overlaps_ != nullptr &&
-        overlaps_generation_ == data.generation()) {
-      return;
-    }
-    SetOverlaps(std::make_shared<const OverlapCounts>(
-                    ComputeOverlaps(data)),
-                data.generation());
+  void Ensure(const Dataset& data) {
+    if (HasFor(data.generation())) return;
+    Set(std::make_shared<const OverlapCounts>(ComputeOverlaps(data)),
+        data.generation());
   }
 
   /// Steps the maintained counts across a delta. Returns true when
   /// they were patched per touched item, false when they had to be
   /// recounted (either way the new snapshot's counts end up
   /// published).
-  bool AdvanceOverlaps(const Dataset& old_data, const Dataset& new_data,
-                       const DeltaSummary& summary,
-                       bool allow_incremental) {
-    if (!maintain_overlaps_) return false;
-    bool incremental = false;
+  bool Advance(const Dataset& old_data, const Dataset& new_data,
+               const DeltaSummary& summary, bool allow_patch) {
     std::shared_ptr<const OverlapCounts> next;
-    if (allow_incremental && overlaps_ != nullptr &&
-        overlaps_generation_ == old_data.generation()) {
-      auto patched = std::make_shared<OverlapCounts>(*overlaps_);
+    if (allow_patch && HasFor(old_data.generation())) {
+      auto patched = std::make_shared<OverlapCounts>(*counts_);
       if (UpdateOverlaps(patched.get(), old_data, new_data,
                          summary.touched_items)) {
         next = std::move(patched);
-        incremental = true;
       }
     }
-    if (next == nullptr) {
+    const bool patched = next != nullptr;
+    if (!patched) {
       next = std::make_shared<const OverlapCounts>(
           ComputeOverlaps(new_data));
     }
-    SetOverlaps(std::move(next), new_data.generation());
-    return incremental;
+    Set(std::move(next), new_data.generation());
+    return patched;
   }
-
-  // --- Run lifecycle. ---
-
-  /// Arms the next run to replay against the previous tape through
-  /// `summary` (the Dataset::Apply result that led to `new_data`).
-  void ArmReplay(DeltaSummary summary, const Dataset& new_data) {
-    summary_ = std::move(summary);
-    // Structurally clean = untouched by the delta and providing no
-    // touched item: the source's rows, and every probability its
-    // slots can see in round 1, are unchanged. Rounds >= 2 refine
-    // this with bitwise state comparison per round.
-    structurally_clean_.assign(new_data.num_sources(), 1);
-    for (SourceId s : summary_.touched_sources) {
-      structurally_clean_[s] = 0;
-    }
-    for (ItemId d : summary_.touched_items) {
-      for (SourceId s : new_data.item_providers(d)) {
-        structurally_clean_[s] = 0;
-      }
-    }
-    replay_armed_ = true;
-  }
-
-  void DisarmReplay() { replay_armed_ = false; }
-
-  void BeginRun(const Dataset& data, const CopyDetector* detector) {
-    data_ = &data;
-    pairwise_ = dynamic_cast<const PairwiseDetector*>(detector);
-    recording_.clear();
-    // Taping the per-round CopyResult costs O(tracked pairs) per
-    // round; only pair-local detectors can splice from it, so only
-    // record it for them.
-    recording_copies_ = pairwise_ != nullptr;
-    reused_pairs_ = 0;
-    replaying_ = replay_armed_;
-    replay_armed_ = false;
-    run_open_ = true;
-    EnsureOverlaps(data);
-  }
-
-  /// Closes the run: on success the recording becomes the tape the
-  /// next update replays against; on failure both are dropped (a
-  /// partial tape must never be replayed).
-  void EndRun(bool success) {
-    if (!run_open_) return;
-    run_open_ = false;
-    replaying_ = false;
-    if (success) {
-      previous_ = std::move(recording_);
-      previous_has_copies_ = recording_copies_;
-    } else {
-      previous_.clear();
-      previous_has_copies_ = false;
-    }
-    recording_.clear();
-  }
-
-  uint64_t reused_pairs() const { return reused_pairs_; }
-
-  // --- Snapshot persistence (Session::Save/Load). ---
 
   /// True when the maintained counts are live for `generation`.
-  bool HasOverlapsFor(uint64_t generation) const {
-    return overlaps_ != nullptr && overlaps_generation_ == generation;
+  bool HasFor(uint64_t generation) const {
+    return counts_ != nullptr && generation_ == generation;
   }
-  const OverlapCounts& overlaps() const { return *overlaps_; }
+  const OverlapCounts& counts() const { return *counts_; }
 
-  /// Adopts loaded counts as the maintained+published ones.
-  void InstallOverlaps(std::shared_ptr<const OverlapCounts> counts,
-                       uint64_t generation) {
-    SetOverlaps(std::move(counts), generation);
-  }
-
-  bool HasTape() const { return !previous_.empty(); }
-
-  /// Copies the previous run's tape into persistable form (the
-  /// generation fields stay with the caller, which knows the
-  /// snapshot's).
-  void ExportTape(snapshot::SessionState* out) const {
-    out->has_tape = true;
-    out->tape_has_copies = previous_has_copies_;
-    out->tape.reserve(previous_.size());
-    for (const RoundRecord& rec : previous_) {
-      snapshot::TapeRound round;
-      round.pre_probs = rec.pre_probs;
-      round.pre_accs = rec.pre_accs;
-      round.copies = rec.copies;
-      round.has_index = rec.has_index;
-      if (rec.has_index) {
-        round.index_entries.reserve(rec.index.num_entries());
-        for (size_t i = 0; i < rec.index.num_entries(); ++i) {
-          round.index_entries.push_back(rec.index.entry(i));
-        }
-        round.index_tail_begin = rec.index.tail_begin();
-        round.index_ordering = rec.index.ordering();
-      }
-      out->tape.push_back(std::move(round));
-    }
-  }
-
-  /// Adopts a loaded tape as the previous run's, rebinding each taped
-  /// round-1 index to `data` (the loaded snapshot).
-  Status InstallTape(std::vector<snapshot::TapeRound> tape,
-                     bool has_copies, const Dataset& data) {
-    std::vector<RoundRecord> rounds;
-    rounds.reserve(tape.size());
-    for (snapshot::TapeRound& t : tape) {
-      RoundRecord rec;
-      rec.pre_probs = std::move(t.pre_probs);
-      rec.pre_accs = std::move(t.pre_accs);
-      rec.copies = std::move(t.copies);
-      rec.has_index = t.has_index;
-      if (t.has_index) {
-        auto index = InvertedIndex::FromParts(
-            data, std::move(t.index_entries),
-            static_cast<size_t>(t.index_tail_begin), t.index_ordering);
-        if (!index.ok()) return index.status();
-        rec.index = std::move(*index);
-      }
-      rounds.push_back(std::move(rec));
-    }
-    previous_ = std::move(rounds);
-    previous_has_copies_ = has_copies;
-    return Status::OK();
-  }
-
-  // --- RoundObserver. ---
-
-  void BeforeDetect(int round, DetectionInput* in) override {
-    if (!run_open_) return;
-    RoundRecord rec;
-    // The taped probabilities are only ever read by the pair-splice
-    // replay (gated on previous_has_copies_), so don't pay the
-    // per-round O(slots) copy for detectors that can't splice.
-    // pre_accs is always kept: round 1's accuracies feed Rebase.
-    if (recording_copies_) rec.pre_probs = *in->value_probs;
-    rec.pre_accs = *in->accuracies;
-    recording_.push_back(std::move(rec));
-    if (round == 1) {
-      // The sink is consumed synchronously inside this round's
-      // DetectRound, before the vector can reallocate.
-      in->index_sink = &recording_.back().index;
-    }
-
-    if (!replaying_ || round > static_cast<int>(previous_.size())) {
-      return;
-    }
-    const RoundRecord& prev = previous_[static_cast<size_t>(round) - 1];
-    hints_ = UpdateHints();
-    const Dataset& data = *data_;
-    const std::vector<double>& accs = *in->accuracies;
-    const std::vector<double>& probs = *in->value_probs;
-    const std::vector<SlotId>& slot_map = summary_.old_to_new_slot;
-    if (previous_has_copies_ && prev.pre_accs.size() <= accs.size() &&
-        prev.pre_probs.size() == slot_map.size()) {
-      // A source is clean for this round when it is structurally
-      // clean AND its accuracy and all of its slots' probabilities
-      // are bitwise-equal to the previous run's same round — exactly
-      // the inputs a pair-local detector reads for the pairs the
-      // source is part of.
-      clean_sources_ = structurally_clean_;
-      for (size_t s = 0; s < prev.pre_accs.size(); ++s) {
-        if (accs[s] != prev.pre_accs[s]) clean_sources_[s] = 0;
-      }
-      slot_clean_.assign(data.num_slots(), 0);
-      for (SlotId ov = 0; ov < slot_map.size(); ++ov) {
-        SlotId nv = slot_map[ov];
-        if (nv != kInvalidSlot && probs[nv] == prev.pre_probs[ov]) {
-          slot_clean_[nv] = 1;
-        }
-      }
-      for (SourceId s = 0; s < data.num_sources(); ++s) {
-        if (clean_sources_[s] == 0) continue;
-        for (SlotId v : data.slots_of(s)) {
-          if (slot_clean_[v] == 0) {
-            clean_sources_[s] = 0;
-            break;
-          }
-        }
-      }
-      hints_.cached = &prev.copies;
-      hints_.clean_sources = &clean_sources_;
-    }
-    if (round == 1 && prev.has_index) {
-      // Round 1 runs at the initial constant accuracies, so the
-      // previous round-1 index can be rebased (Rebase re-verifies
-      // and falls back on its own).
-      hints_.prev_index = &prev.index;
-      hints_.prev_index_accuracies = &prev.pre_accs;
-      hints_.summary = &summary_;
-    }
-    if (hints_.cached != nullptr || hints_.prev_index != nullptr) {
-      in->hints = &hints_;
-    }
-  }
-
-  void AfterRound(int round, const FusionResult& state) override {
-    if (!run_open_ ||
-        recording_.size() < static_cast<size_t>(round)) {
-      return;
-    }
-    RoundRecord& rec = recording_[static_cast<size_t>(round) - 1];
-    if (recording_copies_) rec.copies = state.copies;
-    rec.has_index = rec.index.data_or_null() != nullptr;
-    if (pairwise_ != nullptr) {
-      reused_pairs_ += pairwise_->last_reused_pairs();
-    }
+  /// Adopts `counts` (loaded by Session::Load) as the maintained and
+  /// published ones.
+  void Set(std::shared_ptr<const OverlapCounts> counts,
+           uint64_t generation) {
+    if (generation_ != 0) SharedOverlaps::Withdraw(generation_);
+    counts_ = std::move(counts);
+    generation_ = generation;
+    SharedOverlaps::Publish(generation_, counts_);
   }
 
  private:
-  /// One fusion round on tape: the state detection read, what it
-  /// produced, and (round 1, index family) the index it built.
-  struct RoundRecord {
-    std::vector<double> pre_probs;  // per slot, the round's id space
-    std::vector<double> pre_accs;   // per source
-    CopyResult copies;
-    InvertedIndex index;
-    bool has_index = false;
-  };
-
-  void SetOverlaps(std::shared_ptr<const OverlapCounts> counts,
-                   uint64_t generation) {
-    if (overlaps_generation_ != 0) {
-      SharedOverlaps::Withdraw(overlaps_generation_);
-    }
-    overlaps_ = std::move(counts);
-    overlaps_generation_ = generation;
-    SharedOverlaps::Publish(overlaps_generation_, overlaps_);
-  }
-
-  const bool maintain_overlaps_;
-  std::shared_ptr<const OverlapCounts> overlaps_;
-  uint64_t overlaps_generation_ = 0;
-
-  const Dataset* data_ = nullptr;
-  /// Non-null when the run's detector is pair-local (can splice).
-  const PairwiseDetector* pairwise_ = nullptr;
-  std::vector<RoundRecord> recording_;
-  std::vector<RoundRecord> previous_;
-  DeltaSummary summary_;
-  std::vector<uint8_t> structurally_clean_;
-  std::vector<uint8_t> clean_sources_;
-  std::vector<uint8_t> slot_clean_;
-  UpdateHints hints_;
-  uint64_t reused_pairs_ = 0;
-  bool recording_copies_ = false;
-  bool previous_has_copies_ = false;
-  bool replay_armed_ = false;
-  bool replaying_ = false;
-  bool run_open_ = false;
+  std::shared_ptr<const OverlapCounts> counts_;
+  uint64_t generation_ = 0;
 };
 
 Status SessionOptions::Validate() const {
@@ -474,16 +218,13 @@ StatusOr<Session> Session::Create(const SessionOptions& options) {
   }
   Session session(options, std::move(name), std::move(executor),
                   std::move(detector));
-  // The recorder/replayer only pays off with an unsampled detector in
-  // the loop (a SampledDetector re-detects on its own sub-snapshot;
-  // accuracy-only runs have nothing to record). Update itself works
-  // without it — it just re-runs cold every time.
+  // Maintained overlap counts only pay off with an unsampled detector
+  // that reads them (a SampledDetector counts on its own sub-snapshot;
+  // PAIRWISE and accuracy-only runs never read them).
   if (options.online_updates && options.use_copy_detection &&
-      options.sample_rate == 0.0) {
-    // PAIRWISE never reads overlap counts; maintaining them for it
-    // would be pure overhead.
-    session.update_ = std::make_unique<SessionUpdateState>(
-        /*maintain_overlaps=*/session.detector_name_ != "pairwise");
+      options.sample_rate == 0.0 &&
+      session.detector_name_ != "pairwise") {
+    session.overlaps_ = std::make_unique<MaintainedOverlaps>();
   }
   return session;
 }
@@ -503,8 +244,6 @@ Status Session::Start(const Dataset& data) {
     // generation (identical content), so published overlap counts
     // apply to both.
     snapshot_ = std::make_unique<Dataset>(data);
-    prev_snapshot_.reset();
-    if (update_ != nullptr) update_->DisarmReplay();
     return StartOn(*snapshot_);
   }
   // A Load()ed session owns its snapshot even without online_updates;
@@ -528,10 +267,7 @@ Status Session::StartOn(const Dataset& data) {
   loop_ = std::make_unique<FusionLoop>(fusion);
   data_ = &data;
   report_ = Report();
-  if (update_ != nullptr) {
-    update_->BeginRun(data, detector_.get());
-    loop_->set_observer(update_.get());
-  }
+  if (overlaps_ != nullptr) overlaps_->Ensure(data);
   return loop_->Start(data, detector_.get());
 }
 
@@ -539,15 +275,7 @@ StatusOr<bool> Session::Step() {
   if (loop_ == nullptr) {
     return Status::FailedPrecondition("Session::Step before Start");
   }
-  StatusOr<bool> stepped = loop_->Step();
-  if (update_ != nullptr) {
-    if (!stepped.ok()) {
-      update_->EndRun(/*success=*/false);
-    } else if (*stepped && loop_->done()) {
-      update_->EndRun(/*success=*/true);
-    }
-  }
-  return stepped;
+  return loop_->Step();
 }
 
 bool Session::running() const {
@@ -607,13 +335,9 @@ const Report& Session::report() {
 Status Session::FinishLoop() {
   while (true) {
     StatusOr<bool> stepped = loop_->Step();
-    if (!stepped.ok()) {
-      if (update_ != nullptr) update_->EndRun(/*success=*/false);
-      return stepped.status();
-    }
+    if (!stepped.ok()) return stepped.status();
     if (!*stepped) break;
   }
-  if (update_ != nullptr) update_->EndRun(/*success=*/true);
   report_.fusion = std::move(*loop_).Take();
   RefreshReport();
   loop_.reset();
@@ -624,7 +348,6 @@ StatusOr<Report> Session::Run(const Dataset& data) {
   // One-shot runs never leave streaming state behind — in particular
   // not a dangling data_ pointer when a round fails mid-run.
   auto fail = [this](const Status& status) {
-    if (update_ != nullptr) update_->EndRun(/*success=*/false);
     report_ = Report();
     loop_.reset();
     data_ = nullptr;
@@ -945,14 +668,10 @@ Status Session::Save(const std::string& path) {
   state.options = OptionFieldsOf(options_);
   state.data = *data;
   state.fusion = report_.fusion;
-  if (update_ != nullptr && update_->HasOverlapsFor(state.generation)) {
+  if (overlaps_ != nullptr && overlaps_->HasFor(state.generation)) {
     state.has_overlaps = true;
     state.overlaps_generation = state.generation;
-    state.overlaps = update_->overlaps();
-  }
-  if (update_ != nullptr && update_->HasTape()) {
-    update_->ExportTape(&state);
-    state.tape_generation = state.generation;
+    state.overlaps = overlaps_->counts();
   }
   return snapshot::Write(path, state);
 }
@@ -968,31 +687,23 @@ StatusOr<Session> Session::Load(const std::string& path,
   if (!parsed.ok()) return parsed;
   auto session = Session::Create(session_options);
   if (!session.ok()) return session.status();
-  Status installed = session->InstallLoaded(std::move(*state));
-  if (!installed.ok()) return installed;
+  session->InstallLoaded(std::move(*state));
   return session;
 }
 
-Status Session::InstallLoaded(snapshot::SessionState state) {
+void Session::InstallLoaded(snapshot::SessionState state) {
   // The loaded snapshot draws a fresh process-local generation; every
   // piece of derived state below is rebound to it.
   snapshot_ = std::make_unique<Dataset>(std::move(state.data));
   data_ = snapshot_.get();
   report_ = Report();
   report_.fusion = std::move(state.fusion);
-  if (update_ != nullptr) {
-    if (state.has_overlaps) {
-      update_->InstallOverlaps(std::make_shared<const OverlapCounts>(
-                                   std::move(state.overlaps)),
-                               snapshot_->generation());
-    }
-    if (state.has_tape) {
-      CD_RETURN_IF_ERROR(update_->InstallTape(
-          std::move(state.tape), state.tape_has_copies, *snapshot_));
-    }
+  if (overlaps_ != nullptr && state.has_overlaps) {
+    overlaps_->Set(
+        std::make_shared<const OverlapCounts>(std::move(state.overlaps)),
+        snapshot_->generation());
   }
   RefreshReport();
-  return Status::OK();
 }
 
 Status Session::Update(const DatasetDelta& delta) {
@@ -1023,24 +734,18 @@ Status Session::Update(const DatasetDelta& delta) {
   update_stats_.overwritten_observations = summary.overwritten;
   update_stats_.retracted_observations = summary.retracted;
 
-  // A delta touching most of the data invalidates nearly every piece
-  // of prior state — skip the maintenance machinery and re-run cold
-  // (bit-identical either way; this is purely a cost decision).
+  // Stepping the maintained overlap counts across a delta that touches
+  // most items costs more than recounting them; either way the counts
+  // (and hence the report) are identical.
   const bool small = summary.TouchedItemFraction(*next) <=
                      options_.update_rebuild_fraction;
-  update_stats_.incremental = small && update_ != nullptr;
-  if (update_ != nullptr) {
-    update_stats_.overlaps_maintained = update_->AdvanceOverlaps(
-        *snapshot_, *next, summary, /*allow_incremental=*/small);
-    if (small) {
-      update_->ArmReplay(std::move(summary), *next);
-    } else {
-      update_->DisarmReplay();
-    }
+  update_stats_.incremental = small;
+  if (overlaps_ != nullptr) {
+    update_stats_.overlaps_maintained =
+        overlaps_->Advance(*snapshot_, *next, summary, small);
   }
-  // The old snapshot stays alive through the run: the previous tape's
-  // round-1 index references it.
-  prev_snapshot_ = std::move(snapshot_);
+  // Nothing derived from the superseded snapshot outlives the overlap
+  // patch, so it is freed before the re-run.
   snapshot_ = std::move(next);
   apply_watch.Stop();
   update_stats_.apply_seconds = apply_watch.Seconds();
@@ -1051,12 +756,7 @@ Status Session::Update(const DatasetDelta& delta) {
   if (status.ok()) status = FinishLoop();
   run_watch.Stop();
   update_stats_.run_seconds = run_watch.Seconds();
-  if (update_ != nullptr) {
-    update_stats_.reused_pairs = update_->reused_pairs();
-  }
-  prev_snapshot_.reset();
   if (!status.ok()) {
-    if (update_ != nullptr) update_->EndRun(/*success=*/false);
     // Mirror Run's failure path: clear data_ too, so a subsequent
     // report() doesn't compute truth from an empty fusion state.
     report_ = Report();

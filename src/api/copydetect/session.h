@@ -23,10 +23,9 @@
 /// The streaming mode exposes the fusion loop round by round for
 /// incremental/online scenarios; both modes produce bit-identical
 /// results (Session::Run is the streaming loop driven to completion).
-/// Update applies a DatasetDelta to the session's snapshot and
-/// re-detects/re-fuses incrementally — maintained overlap counts,
-/// rebased inverted index, cached-round pair splicing — with output
-/// bit-identical to rebuilding the data set and re-running from
+/// Update applies a DatasetDelta to the session's snapshot, patches
+/// the maintained overlap counts and re-runs detection + fusion, with
+/// output bit-identical to rebuilding the data set and re-running from
 /// scratch (tests/session_update_test.cc proves it per detector).
 ///
 /// Everything an application needs downstream of the pipeline —
@@ -63,7 +62,7 @@
 
 namespace copydetect {
 
-class SessionUpdateState;
+class MaintainedOverlaps;
 
 namespace snapshot {
 struct SessionState;
@@ -114,15 +113,14 @@ struct SessionOptions {
 
   // --- Online updates (Session::Update). ---
   /// Enables Session::Update: the session keeps its own evolving
-  /// snapshot (Run copies the input once) and records per-round state
-  /// during every run so the next Update can reuse it. Memory cost:
-  /// one Dataset copy plus ~rounds × (slots + sources + tracked
-  /// pairs); off by default.
+  /// snapshot (Run copies the input once) and, for detectors that read
+  /// them, the snapshot's overlap counts. Memory cost: one Dataset
+  /// copy plus the counts; off by default.
   bool online_updates = false;
-  /// Update skips the reuse machinery and just re-runs in full when
-  /// the delta touches more than this fraction of items — a large
-  /// delta invalidates nearly everything, so maintaining state costs
-  /// more than it saves. Either path yields bit-identical reports.
+  /// Update recounts the maintained overlap counts from scratch
+  /// instead of patching them when the delta touches more than this
+  /// fraction of items — patching nearly everything costs more than a
+  /// recount. Either path yields bit-identical reports.
   double update_rebuild_fraction = 0.5;
 
   // --- Multi-process shard plan (Session BSP API below). ---
@@ -162,13 +160,13 @@ struct IncrementalRoundInfo {
   bool from_scratch = false;  ///< full re-detection round
 };
 
-/// What one Session::Update did — the incremental-vs-fallback
-/// decision, what the delta touched, and how much prior state was
-/// reusable. Timings separate the snapshot/index maintenance
-/// (apply_seconds) from the re-detection/re-fusion (run_seconds).
+/// What one Session::Update did — the patch-vs-recount decision and
+/// what the delta touched. Timings separate the snapshot and overlap
+/// maintenance (apply_seconds) from the re-detection/re-fusion
+/// (run_seconds).
 struct UpdateStats {
-  /// True when the reuse machinery ran (small delta); false when the
-  /// update fell back to a plain full re-run.
+  /// True when the delta was small enough (update_rebuild_fraction)
+  /// for maintained state to be patched rather than recounted.
   bool incremental = false;
   /// True when the overlap counts were patched per touched item
   /// instead of recounted from scratch.
@@ -178,11 +176,8 @@ struct UpdateStats {
   size_t added_observations = 0;
   size_t overwritten_observations = 0;
   size_t retracted_observations = 0;
-  /// Pair posteriors spliced from the previous run instead of being
-  /// recomputed (pair-local detectors only; 0 for the others).
-  uint64_t reused_pairs = 0;
   double apply_seconds = 0.0;  ///< Dataset::Apply + state maintenance
-  double run_seconds = 0.0;    ///< incremental re-detection + re-fusion
+  double run_seconds = 0.0;    ///< re-detection + re-fusion
 };
 
 /// Everything one run produces: the fusion outcome (truth, value
@@ -308,15 +303,13 @@ class Session {
 
   // --- Online updates (requires SessionOptions::online_updates). ---
   /// Applies `delta` to the session's snapshot and re-runs detection +
-  /// fusion incrementally: the next snapshot comes from
-  /// Dataset::Apply, overlap counts are patched per touched item, the
-  /// round-1 inverted index is rebased, and pair-local detectors
-  /// splice unchanged pairs' posteriors from the recorded previous
-  /// run. The refreshed report() is bit-identical to rebuilding the
-  /// merged data set and Run()ning it from scratch — reuse only ever
-  /// skips provably unchanged work (large deltas skip the machinery
-  /// entirely, see SessionOptions::update_rebuild_fraction).
-  /// Requires a completed Run/Start on this session first.
+  /// fusion in three steps: the next snapshot comes from
+  /// Dataset::Apply, the maintained overlap counts are patched per
+  /// touched item (recounted for large deltas, see
+  /// SessionOptions::update_rebuild_fraction), then a plain run. The
+  /// refreshed report() is bit-identical to rebuilding the merged data
+  /// set and Run()ning it from scratch. Requires a completed Run/Start
+  /// on this session first.
   Status Update(const DatasetDelta& delta);
 
   /// What the most recent Update did; default-constructed before the
@@ -326,10 +319,10 @@ class Session {
   // --- Snapshot persistence (snapshot/snapshot_io.h; format spec in
   // docs/FORMATS.md). ---
   /// Serializes the session's current state — options, the data
-  /// snapshot, the maintained overlap counts, the fusion result and
-  /// the online-update round tape — to a versioned, checksummed
-  /// binary file, so a later process can Load() it and resume exactly
-  /// where this one stopped. Written atomically (temp + rename).
+  /// snapshot, the maintained overlap counts and the fusion result —
+  /// to a versioned, checksummed binary file, so a later process can
+  /// Load() it and resume exactly where this one stopped. Written
+  /// atomically (temp + rename).
   ///
   /// Requires a finished run whose state is still live: a Run with
   /// online_updates on, or a streaming run driven to its final Step
@@ -340,10 +333,11 @@ class Session {
   /// Reconstructs a session from a Save()d file: options are restored
   /// and re-validated through Create, the data snapshot and fusion
   /// result are installed (report() works immediately, without
-  /// re-running), and with online_updates the maintained overlaps and
-  /// the previous run's round tape are rebound to the loaded snapshot
-  /// — a subsequent Update/Start/Step behaves bit-identically to the
-  /// session that never left memory (tests/session_snapshot_test.cc).
+  /// re-running), and with online_updates the maintained overlaps are
+  /// rebound to the loaded snapshot — a subsequent Update/Start/Step
+  /// behaves bit-identically to the session that never left memory
+  /// (tests/session_snapshot_test.cc). Files from older writers that
+  /// carry an update tape load too; the tape is validated and dropped.
   /// Detector counters are per-run and start at zero.
   ///
   /// Fails closed with a descriptive Status on truncation, foreign
@@ -428,7 +422,7 @@ class Session {
   void RefreshReport();
   /// Installs a snapshot::Read result into this freshly Created
   /// session — the back half of Load().
-  Status InstallLoaded(snapshot::SessionState state);
+  void InstallLoaded(snapshot::SessionState state);
   /// Shared eligibility gate of the three BSP entry points.
   Status CheckBspEligible() const;
 
@@ -446,9 +440,8 @@ class Session {
   std::optional<Counters> merged_counters_;
 
   // Online-update state (null/empty unless options_.online_updates).
-  std::unique_ptr<Dataset> snapshot_;       // owned evolving snapshot
-  std::unique_ptr<Dataset> prev_snapshot_;  // kept alive during replay
-  std::unique_ptr<SessionUpdateState> update_;  // tape + overlaps
+  std::unique_ptr<Dataset> snapshot_;  // owned evolving snapshot
+  std::unique_ptr<MaintainedOverlaps> overlaps_;  // null if unread
   UpdateStats update_stats_;
 };
 

@@ -31,14 +31,6 @@ class CopyResult {
   /// Posterior for (a, b); identity posterior when untracked.
   PairPosterior Get(SourceId a, SourceId b) const;
 
-  /// Stored posterior for (a, b), or null when the pair is untracked —
-  /// the distinction Get() erases, needed when replaying a cached
-  /// round (an untracked pair must stay untracked, not become a
-  /// stored identity posterior).
-  const PairPosterior* FindPair(SourceId a, SourceId b) const {
-    return map_.Find(PairKey(a, b));
-  }
-
   /// Pr(copier copies from original), direction-aware.
   double PrCopies(SourceId copier, SourceId original) const;
 

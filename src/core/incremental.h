@@ -33,7 +33,7 @@ namespace copydetect {
 ///    source whose accuracy moved by more than rho_accuracy migrate
 ///    the same way (§V-A's big-accuracy-change rule).
 ///
-/// Deviations from the paper's letter (documented in DESIGN.md §4):
+/// Deviations from the paper's letter (documented in docs/DESIGN.md §4):
 /// the small-change bulk estimate uses the maximum observed small
 /// change (the paper's ∆ρ) but ambiguity is resolved with an exact
 /// merge rather than entry-incremental replacement, and flipped pairs

@@ -97,24 +97,9 @@ Status IndexDetector::DetectRound(const DetectionInput& in, int round,
   const OverlapCounts& overlaps = overlap_cache_.Get(*in.data);
   out->Clear();
 
-  // Online updates: when the previous run's index for this round is
-  // available, rebase it (rescore only the delta's touched postings)
-  // instead of building from scratch. Rebase is bit-identical to
-  // Build — it verifies its own preconditions and falls back.
-  const bool can_rebase =
-      ordering_ == EntryOrdering::kByContribution && in.hints != nullptr &&
-      in.hints->prev_index != nullptr &&
-      in.hints->prev_index_accuracies != nullptr &&
-      in.hints->summary != nullptr;
-  auto index_or =
-      can_rebase
-          ? InvertedIndex::Rebase(*in.hints->prev_index,
-                                  *in.hints->prev_index_accuracies, in,
-                                  params_, *in.hints->summary)
-          : InvertedIndex::Build(in, params_, ordering_, seed_);
+  auto index_or = InvertedIndex::Build(in, params_, ordering_, seed_);
   if (!index_or.ok()) return index_or.status();
   const InvertedIndex& index = *index_or;
-  if (in.index_sink != nullptr) *in.index_sink = index;
   const std::vector<double>& accs = *in.accuracies;
 
   RunShardedScan(params_.executor, &counters_, out,

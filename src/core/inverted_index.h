@@ -9,7 +9,6 @@
 #include "core/detector.h"
 #include "core/params.h"
 #include "model/dataset.h"
-#include "model/dataset_delta.h"
 
 namespace copydetect {
 
@@ -61,10 +60,6 @@ class InvertedIndex {
   bool in_tail(size_t rank) const { return rank >= tail_begin_; }
 
   const Dataset& data() const { return *data_; }
-  /// Null for a default-constructed index that was never built — the
-  /// "did the detector fill the index_sink" probe of the update
-  /// recorder.
-  const Dataset* data_or_null() const { return data_; }
   EntryOrdering ordering() const { return ordering_; }
 
   /// Recomputes per-entry probability and score from fresh estimates
@@ -72,43 +67,6 @@ class InvertedIndex {
   /// INCREMENTAL contract (§V freezes the decision points, which are
   /// ranks into this order).
   void Rescore(const DetectionInput& in, const DetectionParams& params);
-
-  /// Delta-maintenance across snapshots: derives the index of the
-  /// *new* snapshot (`in`, produced by Dataset::Apply with `summary`)
-  /// from `prev`, built over the old one — only the postings of
-  /// touched items are rescored and re-placed; every other entry is
-  /// carried over with its slot remapped. Bit-identical to
-  /// Build(in, params): the carried entries keep their relative order
-  /// (the slot remap is monotone and their scores are unchanged), so
-  /// merging them with the freshly sorted touched entries reproduces
-  /// the full sort exactly, and the tail boundary is recomputed.
-  ///
-  /// Sound only when the carried scores are still valid, so this
-  /// falls back to a full Build when `prev` was not score-ordered,
-  /// when `in.accuracies` differs from `prev_accuracies` (scores
-  /// depend on provider accuracies), or when an untouched slot's
-  /// probability moved — in Session::Update terms: usable for round 1,
-  /// where accuracies are the initial constant and only touched items'
-  /// vote shares changed.
-  static StatusOr<InvertedIndex> Rebase(
-      const InvertedIndex& prev,
-      const std::vector<double>& prev_accuracies,
-      const DetectionInput& in, const DetectionParams& params,
-      const DeltaSummary& summary);
-
-  /// Reassembles an index from previously built parts — the snapshot
-  /// warm-start path (snapshot/snapshot_io.h persists an index as its
-  /// entry array + tail boundary + ordering and rebinds it to the
-  /// loaded Dataset through this). Validates structure (slots in
-  /// range with >= 2 providers, tail boundary in range, entries
-  /// unique) but trusts scores/probabilities — they are covered by
-  /// the snapshot checksum, and Rebase re-verifies its own
-  /// preconditions before consuming them. Internal surface: not
-  /// part of the stable API (docs/API.md).
-  static StatusOr<InvertedIndex> FromParts(const Dataset& data,
-                                           std::vector<IndexEntry> entries,
-                                           size_t tail_begin,
-                                           EntryOrdering ordering);
 
  private:
   const Dataset* data_ = nullptr;

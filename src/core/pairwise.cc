@@ -135,20 +135,6 @@ Status PairwiseDetector::DetectRound(const DetectionInput& in, int round,
     return scores;
   };
 
-  // Online-update reuse (see UpdateHints): a pair of clean sources has
-  // bitwise-identical pair-local inputs — same merged item rows, same
-  // shared-slot probabilities, same accuracies — so its posterior from
-  // the previous run's same round is spliced instead of recomputed.
-  // The splice happens at the exact position the cold path would Set
-  // the pair, so the result map's layout (and hence every downstream
-  // iteration order) matches a full recomputation bit for bit.
-  const UpdateHints* hints = in.hints;
-  if (hints != nullptr && (hints->cached == nullptr ||
-                           hints->clean_sources == nullptr ||
-                           hints->clean_sources->size() < n)) {
-    hints = nullptr;
-  }
-
   // Rows are independent: row a covers the pairs (a, a+1 .. n-1).
   // Each row accumulates into private state and the merge below
   // replays rows in ascending order, so the result (and the counters)
@@ -159,7 +145,6 @@ Status PairwiseDetector::DetectRound(const DetectionInput& in, int round,
   };
   std::vector<std::vector<RowPair>> rows(n - 1);
   std::vector<Counters> row_counters(n - 1);
-  std::vector<uint64_t> row_reused(n - 1, 0);
   ParallelFor(params_.executor, n - 1, [&](size_t row) {
     SourceId a = static_cast<SourceId>(row);
     Counters& counters = row_counters[row];
@@ -168,14 +153,6 @@ Status PairwiseDetector::DetectRound(const DetectionInput& in, int round,
       // instance scores only the pairs it owns; the merge of all
       // shards' results is then the full pair set.
       if (!params_.plan.Owns(PairKey(a, b))) continue;
-      if (hints != nullptr && hints->PairReusable(a, b)) {
-        // Clean pair: tracked before iff it shares items now (the
-        // shared structure is unchanged), so absent stays absent.
-        const PairPosterior* cached = hints->cached->FindPair(a, b);
-        if (cached != nullptr) rows[row].push_back({b, *cached});
-        ++row_reused[row];
-        continue;
-      }
       PairScores scores = use_dense
                               ? dense_scores(a, b, &counters)
                               : ComputePairScores(in, a, b, params_,
@@ -193,10 +170,8 @@ Status PairwiseDetector::DetectRound(const DetectionInput& in, int round,
           {b, PairPosterior{post.indep, post.fwd, post.bwd}});
     }
   });
-  last_reused_pairs_ = 0;
   for (size_t row = 0; row + 1 < n; ++row) {
     counters_ += row_counters[row];
-    last_reused_pairs_ += row_reused[row];
     for (const RowPair& p : rows[row]) {
       out->Set(static_cast<SourceId>(row), p.b, p.posterior);
     }

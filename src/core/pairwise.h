@@ -31,13 +31,7 @@ class PairwiseDetector : public CopyDetector {
   Status DetectRound(const DetectionInput& in, int round,
                      CopyResult* out) override;
 
-  /// Pairs spliced from UpdateHints in the most recent round (0 in
-  /// ordinary runs) — the online-update path's reuse gauge.
-  uint64_t last_reused_pairs() const { return last_reused_pairs_; }
-
  private:
-  uint64_t last_reused_pairs_ = 0;
-
   // Round-to-round scratch for the dense pair layout (item bitmaps +
   // per-source slot tables, see DetectRound). Detector-owned so the
   // steady state allocates nothing per round.

@@ -31,13 +31,7 @@ StatusOr<std::unique_ptr<ShardedDetector>> ShardedDetector::Create(
 
 Status ShardedDetector::DetectRound(const DetectionInput& in, int round,
                                     CopyResult* out) {
-  // Shards run sequentially against identical input. Update hints and
-  // the index sink are per-run artifacts of the unsharded path; they
-  // are not forwarded (the sharded harness always recomputes).
-  DetectionInput shard_in = in;
-  shard_in.hints = nullptr;
-  shard_in.index_sink = nullptr;
-
+  // Shards run sequentially against identical input.
   std::vector<ShardResult> partials(inners_.size());
   for (size_t i = 0; i < inners_.size(); ++i) {
     ShardResult& part = partials[i];
@@ -45,7 +39,7 @@ Status ShardedDetector::DetectRound(const DetectionInput& in, int round,
     part.shard_id = static_cast<uint32_t>(i);
     part.round = round;
     CD_RETURN_IF_ERROR(
-        inners_[i]->DetectRound(shard_in, round, &part.copies));
+        inners_[i]->DetectRound(in, round, &part.copies));
     part.counters = inners_[i]->counters();
   }
 

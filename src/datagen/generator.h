@@ -16,7 +16,7 @@ namespace copydetect {
 /// A generated world: the observable data set plus the hidden state the
 /// real crawls lacked — planted truth, realized source accuracies and
 /// the true copy graph. Substitutes for the paper's proprietary crawls
-/// (see DESIGN.md §1).
+/// (see docs/DESIGN.md §1).
 struct World {
   Dataset data;
   /// Planted truth, possibly sub-sampled per WorldConfig::gold_size.

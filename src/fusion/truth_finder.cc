@@ -82,7 +82,6 @@ StatusOr<bool> FusionLoop::Step() {
     in.data = &data;
     in.value_probs = &result_.value_probs;
     in.accuracies = &result_.accuracies;
-    if (observer_ != nullptr) observer_->BeforeDetect(round, &in);
     Stopwatch detect;
     const double cpu_before = ProcessCpuSeconds();
     detect.Start();
@@ -133,7 +132,6 @@ StatusOr<bool> FusionLoop::Step() {
   if (done_) result_.truth = ChooseTruth(data, result_.value_probs);
   step_watch.Stop();
   result_.total_seconds += step_watch.Seconds();
-  if (observer_ != nullptr) observer_->AfterRound(round, result_);
   return true;
 }
 

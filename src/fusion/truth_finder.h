@@ -63,30 +63,6 @@ struct FusionResult {
   double detect_cpu_seconds = 0.0;  ///< CPU-time twin of the above
 };
 
-/// Observation/instrumentation hook the loop calls around each round —
-/// the attachment point of the online-update machinery
-/// (Session::Update records each round's state through one of these
-/// and replays reuse hints through the next run's). Both methods
-/// default to no-ops; BeforeDetect may attach UpdateHints / an
-/// index_sink to the round's DetectionInput and MUST NOT change its
-/// data/estimate pointers.
-class RoundObserver {
- public:
-  virtual ~RoundObserver() = default;
-  /// Called right before round `round`'s detection call (only when
-  /// copy detection is enabled), with the input about to be passed.
-  virtual void BeforeDetect(int round, DetectionInput* in) {
-    (void)round;
-    (void)in;
-  }
-  /// Called at the end of every executed round with the loop state
-  /// (value_probs/accuracies updated, copies = this round's result).
-  virtual void AfterRound(int round, const FusionResult& state) {
-    (void)round;
-    (void)state;
-  }
-};
-
 /// Majority vote per item (ties broken to the first slot) — the naive
 /// baseline.
 std::vector<SlotId> VoteFusion(const Dataset& data);
@@ -125,10 +101,6 @@ class FusionLoop {
   Status Resume(const Dataset& data, CopyDetector* detector,
                 FusionResult state);
 
-  /// Attaches an observer for subsequent Steps (null detaches). Not
-  /// owned; must outlive the loop or be detached first.
-  void set_observer(RoundObserver* observer) { observer_ = observer; }
-
   /// Executes the next round (detection + fusion update + convergence
   /// check). Returns true when a round was executed, false when the
   /// loop had already finished (converged or hit max_rounds).
@@ -153,7 +125,6 @@ class FusionLoop {
   FusionOptions options_;
   const Dataset* data_ = nullptr;
   CopyDetector* detector_ = nullptr;
-  RoundObserver* observer_ = nullptr;
   FusionResult result_;
   bool done_ = true;  // until Start
 };

@@ -814,84 +814,93 @@ Status ReadFusion(Reader* r, const Dataset& data, FusionResult* out,
   return Status::OK();
 }
 
-void WriteTape(const SessionState& state, Writer* w) {
-  w->U64(state.tape_generation);
-  w->U8(state.tape_has_copies ? 1 : 0);
-  w->U64(state.tape.size());
-  for (const TapeRound& round : state.tape) {
-    w->Vec(round.pre_probs);
-    w->Vec(round.pre_accs);
-    WriteCopies(round.copies, w);
-    w->U8(round.has_index ? 1 : 0);
-    if (round.has_index) {
-      w->U64(round.index_entries.size());
-      for (const IndexEntry& e : round.index_entries) {
-        w->U32(e.slot);
-        w->F64(e.probability);
-        w->F64(e.score);
-      }
-      w->U64(round.index_tail_begin);
-      w->U8(static_cast<uint8_t>(round.index_ordering));
-    }
-  }
-}
-
-Status ReadTape(Reader* r, const Dataset& data, SessionState* out) {
+/// Validates a legacy TAPE section — the update-replay tape older
+/// writers emitted (docs/FORMATS.md) — against the data set and the
+/// file's generation, then drops it: nothing reads the tape any more,
+/// but a malformed one still fails the load.
+Status CheckLegacyTape(Reader* r, const Dataset& data,
+                       uint64_t generation, const std::string& path) {
   auto truncated = [] {
     return Status::InvalidArgument("snapshot: TAPE section truncated");
   };
-  out->tape_generation = r->U64();
-  out->tape_has_copies = r->U8() != 0;
+  const uint64_t tape_generation = r->U64();
+  r->U8();  // whether rounds carry copy results (unused)
   const uint64_t rounds = r->U64();
   // Hostile-count guard sized to a round's minimum wire footprint
   // (two empty vectors + an empty copy map + the index flag, > 33
-  // bytes), so the reserve below cannot amplify a small crafted file
-  // into a huge allocation.
+  // bytes), so a small crafted file cannot spin a huge loop.
   if (!r->ok() || rounds > r->remaining() / 33) return truncated();
-  out->tape.reserve(static_cast<size_t>(rounds));
+  std::vector<uint8_t> seen;
   for (uint64_t i = 0; i < rounds; ++i) {
-    TapeRound round;
-    round.pre_probs = r->Vec<double>();
-    round.pre_accs = r->Vec<double>();
-    CD_RETURN_IF_ERROR(
-        ReadCopies(r, data.num_sources(), "TAPE", &round.copies));
-    round.has_index = r->U8() != 0;
-    if (round.has_index) {
+    const size_t probs = r->Vec<double>().size();
+    const size_t accs = r->Vec<double>().size();
+    CopyResult copies;
+    CD_RETURN_IF_ERROR(ReadCopies(r, data.num_sources(), "TAPE", &copies));
+    if (r->U8() != 0) {
+      // A round-1 inverted index: u32 slot + f64 probability + f64
+      // score per entry, then the tail boundary and the ordering.
       const uint64_t entries = r->U64();
       if (!r->ok() || entries > r->remaining() / 20) return truncated();
-      round.index_entries.resize(static_cast<size_t>(entries));
-      for (IndexEntry& e : round.index_entries) {
-        e.slot = r->U32();
-        e.probability = r->F64();
-        e.score = r->F64();
+      seen.assign(data.num_slots(), 0);
+      for (uint64_t k = 0; k < entries; ++k) {
+        const SlotId slot = r->U32();
+        r->F64();
+        r->F64();
+        if (slot >= data.num_slots()) {
+          return Status::InvalidArgument(StrFormat(
+              "snapshot: TAPE index entry slot %u out of range "
+              "(num_slots %zu)",
+              slot, data.num_slots()));
+        }
+        if (seen[slot] != 0) {
+          return Status::InvalidArgument(StrFormat(
+              "snapshot: TAPE index has a duplicate entry for slot %u",
+              slot));
+        }
+        seen[slot] = 1;
+        if (data.providers(slot).size() < 2) {
+          return Status::InvalidArgument(StrFormat(
+              "snapshot: TAPE index entry slot %u has fewer than 2 "
+              "providers",
+              slot));
+        }
       }
-      round.index_tail_begin = r->U64();
+      const uint64_t tail_begin = r->U64();
       const uint8_t ordering = r->U8();
-      if (ordering > static_cast<uint8_t>(EntryOrdering::kRandom)) {
+      if (!r->ok()) return truncated();
+      if (ordering > 2) {  // 0 by-contribution, 1 by-provider, 2 random
         return Status::InvalidArgument(StrFormat(
             "snapshot: TAPE round %llu has unknown index ordering %u",
             static_cast<unsigned long long>(i), ordering));
       }
-      round.index_ordering = static_cast<EntryOrdering>(ordering);
+      if (tail_begin > entries) {
+        return Status::InvalidArgument(StrFormat(
+            "snapshot: TAPE index tail_begin %llu past the %llu entries",
+            static_cast<unsigned long long>(tail_begin),
+            static_cast<unsigned long long>(entries)));
+      }
     }
     if (!r->ok()) return truncated();
-    // Dimensional validation; per-entry slot checks (range, >= 2
-    // providers, uniqueness) happen in InvertedIndex::FromParts when
-    // the index is reassembled against the loaded Dataset.
-    if (!round.pre_probs.empty() &&
-        round.pre_probs.size() != data.num_slots()) {
+    if (probs != 0 && probs != data.num_slots()) {
       return Status::InvalidArgument(
           "snapshot: TAPE round value probabilities disagree with the "
           "data set's slot count");
     }
-    if (round.pre_accs.size() != data.num_sources()) {
+    if (accs != data.num_sources()) {
       return Status::InvalidArgument(
           "snapshot: TAPE round accuracies disagree with the data "
           "set's source count");
     }
-    out->tape.push_back(std::move(round));
   }
-  out->has_tape = true;
+  if (tape_generation != generation) {
+    return Status::InvalidArgument(StrFormat(
+        "snapshot: %s: generation mismatch — the update TAPE was "
+        "recorded for generation %llu but the file's snapshot is "
+        "generation %llu; refusing to warm-start derived state "
+        "against a different data set",
+        path.c_str(), static_cast<unsigned long long>(tape_generation),
+        static_cast<unsigned long long>(generation)));
+  }
   return Status::OK();
 }
 
@@ -1200,10 +1209,11 @@ StatusOr<SessionState> ReadSession(const std::string& path, bool map) {
   bool saw_options = false;
   bool saw_dataset = false;
   bool saw_fusion = false;
+  bool saw_tape = false;
   for (const TableEntry& e : file.entries) {
     // A repeated id is never legitimate: a second DATASET would
-    // replace the data set earlier sections were validated against,
-    // a second TAPE would concatenate rounds — fail closed instead.
+    // replace the data set earlier sections were validated against —
+    // fail closed instead.
     const bool duplicate =
         (e.id == static_cast<uint32_t>(SectionId::kOptions) &&
          saw_options) ||
@@ -1213,8 +1223,7 @@ StatusOr<SessionState> ReadSession(const std::string& path, bool map) {
          state.has_overlaps) ||
         (e.id == static_cast<uint32_t>(SectionId::kFusion) &&
          saw_fusion) ||
-        (e.id == static_cast<uint32_t>(SectionId::kTape) &&
-         state.has_tape);
+        (e.id == static_cast<uint32_t>(SectionId::kTape) && saw_tape);
     if (duplicate) {
       return Status::InvalidArgument(StrFormat(
           "snapshot: %s: duplicate section id %u", path.c_str(),
@@ -1252,7 +1261,9 @@ StatusOr<SessionState> ReadSession(const std::string& path, bool map) {
           return Status::InvalidArgument(
               "snapshot: " + path + ": TAPE section before DATASET");
         }
-        CD_RETURN_IF_ERROR(ReadTape(&r, state.data, &state));
+        CD_RETURN_IF_ERROR(
+            CheckLegacyTape(&r, state.data, file.generation, path));
+        saw_tape = true;
         break;
       default:
         // Session snapshots define exactly the sections above (SHARD
@@ -1284,16 +1295,6 @@ StatusOr<SessionState> ReadSession(const std::string& path, bool map) {
         static_cast<unsigned long long>(state.overlaps_generation),
         static_cast<unsigned long long>(file.generation)));
   }
-  if (state.has_tape && state.tape_generation != file.generation) {
-    return Status::InvalidArgument(StrFormat(
-        "snapshot: %s: generation mismatch — the update TAPE was "
-        "recorded for generation %llu but the file's snapshot is "
-        "generation %llu; refusing to warm-start derived state "
-        "against a different data set",
-        path.c_str(),
-        static_cast<unsigned long long>(state.tape_generation),
-        static_cast<unsigned long long>(file.generation)));
-  }
   return state;
 }
 
@@ -1322,11 +1323,6 @@ Status Write(const std::string& path, const SessionState& state) {
     Writer w;
     WriteFusion(state.fusion, &w);
     sections.emplace_back(SectionId::kFusion, std::move(w));
-  }
-  if (state.has_tape) {
-    Writer w;
-    WriteTape(state, &w);
-    sections.emplace_back(SectionId::kTape, std::move(w));
   }
 
   return WriteFileAtomic(path, FrameSections(state.generation, sections));

@@ -4,11 +4,11 @@
 /// \file
 /// SnapshotIO — the durability layer: a versioned, checksummed,
 /// little-endian binary format that persists a Dataset snapshot
-/// together with its derived state (overlap counts, the previous
-/// run's round tape including the round-1 inverted-index postings and
-/// cached pair posteriors, and the last fusion result), so a process
-/// can resume exactly where the previous one stopped instead of
-/// re-parsing, recounting and re-fusing from cold.
+/// together with its derived state (overlap counts and the last
+/// fusion result), so a process can resume exactly where the previous
+/// one stopped instead of re-parsing, recounting and re-fusing from
+/// cold. Files from older writers may also carry an update-replay
+/// TAPE section; the reader validates it and drops it.
 ///
 /// The on-disk format is specified byte by byte in docs/FORMATS.md;
 /// this header is the programmatic surface. Applications normally go
@@ -49,7 +49,6 @@
 #include "common/status.h"
 #include "core/copy_result.h"
 #include "core/counters.h"
-#include "core/inverted_index.h"
 #include "core/shard_merge.h"
 #include "fusion/truth_finder.h"
 #include "model/dataset.h"
@@ -83,7 +82,7 @@ enum class SectionId : uint32_t {
   kDataset = 2,   ///< the Dataset snapshot, all arrays verbatim
   kOverlaps = 3,  ///< maintained OverlapCounts (optional)
   kFusion = 4,    ///< the last completed run's FusionResult
-  kTape = 5,      ///< per-round update tape (optional)
+  kTape = 5,      ///< legacy update tape: validated, dropped, never written
   kShard = 6,     ///< one shard's round result (shard files only)
   kState = 7,     ///< BSP coordinator state (state files only)
 };
@@ -112,21 +111,6 @@ struct OptionField {
   static OptionField Text(std::string name, std::string v);
 };
 
-/// One recorded fusion round of the update tape — the persisted twin
-/// of the session recorder's round record (see SessionUpdateState in
-/// api/copydetect/session.cc). The inverted index is stored as its
-/// entry array + tail boundary + ordering; the reader reassembles it
-/// against the loaded Dataset with InvertedIndex::FromParts.
-struct TapeRound {
-  std::vector<double> pre_probs;  ///< per slot; empty when not taped
-  std::vector<double> pre_accs;   ///< per source
-  CopyResult copies;              ///< exact table layout preserved
-  bool has_index = false;
-  std::vector<IndexEntry> index_entries;
-  uint64_t index_tail_begin = 0;
-  EntryOrdering index_ordering = EntryOrdering::kByContribution;
-};
-
 /// Everything one file holds. Write() serializes it as given —
 /// including inconsistent generations, which Read() then refuses —
 /// so tests can construct every corruption scenario through the
@@ -148,14 +132,6 @@ struct SessionState {
   OverlapCounts overlaps;
 
   FusionResult fusion;
-
-  bool has_tape = false;
-  uint64_t tape_generation = 0;
-  /// Whether the tape's rounds carry value probabilities + copy
-  /// results usable for pair splicing (recorded for pair-local
-  /// detectors only).
-  bool tape_has_copies = false;
-  std::vector<TapeRound> tape;
 };
 
 /// Serializes `state` to `path` (overwriting). The file is written

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "fusion/value_probs.h"
 #include "simjoin/overlap.h"
 #include "test_util.h"
 
@@ -180,101 +179,6 @@ TEST(OverlapCache, ReusesCountsForSameDataset) {
   EXPECT_EQ(first.Get(0, 6), 3u);
   // Same data set: same object, no recomputation.
   EXPECT_EQ(&cache.Get(fx.world.data), &first);
-}
-
-// ---------------------------------------------------------------------
-// Delta maintenance: Rebase == Build on the post-delta snapshot.
-
-void ExpectSameIndex(const InvertedIndex& got,
-                     const InvertedIndex& want) {
-  ASSERT_EQ(got.num_entries(), want.num_entries());
-  EXPECT_EQ(got.tail_begin(), want.tail_begin());
-  for (size_t rank = 0; rank < want.num_entries(); ++rank) {
-    EXPECT_EQ(got.entry(rank).slot, want.entry(rank).slot)
-        << "rank " << rank;
-    EXPECT_EQ(got.entry(rank).probability, want.entry(rank).probability)
-        << "rank " << rank;
-    EXPECT_EQ(got.entry(rank).score, want.entry(rank).score)
-        << "rank " << rank;
-  }
-}
-
-/// The round-1 scenario Session::Update hits: initial (vote-share)
-/// probabilities on both snapshots, initial constant accuracies, a
-/// delta touching a few items.
-TEST(InvertedIndexRebase, BitIdenticalToBuildAfterDelta) {
-  testutil::World world = testutil::SmallWorld(81);
-  const Dataset& base = world.data;
-
-  DatasetDelta delta;
-  std::span<const ItemId> items0 = base.items_of(0);
-  delta.Set(base.source_name(0), base.item_name(items0[0]), "rebased");
-  delta.Retract(base.source_name(1),
-                base.item_name(base.items_of(1)[0]));
-  delta.Set("new-source", base.item_name(2), "fresh");
-  delta.Set(base.source_name(3), "new-item", "value");
-  auto applied = base.Apply(delta);
-  CD_CHECK_OK(applied.status());
-  const Dataset& next = applied->data;
-
-  std::vector<double> old_probs = InitialValueProbs(base);
-  std::vector<double> new_probs = InitialValueProbs(next);
-  std::vector<double> old_accs = InitialAccuracies(base.num_sources());
-  std::vector<double> new_accs = InitialAccuracies(next.num_sources());
-
-  DetectionInput old_in;
-  old_in.data = &base;
-  old_in.value_probs = &old_probs;
-  old_in.accuracies = &old_accs;
-  auto prev = InvertedIndex::Build(old_in, PaperParams());
-  CD_CHECK_OK(prev.status());
-
-  DetectionInput new_in;
-  new_in.data = &next;
-  new_in.value_probs = &new_probs;
-  new_in.accuracies = &new_accs;
-  auto rebased = InvertedIndex::Rebase(*prev, old_accs, new_in,
-                                       PaperParams(), applied->summary);
-  CD_CHECK_OK(rebased.status());
-  auto rebuilt = InvertedIndex::Build(new_in, PaperParams());
-  CD_CHECK_OK(rebuilt.status());
-  ExpectSameIndex(*rebased, *rebuilt);
-}
-
-TEST(InvertedIndexRebase, FallsBackWhenAccuraciesMoved) {
-  testutil::World world = testutil::SmallWorld(82, 20, 100);
-  const Dataset& base = world.data;
-  DatasetDelta delta;
-  delta.Set(base.source_name(0), base.item_name(base.items_of(0)[0]),
-            "moved");
-  auto applied = base.Apply(delta);
-  CD_CHECK_OK(applied.status());
-
-  std::vector<double> old_probs = InitialValueProbs(base);
-  std::vector<double> old_accs = InitialAccuracies(base.num_sources());
-  DetectionInput old_in;
-  old_in.data = &base;
-  old_in.value_probs = &old_probs;
-  old_in.accuracies = &old_accs;
-  auto prev = InvertedIndex::Build(old_in, PaperParams());
-  CD_CHECK_OK(prev.status());
-
-  // Post-round accuracies differ from the ones prev was scored with —
-  // Rebase must detect that and fall back to a full Build (carried
-  // scores would be stale).
-  std::vector<double> new_probs = InitialValueProbs(applied->data);
-  std::vector<double> drifted =
-      InitialAccuracies(applied->data.num_sources(), 0.7);
-  DetectionInput new_in;
-  new_in.data = &applied->data;
-  new_in.value_probs = &new_probs;
-  new_in.accuracies = &drifted;
-  auto rebased = InvertedIndex::Rebase(*prev, old_accs, new_in,
-                                       PaperParams(), applied->summary);
-  CD_CHECK_OK(rebased.status());
-  auto rebuilt = InvertedIndex::Build(new_in, PaperParams());
-  CD_CHECK_OK(rebuilt.status());
-  ExpectSameIndex(*rebased, *rebuilt);
 }
 
 }  // namespace

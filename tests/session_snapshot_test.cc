@@ -14,10 +14,14 @@
 #include <utility>
 #include <vector>
 
+#include "legacy_tape.h"
 #include "snapshot/snapshot_io.h"
 
 namespace copydetect {
 namespace {
+
+using testutil::ReadFileBytes;
+using testutil::WriteFileBytes;
 
 std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
@@ -111,7 +115,7 @@ void ExpectWarmStartEquivalence(const Dataset& base,
             live->report().copies().raw_map().raw_keys());
 
   // Load-then-Update == never-persisted-Update, chained (the second
-  // update replays against the first's tape on both sides).
+  // update applies on the first's snapshot on both sides).
   for (const DatasetDelta& delta : deltas) {
     CD_CHECK_OK(live->Update(delta));
     CD_CHECK_OK(loaded->Update(delta));
@@ -120,7 +124,7 @@ void ExpectWarmStartEquivalence(const Dataset& base,
     ExpectSameReport(loaded->report(), live->report());
   }
 
-  // A snapshot taken *after* updates persists the update run's tape;
+  // A snapshot taken *after* updates persists the updated snapshot;
   // a second generation of process must still track the live one.
   if (!deltas.empty()) {
     CD_CHECK_OK(live->Save(path));
@@ -302,8 +306,8 @@ TEST(SessionSnapshot, SampledSessionRoundTrips) {
   options.detector = "index";
   options.n = world->suggested_n;
   options.sample_rate = 0.5;
-  options.online_updates = true;  // no recorder with sampling: Update
-                                  // re-runs cold on both sessions
+  options.online_updates = true;  // no maintained overlaps with
+                                  // sampling on either session
   auto live = Session::Create(options);
   CD_CHECK_OK(live.status());
   CD_CHECK_OK(live->Run(world->data).status());
@@ -581,26 +585,81 @@ TEST(SessionSnapshot, TamperedTapeIndexIsRefusedAtLoad) {
   CD_CHECK_OK(live.status());
   CD_CHECK_OK(live->Run(world.data).status());
   CD_CHECK_OK(live->Save(path));
-  auto state = snapshot::Read(path);
-  CD_CHECK_OK(state.status());
-  ASSERT_TRUE(state->has_tape);
-  bool tampered = false;
-  for (snapshot::TapeRound& round : state->tape) {
-    if (round.has_index && !round.index_entries.empty()) {
-      round.index_entries[0].slot =
-          static_cast<SlotId>(state->data.num_slots() + 1);
-      tampered = true;
-      break;
-    }
+  // Splice in a legacy TAPE whose round-1 index names a slot past the
+  // data set's last one.
+  const std::vector<uint8_t> saved = ReadFileBytes(path);
+  testutil::LegacyTape tape = testutil::IndexTapeFor(
+      *live->current_data(), testutil::FileGeneration(saved));
+  std::vector<testutil::LegacyIndexEntry>& entries =
+      tape.rounds[0].index_entries;
+  ASSERT_FALSE(entries.empty()) << "no taped index to tamper with";
+  entries[0].slot =
+      static_cast<SlotId>(live->current_data()->num_slots() + 1);
+  WriteFileBytes(path, testutil::WithTape(saved, tape));
+  for (LoadMode mode : {LoadMode::kOwned, LoadMode::kMapped}) {
+    auto loaded = Session::Load(path, mode);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.status().message().find("out of range"),
+              std::string::npos)
+        << loaded.status().message();
   }
-  ASSERT_TRUE(tampered) << "no taped index to tamper with";
-  CD_CHECK_OK(snapshot::Write(path, *state));
-  auto loaded = Session::Load(path, LoadOptions());
   std::remove(path.c_str());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("out of range"),
-            std::string::npos)
-      << loaded.status().message();
+}
+
+TEST(SessionSnapshot, SaveWritesNoTapeSection) {
+  // The session that older writers taped most: index family, online,
+  // after an Update.
+  World world = MotivatingExample();
+  const std::string path = TempPath("no_tape.cdsnap");
+  SessionOptions options;
+  options.detector = "index";
+  options.online_updates = true;
+  auto live = Session::Create(options);
+  CD_CHECK_OK(live.status());
+  CD_CHECK_OK(live->Run(world.data).status());
+  CD_CHECK_OK(live->Update(ExampleDelta(world.data)));
+  CD_CHECK_OK(live->Save(path));
+  const std::vector<uint32_t> ids =
+      testutil::SectionIds(ReadFileBytes(path));
+  std::remove(path.c_str());
+  // OPTIONS, DATASET, OVERLAPS, FUSION.
+  EXPECT_EQ(ids, (std::vector<uint32_t>{1, 2, 3, 4}));
+}
+
+TEST(SessionSnapshot, V2TapeGoldenLoadsAndUpdatesLikeAColdRun) {
+  // A committed version-2 file from a writer that still taped updates:
+  // the motivating example under "index" with online updates, one
+  // ExampleDelta Update, then Save — so its TAPE carries a round-1
+  // index. Both load modes must drop the tape, serve the same report,
+  // and update exactly like a cold run.
+  const std::string path =
+      std::string(CD_TEST_DATA_DIR) + "/v2_tape_golden.cdsnap";
+  const std::vector<uint32_t> ids =
+      testutil::SectionIds(ReadFileBytes(path));
+  ASSERT_EQ(ids, (std::vector<uint32_t>{1, 2, 3, 4, 5}))
+      << "the golden file must carry a TAPE section";
+  auto owned = Session::Load(path, LoadMode::kOwned);
+  CD_CHECK_OK(owned.status());
+  auto mapped = Session::Load(path, LoadMode::kMapped);
+  CD_CHECK_OK(mapped.status());
+  EXPECT_EQ(owned->detector_name(), "index");
+  EXPECT_EQ(mapped->report().ToJson(*mapped->current_data()),
+            owned->report().ToJson(*owned->current_data()));
+
+  const DatasetDelta delta = FollowUpDelta(*owned->current_data());
+  for (Session* session : {&*owned, &*mapped}) {
+    CD_CHECK_OK(session->Update(delta));
+    const Dataset rebuilt = RebuildFromScratch(*session->current_data());
+    SessionOptions cold_options = session->options();
+    cold_options.online_updates = false;
+    auto cold = Session::Create(cold_options);
+    CD_CHECK_OK(cold.status());
+    auto want = cold->Run(rebuilt);
+    CD_CHECK_OK(want.status());
+    ExpectSameReport(session->report(), *want);
+    EXPECT_EQ(session->report().ToJson(*session->current_data()),
+              want->ToJson(rebuilt));
+  }
 }
 
 TEST(SessionSnapshot, InvalidSavedOptionsFailValidationOnLoad) {

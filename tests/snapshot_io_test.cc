@@ -3,7 +3,8 @@
 // corruption matrix, run through both load modes: truncation at any
 // prefix, foreign magic, unknown future versions, checksum mismatches,
 // forged tables, cross-section generation disagreement, structurally
-// inconsistent payloads, and paths that are not regular files. Every
+// inconsistent payloads, legacy TAPE sections (validated, then
+// dropped), and paths that are not regular files. Every
 // failure must be a descriptive Status, never UB or a hang (the suite
 // runs under asan-ubsan in CI).
 #include "snapshot/snapshot_io.h"
@@ -13,7 +14,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -25,6 +25,7 @@
 
 #include "common/flat_hash.h"
 #include "core/inverted_index.h"
+#include "legacy_tape.h"
 #include "model/dataset.h"
 #include "simjoin/overlap.h"
 
@@ -33,7 +34,16 @@ namespace {
 
 using snapshot::OptionField;
 using snapshot::SessionState;
-using snapshot::TapeRound;
+using testutil::EncodeTape;
+using testutil::FileGeneration;
+using testutil::kTapeSectionId;
+using testutil::LegacyTape;
+using testutil::LegacyTapeRound;
+using testutil::ReadFileBytes;
+using testutil::SpecHash64;
+using testutil::WithSection;
+using testutil::WithTape;
+using testutil::WriteFileBytes;
 
 std::string TempPath(const std::string& name) {
   // ctest runs each TEST of this binary as its own process, in
@@ -41,21 +51,6 @@ std::string TempPath(const std::string& name) {
   // reuse names like "good.cdsnap") from clobbering each other.
   return testing::TempDir() + "/" + std::to_string(getpid()) + "." +
          name;
-}
-
-std::vector<uint8_t> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>());
-}
-
-void WriteFileBytes(const std::string& path,
-                    const std::vector<uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good()) << path;
 }
 
 /// A small data set with shared values (every slot used below has
@@ -78,9 +73,8 @@ Dataset SmallData() {
   return std::move(data).value();
 }
 
-/// Fills every section of a SessionState: options, dataset, overlaps,
-/// a fusion result with copies + trace, and a two-round tape whose
-/// second round carries an inverted index.
+/// Fills every section a SessionState holds: options, dataset,
+/// overlaps, and a fusion result with copies + trace.
 SessionState FullState() {
   SessionState state;
   state.data = SmallData();
@@ -120,11 +114,20 @@ SessionState FullState() {
   fusion.trace.push_back(trace);
   fusion.total_seconds = 1.5;
 
-  state.has_tape = true;
-  state.tape_generation = state.generation;
-  state.tape_has_copies = true;
+  return state;
+}
+
+/// A legacy two-round tape over FullState()'s data, for a file whose
+/// header carries `generation`; its second round holds a real
+/// inverted index.
+LegacyTape FullTape(uint64_t generation) {
+  const SessionState state = FullState();
+  const FusionResult& fusion = state.fusion;
+  LegacyTape tape;
+  tape.generation = generation;
+  tape.has_copies = true;
   for (int round = 0; round < 2; ++round) {
-    TapeRound tape_round;
+    LegacyTapeRound tape_round;
     tape_round.pre_probs = fusion.value_probs;
     tape_round.pre_accs = fusion.accuracies;
     tape_round.copies = fusion.copies;
@@ -137,14 +140,16 @@ SessionState FullState() {
       CD_CHECK_OK(index.status());
       tape_round.has_index = true;
       for (size_t i = 0; i < index->num_entries(); ++i) {
-        tape_round.index_entries.push_back(index->entry(i));
+        const IndexEntry& e = index->entry(i);
+        tape_round.index_entries.push_back(
+            {e.slot, e.probability, e.score});
       }
-      tape_round.index_tail_begin = index->tail_begin();
-      tape_round.index_ordering = index->ordering();
+      tape_round.tail_begin = index->tail_begin();
+      tape_round.ordering = static_cast<uint8_t>(index->ordering());
     }
-    state.tape.push_back(std::move(tape_round));
+    tape.rounds.push_back(std::move(tape_round));
   }
-  return state;
+  return tape;
 }
 
 void ExpectSameDataset(const Dataset& got, const Dataset& want) {
@@ -228,30 +233,6 @@ TEST(SnapshotIo, RoundTripsEverySection) {
             state.fusion.trace[0].computations);
   EXPECT_EQ(loaded->fusion.total_seconds, state.fusion.total_seconds);
 
-  ASSERT_TRUE(loaded->has_tape);
-  EXPECT_TRUE(loaded->tape_has_copies);
-  ASSERT_EQ(loaded->tape.size(), state.tape.size());
-  for (size_t r = 0; r < state.tape.size(); ++r) {
-    EXPECT_EQ(loaded->tape[r].pre_probs, state.tape[r].pre_probs);
-    EXPECT_EQ(loaded->tape[r].pre_accs, state.tape[r].pre_accs);
-    EXPECT_EQ(loaded->tape[r].copies.raw_map().raw_keys(),
-              state.tape[r].copies.raw_map().raw_keys());
-    ASSERT_EQ(loaded->tape[r].has_index, state.tape[r].has_index);
-    ASSERT_EQ(loaded->tape[r].index_entries.size(),
-              state.tape[r].index_entries.size());
-    for (size_t i = 0; i < state.tape[r].index_entries.size(); ++i) {
-      EXPECT_EQ(loaded->tape[r].index_entries[i].slot,
-                state.tape[r].index_entries[i].slot);
-      EXPECT_EQ(loaded->tape[r].index_entries[i].probability,
-                state.tape[r].index_entries[i].probability);
-      EXPECT_EQ(loaded->tape[r].index_entries[i].score,
-                state.tape[r].index_entries[i].score);
-    }
-    EXPECT_EQ(loaded->tape[r].index_tail_begin,
-              state.tape[r].index_tail_begin);
-    EXPECT_EQ(loaded->tape[r].index_ordering,
-              state.tape[r].index_ordering);
-  }
   std::remove(path.c_str());
 }
 
@@ -267,7 +248,6 @@ TEST(SnapshotIo, RoundTripsMinimalState) {
   auto loaded = snapshot::Read(path);
   CD_CHECK_OK(loaded.status());
   EXPECT_FALSE(loaded->has_overlaps);
-  EXPECT_FALSE(loaded->has_tape);
   ExpectSameDataset(loaded->data, state.data);
   std::remove(path.c_str());
 }
@@ -449,27 +429,9 @@ TEST(SnapshotIoCorruption, PayloadFlipFailsTheSectionChecksum) {
 }
 
 // The checksum is specified in docs/FORMATS.md precisely so an
-// independent implementation can verify or craft files. This
-// reimplementation (used to forge consistent files below) doubles as
-// a spec-conformance check.
-uint64_t SpecHash64(const uint8_t* data, size_t size) {
-  uint64_t h = 0xcbf29ce484222325ULL ^
-               (static_cast<uint64_t>(size) * 0x100000001b3ULL);
-  size_t i = 0;
-  for (; i + 8 <= size; i += 8) {
-    uint64_t word = 0;
-    std::memcpy(&word, data + i, 8);
-    h = Mix64(h ^ word);
-  }
-  if (i < size) {
-    uint64_t word = 0;
-    for (size_t j = 0; i + j < size; ++j) {
-      word |= static_cast<uint64_t>(data[i + j]) << (8 * j);
-    }
-    h = Mix64(h ^ word);
-  }
-  return h;
-}
+// independent implementation can verify or craft files; SpecHash64
+// (tests/legacy_tape.h) re-implements it from the spec and forges
+// consistent files below, doubling as a spec-conformance check.
 
 // Forging helpers over the framing of docs/FORMATS.md: a 32-byte
 // header (section count at byte 24), 32-byte table entries { u32 id,
@@ -525,13 +487,14 @@ TEST(SnapshotIoCorruption, UnknownSectionIdInAKnownVersionIsRefused) {
 
 TEST(SnapshotIoCorruption, DuplicateSectionIdIsRefused) {
   std::vector<uint8_t> bytes = GoodFileBytes();
-  ASSERT_EQ(bytes[24], 5u);  // OPTIONS, DATASET, OVERLAPS, FUSION, TAPE
-  // Relabel the TAPE entry as a second FUSION and re-seal the table:
-  // the checksums all pass, so only the duplicate check can refuse a
-  // section that would silently overwrite already-validated state.
-  bytes[kHeader + 4 * 32] = 4;
+  ASSERT_EQ(bytes[24], 4u);  // OPTIONS, DATASET, OVERLAPS, FUSION
+  // Relabel the FUSION entry as a second OVERLAPS and re-seal the
+  // table: the checksums all pass, so only the duplicate check can
+  // refuse a section that would silently overwrite already-validated
+  // state.
+  bytes[kHeader + 3 * 32] = 3;
   ResealTable(&bytes);
-  ExpectRefused(bytes, "duplicate section id 4");
+  ExpectRefused(bytes, "duplicate section id 3");
 }
 
 TEST(SnapshotIoCorruption, MisalignedForgedOffsetIsRefused) {
@@ -548,17 +511,24 @@ TEST(SnapshotIoCorruption, MisalignedForgedOffsetIsRefused) {
   ExpectRefused(bytes, "misaligned");
 }
 
+// --- Legacy TAPE sections: the reader validates them exactly as it
+// did when TAPE was written, then drops them. The payloads come from
+// the spec-side encoder in tests/legacy_tape.h. ---
+
+std::vector<uint8_t> FullTapePayload() {
+  return EncodeTape(FullTape(FileGeneration(GoodFileBytes())));
+}
+
 TEST(SnapshotIoCorruption, HostileTapeRoundCountIsRefusedCheaply) {
   // A small file declaring an enormous TAPE round count must be
-  // refused by the count guard, not by an attempted huge allocation.
-  std::vector<uint8_t> bytes = GoodFileBytes();
-  // The TAPE payload (entry 4) starts with u64 generation, u8
-  // has_copies, then the u64 round count — overwrite it with a count
-  // the section cannot possibly hold and re-seal the section.
+  // refused by the count guard, not by a huge loop or allocation.
+  // The TAPE payload starts with u64 generation, u8 has_copies, then
+  // the u64 round count — overwrite it with a count the section
+  // cannot possibly hold.
+  std::vector<uint8_t> payload = FullTapePayload();
   const uint64_t huge = 1ULL << 40;
-  std::memcpy(bytes.data() + EntryField(bytes, 4, 8) + 9, &huge, 8);
-  ResealSection(&bytes, 4);
-  ExpectRefused(bytes, "TAPE");
+  std::memcpy(payload.data() + 9, &huge, 8);
+  ExpectRefused(WithSection(GoodFileBytes(), kTapeSectionId, payload), "TAPE");
 }
 
 TEST(SnapshotIoCorruption, OverlapsGenerationMismatchIsRefused) {
@@ -568,9 +538,8 @@ TEST(SnapshotIoCorruption, OverlapsGenerationMismatchIsRefused) {
 }
 
 TEST(SnapshotIoCorruption, TapeGenerationMismatchIsRefused) {
-  SessionState state = FullState();
-  state.tape_generation = state.generation + 7;
-  ExpectStateRefused(state, "generation mismatch");
+  LegacyTape tape = FullTape(FileGeneration(GoodFileBytes()) + 7);
+  ExpectRefused(WithTape(GoodFileBytes(), tape), "generation mismatch");
 }
 
 /// A data set of `n` sources that all provide the same value of one
@@ -602,9 +571,9 @@ TEST(SnapshotIoCorruption, FusionDimensionMismatchIsRefused) {
 }
 
 TEST(SnapshotIoCorruption, TapeDimensionMismatchIsRefused) {
-  SessionState state = FullState();
-  state.tape[0].pre_accs.pop_back();  // one source short
-  ExpectStateRefused(state, "TAPE");
+  LegacyTape tape = FullTape(FileGeneration(GoodFileBytes()));
+  tape.rounds[0].pre_accs.pop_back();  // one source short
+  ExpectRefused(WithTape(GoodFileBytes(), tape), "TAPE");
 }
 
 TEST(SnapshotIoCorruption, TruthSlotOutOfRangeIsRefused) {
@@ -799,12 +768,6 @@ void ExpectSameState(const SessionState& got, const SessionState& want) {
   EXPECT_EQ(got.fusion.converged, want.fusion.converged);
   EXPECT_EQ(got.fusion.copies.raw_map().raw_keys(),
             want.fusion.copies.raw_map().raw_keys());
-  ASSERT_EQ(got.has_tape, want.has_tape);
-  ASSERT_EQ(got.tape.size(), want.tape.size());
-  for (size_t r = 0; r < want.tape.size(); ++r) {
-    EXPECT_EQ(got.tape[r].pre_probs, want.tape[r].pre_probs);
-    EXPECT_EQ(got.tape[r].pre_accs, want.tape[r].pre_accs);
-  }
 }
 
 TEST(SnapshotIoMapped, MappedStateMatchesOwnedRead) {
@@ -863,6 +826,93 @@ TEST(SnapshotIoMapped, Version1GoldenFallsBackToOwnedRead) {
   auto mapped = snapshot::ReadMapped(path);
   CD_CHECK_OK(mapped.status());
   ExpectSameState(*mapped, *owned);
+}
+
+// --- Legacy TAPE sections that pass every check load in both modes
+// as if absent; every check still refuses a forged one. ---
+
+TEST(SnapshotIoLegacyTape, ValidTapeIsValidatedAndDropped) {
+  const std::vector<uint8_t> with_tape =
+      WithSection(GoodFileBytes(), kTapeSectionId, FullTapePayload());
+  const std::string plain_path = TempPath("plain.cdsnap");
+  const std::string tape_path = TempPath("legacy_tape.cdsnap");
+  WriteFileBytes(plain_path, GoodFileBytes());
+  WriteFileBytes(tape_path, with_tape);
+  for (const auto& [mode, read] : {kOwned, kMapped}) {
+    SCOPED_TRACE(mode);
+    auto plain = read(plain_path);
+    CD_CHECK_OK(plain.status());
+    auto loaded = read(tape_path);
+    CD_CHECK_OK(loaded.status());
+    ExpectSameState(*loaded, *plain);
+  }
+  std::remove(plain_path.c_str());
+  std::remove(tape_path.c_str());
+}
+
+TEST(SnapshotIoLegacyTape, ForgedTapeIsRefused) {
+  const std::vector<uint8_t>& good = GoodFileBytes();
+  const uint64_t generation = FileGeneration(good);
+  const Dataset data = SmallData();
+  SlotId lonely = kInvalidSlot;  // a slot with a single provider
+  for (SlotId v = 0; v < data.num_slots(); ++v) {
+    if (data.providers(v).size() < 2) lonely = v;
+  }
+  ASSERT_NE(lonely, kInvalidSlot);
+  // The second round of FullTape() carries the index.
+  auto forged = [&](auto&& edit) {
+    LegacyTape tape = FullTape(generation);
+    edit(&tape.rounds[1]);
+    return WithTape(good, tape);
+  };
+  std::vector<uint8_t> truncated = FullTapePayload();
+  truncated.pop_back();
+  const struct {
+    const char* what;
+    std::vector<uint8_t> bytes;
+    const char* needle;
+  } kForgeries[] = {
+      {"payload one byte short",
+       WithSection(good, kTapeSectionId, truncated), "TAPE section truncated"},
+      {"TAPE before DATASET",
+       WithSection(good, kTapeSectionId, FullTapePayload(), 1),
+       "TAPE section before DATASET"},
+      {"a second TAPE",
+       WithSection(WithSection(good, kTapeSectionId, FullTapePayload()),
+                   kTapeSectionId, FullTapePayload()),
+       "duplicate section id 5"},
+      {"probabilities for the wrong slot count",
+       forged([](LegacyTapeRound* r) { r->pre_probs.push_back(0.5); }),
+       "TAPE round value probabilities"},
+      {"index slot out of range",
+       forged([&](LegacyTapeRound* r) {
+         r->index_entries[0].slot =
+             static_cast<SlotId>(data.num_slots() + 1);
+       }),
+       "out of range"},
+      {"index slot twice",
+       forged([](LegacyTapeRound* r) {
+         r->index_entries[1].slot = r->index_entries[0].slot;
+       }),
+       "duplicate entry for slot"},
+      {"index slot with one provider",
+       forged([&](LegacyTapeRound* r) {
+         r->index_entries[0].slot = lonely;
+       }),
+       "fewer than 2 providers"},
+      {"tail past the entries",
+       forged([](LegacyTapeRound* r) {
+         r->tail_begin = r->index_entries.size() + 1;
+       }),
+       "past the"},
+      {"unknown ordering",
+       forged([](LegacyTapeRound* r) { r->ordering = 3; }),
+       "unknown index ordering"},
+  };
+  for (const auto& forgery : kForgeries) {
+    SCOPED_TRACE(forgery.what);
+    ExpectRefused(forgery.bytes, forgery.needle);
+  }
 }
 
 // --- Shard/BSP files: single-section .cdsnap framing around

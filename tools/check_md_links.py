@@ -1,19 +1,24 @@
 #!/usr/bin/env python3
-"""Checks that intra-repo markdown links resolve.
+"""Checks that intra-repo markdown links and doc citations resolve.
 
-Scans every tracked .md file for inline links/images
-(``[text](target)``) and verifies that relative targets exist on
-disk. External links (http/https/mailto), pure #fragment anchors,
-and links that resolve outside the repository root (e.g. the CI
-badge's ``../../actions/...`` github.com path) are skipped — only
-what can rot silently inside the repo is checked.
+Scans every .md file for inline links/images (``[text](target)``)
+and verifies that relative targets exist on disk. External links
+(http/https/mailto), pure #fragment anchors, and links that resolve
+outside the repository root (e.g. the CI badge's ``../../actions/...``
+github.com path) are skipped — only what can rot silently inside the
+repo is checked.
+
+Also scans every git-tracked .h/.cc/.py/CMakeLists.txt file for the
+``*.md`` names its comments cite (``see docs/FORMATS.md``): each must
+exist relative to the citing file's directory or the repo root.
 
 Usage: tools/check_md_links.py [repo_root]
-Exits 1 listing every dangling link.
+Exits 1 listing every dangling link and citation.
 """
 
 import os
 import re
+import subprocess
 import sys
 
 # Inline links and images: [text](target) / ![alt](target). Nested
@@ -27,6 +32,17 @@ SKIP_DIRS = {"build", ".git", ".github"}
 # paper texts) are expected and not ours to fix.
 SKIP_FILES = {"PAPER.md", "PAPERS.md", "SNIPPETS.md"}
 
+# A cited document name: a path-like token ending in .md, not part of
+# a longer token or a URL.
+CITE_RE = re.compile(r"(?<![\w./:-])(\w[\w./-]*\.md)\b")
+CODE_SUFFIXES = (".h", ".cc", ".py")
+# Files whose .md tokens are not citations: this checker's own pattern
+# strings, and the extractor's usage placeholder.
+SKIP_CITATIONS = {
+    "tools/check_md_links.py": None,  # every token
+    "tools/extract_md_snippets.py": {"doc.md"},
+}
+
 
 def markdown_files(root):
     for dirpath, dirnames, filenames in os.walk(root):
@@ -34,6 +50,35 @@ def markdown_files(root):
         for name in filenames:
             if name.endswith(".md") and name not in SKIP_FILES:
                 yield os.path.join(dirpath, name)
+
+
+def check_citations(root, dangling):
+    """Appends one message per cited .md name that does not resolve to
+    `dangling`; returns how many citations were checked."""
+    tracked = subprocess.run(
+        ["git", "ls-files"], cwd=root, check=True, capture_output=True,
+        text=True).stdout.splitlines()
+    checked = 0
+    for rel in tracked:
+        name = os.path.basename(rel)
+        if not (name.endswith(CODE_SUFFIXES) or name == "CMakeLists.txt"):
+            continue
+        skip = SKIP_CITATIONS.get(rel, set())
+        if skip is None:
+            continue
+        text = open(os.path.join(root, rel), encoding="utf-8").read()
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for cited in CITE_RE.findall(line):
+                if cited in skip:
+                    continue
+                checked += 1
+                here = os.path.join(root, os.path.dirname(rel), cited)
+                if not (os.path.exists(here) or
+                        os.path.exists(os.path.join(root, cited))):
+                    dangling.append(
+                        f"{rel}:{lineno}: cites {cited}, found neither "
+                        f"next to the file nor at the repo root")
+    return checked
 
 
 def main():
@@ -57,12 +102,14 @@ def main():
                 dangling.append(
                     f"{os.path.relpath(md, root)}: ({target}) -> "
                     f"{os.path.relpath(path, root)} does not exist")
+    cited = check_citations(root, dangling)
     if dangling:
-        print("dangling intra-repo markdown links:")
+        print("dangling intra-repo markdown links and doc citations:")
         for line in dangling:
             print(f"  {line}")
         return 1
-    print(f"check_md_links: {checked} intra-repo links OK")
+    print(f"check_md_links: {checked} intra-repo links and {cited} doc "
+          f"citations OK")
     return 0
 
 

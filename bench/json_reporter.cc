@@ -31,7 +31,7 @@ std::string JsonReporter::ToJson() const {
   out += "{\n";
   out += StrFormat("  \"benchmark\": \"%s\",\n",
                    JsonEscape(benchmark_name_).c_str());
-  out += "  \"schema_version\": 3,\n";
+  out += "  \"schema_version\": 2,\n";
   out += "  \"records\": [";
   for (size_t i = 0; i < records_.size(); ++i) {
     const BenchRecord& r = records_[i];
@@ -40,15 +40,13 @@ std::string JsonReporter::ToJson() const {
         "    {\"name\": \"%s\", \"detector\": \"%s\", "
         "\"dataset\": \"%s\", \"scale\": %s, \"real_seconds\": %s, "
         "\"cpu_seconds\": %s, \"iterations\": %llu, "
-        "\"items_per_second\": %s, \"threads\": %llu, "
-        "\"p50_seconds\": %s, \"p99_seconds\": %s}",
+        "\"items_per_second\": %s, \"threads\": %llu}",
         JsonEscape(r.name).c_str(), JsonEscape(r.detector).c_str(),
         JsonEscape(r.dataset).c_str(), Num(r.scale).c_str(),
         Num(r.real_seconds).c_str(), Num(r.cpu_seconds).c_str(),
         static_cast<unsigned long long>(r.iterations),
         Num(r.items_per_second).c_str(),
-        static_cast<unsigned long long>(r.threads),
-        Num(r.p50_seconds).c_str(), Num(r.p99_seconds).c_str());
+        static_cast<unsigned long long>(r.threads));
   }
   out += records_.empty() ? "]\n" : "\n  ]\n";
   out += "}\n";

@@ -33,10 +33,9 @@
 // name/detector/dataset/scale but different `threads` form the
 // speedup curve of one configuration.
 //
-// schema_version 3 added `p50_seconds` / `p99_seconds`: per-operation
-// latency percentiles for load-style harnesses (serve_load today).
-// 0 for harnesses that measure a single timed run — a mean carries no
-// distribution.
+// schema_version 3 added per-operation latency percentiles for a load
+// harness that has since been retired; the writer emits version 2
+// again, without them.
 
 #include <cstdint>
 #include <string>
@@ -55,8 +54,6 @@ struct BenchRecord {
   uint64_t iterations = 1;
   double items_per_second = 0.0;
   uint64_t threads = 1;  ///< executor width (1 = serial path)
-  double p50_seconds = 0.0;  ///< median per-op latency (0 = unmeasured)
-  double p99_seconds = 0.0;  ///< tail per-op latency (0 = unmeasured)
 };
 
 /// One (scenario, detector) quality measurement for QUALITY.json —

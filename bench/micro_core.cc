@@ -23,6 +23,7 @@
 #include <string_view>
 #include <thread>
 #include <utility>
+#include <vector>
 
 // This harness is deliberately white-box (micro-benchmarks of core
 // primitives and the direct-IterativeFusion facade-overhead anchor) —
@@ -31,10 +32,11 @@
 #include "bench_util.h"
 #include "common/flat_hash.h"
 #include "common/random.h"
+#include "copydetect/session_manager.h"
 #include "core/bayes.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
 #include "core/inverted_index.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
 #include "core/pairwise.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
-#include "core/sharded_detector.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
+#include "core/shard_merge.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
 #include "fusion/truth_finder.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
 #include "simjoin/intersect.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
 #include "simjoin/overlap.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
@@ -427,6 +429,28 @@ void BM_ReportToJsonBookFull(benchmark::State& state) {
   }
 }
 
+/// The serving read path: SessionRef::report(), the lock-free atomic
+/// load every `query` starts with, against a managed book-full INDEX
+/// session. Open (one full run) happens once, outside the loop.
+void BM_SessionRefReport(benchmark::State& state) {
+  auto manager = SessionManager::Start(SessionManagerOptions());
+  if (!manager.ok()) {
+    state.SkipWithError(manager.status().message().c_str());
+    return;
+  }
+  auto ref = (*manager)->Open("bench", BookFullSessionOptions(),
+                              BookFullWorld().world.data);
+  if (!ref.ok()) {
+    state.SkipWithError(ref.status().message().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    std::shared_ptr<const PublishedReport> snap = ref->report();
+    benchmark::DoNotOptimize(snap.get());
+  }
+  (*manager)->Shutdown();
+}
+
 /// The warm-start anchor: Session::Load of the snapshot a finished
 /// book-full session Save()d — everything a restarted serving process
 /// pays instead of the cold BM_SessionRun (CSV/world setup excluded
@@ -604,28 +628,48 @@ const WorldInputs& BookCsWorld() {
   return *inputs;
 }
 
-/// The in-process sharding anchor: one INDEX detection round through
-/// the N-shard harness (N inner detectors, each scanning its slice of
-/// the pair set, merged per round). Against BM_DetectorRound/index
-/// this prices the shard overhead (N index builds + merge) that the
-/// multi-process CLI path pays per round.
+/// The sharding anchor: one INDEX detection round split N ways in one
+/// process, as a sharded run splits it across processes — N detectors
+/// from CreateDetector, detector i pinned to shard i of an N-way
+/// ShardPlan and scanning only the rows it owns, then one
+/// MergeShardResults. Against BM_DetectorRound/index this prices the
+/// shard overhead (N index builds + merge) each sharded round pays.
 void BM_ShardedDetectBookCs(benchmark::State& state) {
   const uint32_t shards = static_cast<uint32_t>(state.range(0));
   Executor executor(1);
-  DetectionParams params = Params();
-  params.executor = &executor;
-  auto detector = ShardedDetector::Create("index", params, shards);
-  if (!detector.ok()) {
-    state.SkipWithError(detector.status().message().c_str());
-    return;
+  std::vector<std::unique_ptr<CopyDetector>> detectors;
+  std::vector<ShardResult> parts(shards);
+  for (uint32_t i = 0; i < shards; ++i) {
+    DetectionParams params = Params();
+    params.executor = &executor;
+    params.plan = ShardPlan{shards, i};
+    auto detector = CreateDetector("index", params);
+    if (!detector.ok()) {
+      state.SkipWithError(detector.status().message().c_str());
+      return;
+    }
+    detectors.push_back(std::move(detector).value());
+    parts[i].num_shards = shards;
+    parts[i].shard_id = i;
+    parts[i].round = 1;
   }
   DetectionInput in = BookCsWorld().Input();
   CopyResult result;
   for (auto _ : state) {
-    (*detector)->Reset();
-    Status status = (*detector)->DetectRound(in, /*round=*/1, &result);
-    if (!status.ok()) {
-      state.SkipWithError(status.message().c_str());
+    for (uint32_t i = 0; i < shards; ++i) {
+      detectors[i]->Reset();
+      Status status =
+          detectors[i]->DetectRound(in, /*round=*/1, &parts[i].copies);
+      if (!status.ok()) {
+        state.SkipWithError(status.message().c_str());
+        return;
+      }
+      parts[i].counters = detectors[i]->counters();
+    }
+    Counters counters;
+    Status merged = MergeShardResults(parts, &result, &counters);
+    if (!merged.ok()) {
+      state.SkipWithError(merged.message().c_str());
       break;
     }
     benchmark::DoNotOptimize(result);
@@ -712,6 +756,7 @@ void RegisterDetectorBenchmarks(size_t multi_threads) {
   benchmark::RegisterBenchmark(std::string(kReportToJsonName).c_str(),
                                BM_ReportToJsonBookFull)
       ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("BM_SessionRefReport", BM_SessionRefReport);
   benchmark::RegisterBenchmark(
       std::string(kSessionLoadMappedName).c_str(),
       BM_SessionLoadMappedBookFull)
@@ -820,8 +865,8 @@ class CollectingReporter : public benchmark::BenchmarkReporter {
         record.scale = kBookFullScale;
         record.threads = 1;
       } else if (StartsWith(base_name, kShardedDetectPrefix)) {
-        // "BM_ShardedDetect/book-cs/<shards>": one INDEX round
-        // through the in-process N-shard harness, serial.
+        // "BM_ShardedDetect/book-cs/<shards>": one INDEX round as
+        // <shards> plan-pinned detectors plus their merge, serial.
         record.detector = "sharded-index";
         record.dataset = "book-cs";
         record.scale = kBookCsScale;

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
 #include <type_traits>
 #include <vector>
 
@@ -119,107 +118,41 @@ class Arena {
   size_t high_water_ = 0;
 };
 
-/// FlatHashMap's twin with arena-backed storage, for per-round pair
-/// accumulators. It reproduces FlatHashMap's layout policy EXACTLY —
-/// same Mix64 linear probing, same initial capacity (16), same 3/4
-/// growth threshold, same doubling — so an identical insertion sequence
-/// yields an identical table layout and therefore an identical ForEach
-/// order. The sharded scans rely on this: their finalize pass walks the
-/// table in storage order, and downstream results (and snapshot bytes)
-/// must match the FlatHashMap-era output bit for bit. Change one policy
-/// only in lockstep with the other (see common/flat_hash.h).
-///
-/// Growth abandons the old arrays inside the arena; the waste is
-/// bounded by the final table size and reclaimed wholesale at Reset.
-template <typename V>
-class ArenaHashMap {
+/// Minimal std-style allocator over an Arena, for containers holding
+/// one round's scratch. deallocate is a no-op: a container's released
+/// storage (a hash table's arrays abandoned by growth, say) stays in
+/// the arena until its Reset, so the waste is bounded by the final
+/// container size. Converts implicitly from Arena*, so a container
+/// whose constructor takes an allocator can take the arena itself.
+template <typename T>
+class ArenaAllocator {
  public:
-  static constexpr uint64_t kEmptyKey = ~0ULL;
+  using value_type = T;
 
-  static_assert(std::is_trivially_destructible_v<V>,
-                "values live in arena storage");
+  ArenaAllocator(Arena* arena) : arena_(arena) {}  // NOLINT(runtime/explicit)
+  template <typename U>
+  ArenaAllocator(const ArenaAllocator<U>& other) : arena_(other.arena()) {}
 
-  explicit ArenaHashMap(Arena* arena) : arena_(arena) { RehashTo(16); }
+  T* allocate(size_t n) { return arena_->AllocateArray<T>(n); }
+  void deallocate(T*, size_t) {}
 
-  ArenaHashMap(const ArenaHashMap&) = delete;
-  ArenaHashMap& operator=(const ArenaHashMap&) = delete;
+  Arena* arena() const { return arena_; }
 
-  /// Returns the value slot for `key`, inserting a default-constructed
-  /// value when absent.
-  V& operator[](uint64_t key) {
-    assert(key != kEmptyKey);
-    if ((size_ + 1) * 4 >= capacity_ * 3) RehashTo(capacity_ * 2);
-    size_t i = Probe(key);
-    if (keys_[i] == kEmptyKey) {
-      keys_[i] = key;
-      ++size_;
-    }
-    return values_[i];
-  }
-
-  /// Returns a pointer to the value for `key`, or nullptr when absent.
-  V* Find(uint64_t key) {
-    size_t i = Probe(key);
-    return keys_[i] == key ? &values_[i] : nullptr;
-  }
-  const V* Find(uint64_t key) const {
-    size_t i = Probe(key);
-    return keys_[i] == key ? &values_[i] : nullptr;
-  }
-
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
-  /// Visits every (key, value&) pair in storage order.
-  template <typename Fn>
-  void ForEach(Fn&& fn) {
-    for (size_t i = 0; i < capacity_; ++i) {
-      if (keys_[i] != kEmptyKey) fn(keys_[i], values_[i]);
-    }
-  }
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (size_t i = 0; i < capacity_; ++i) {
-      if (keys_[i] != kEmptyKey) fn(keys_[i], values_[i]);
-    }
+  template <typename U>
+  bool operator==(const ArenaAllocator<U>& other) const {
+    return arena_ == other.arena();
   }
 
  private:
-  size_t Probe(uint64_t key) const {
-    size_t mask = capacity_ - 1;
-    size_t i = static_cast<size_t>(Mix64(key)) & mask;
-    while (keys_[i] != kEmptyKey && keys_[i] != key) i = (i + 1) & mask;
-    return i;
-  }
-
-  void RehashTo(size_t new_cap) {
-    uint64_t* old_keys = keys_;
-    V* old_values = values_;
-    size_t old_cap = capacity_;
-    keys_ = arena_->AllocateArray<uint64_t>(new_cap);
-    values_ = arena_->AllocateArray<V>(new_cap);
-    capacity_ = new_cap;
-    size_ = 0;
-    for (size_t i = 0; i < new_cap; ++i) {
-      keys_[i] = kEmptyKey;
-      new (&values_[i]) V();
-    }
-    for (size_t i = 0; i < old_cap; ++i) {
-      if (old_keys[i] != kEmptyKey) {
-        size_t j = Probe(old_keys[i]);
-        keys_[j] = old_keys[i];
-        values_[j] = old_values[i];
-        ++size_;
-      }
-    }
-  }
-
   Arena* arena_;
-  uint64_t* keys_ = nullptr;
-  V* values_ = nullptr;
-  size_t capacity_ = 0;
-  size_t size_ = 0;
 };
+
+/// The per-round pair table of the sharded scans: FlatHashMap with its
+/// arrays in the shard's leased arena. It is the same class template,
+/// so its layout, and with it the finalize walk's visit order, is
+/// FlatHashMap's by construction. Construct it from the Arena*.
+template <typename V>
+using ArenaHashMap = FlatHashMap<V, ArenaAllocator>;
 
 }  // namespace copydetect
 

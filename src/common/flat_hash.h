@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -35,12 +36,24 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t v) {
 ///
 /// Key 0xFFFFFFFFFFFFFFFF is reserved as the empty marker; callers never
 /// use it (pair keys pack two 32-bit source ids, both < 2^32 - 1).
-template <typename V>
+///
+/// `Alloc` only decides where the two arrays live: the scans' per-round
+/// pair tables use ArenaHashMap (common/arena.h), this map over an arena
+/// allocator. Probing, growth and therefore ForEach order do not depend
+/// on it, so an arena-backed and a heap-backed map fed the same inserts
+/// walk their entries in the same order.
+template <typename V, template <typename> class Alloc = std::allocator>
 class FlatHashMap {
  public:
   static constexpr uint64_t kEmptyKey = ~0ULL;
+  using KeyArray = std::vector<uint64_t, Alloc<uint64_t>>;
+  using ValueArray = std::vector<V, Alloc<V>>;
 
-  FlatHashMap() { Rehash(16); }
+  FlatHashMap() : FlatHashMap(Alloc<uint64_t>()) {}
+  explicit FlatHashMap(const Alloc<uint64_t>& alloc)
+      : keys_(alloc), values_(Alloc<V>(alloc)) {
+    Rehash(16);
+  }
 
   /// Pre-sizes the table for `n` entries without rehashing afterwards.
   void Reserve(size_t n) {
@@ -90,10 +103,10 @@ class FlatHashMap {
   // the live entries in some canonical order would not.
 
   /// The key array, capacity-sized, kEmptyKey marking free slots.
-  const std::vector<uint64_t>& raw_keys() const { return keys_; }
+  const KeyArray& raw_keys() const { return keys_; }
   /// The value array, aligned with raw_keys() (default V() in free
   /// slots).
-  const std::vector<V>& raw_values() const { return values_; }
+  const ValueArray& raw_values() const { return values_; }
 
   /// Restores a table from raw_keys()/raw_values() output. Returns
   /// false — leaving the map empty — when the arrays are not a valid
@@ -102,7 +115,7 @@ class FlatHashMap {
   /// duplicate key, or an entry unreachable from its probe sequence
   /// (Find would miss it). Validation keeps a hand-crafted snapshot
   /// file from planting a map that lookups silently disagree with.
-  bool AssignRaw(std::vector<uint64_t> keys, std::vector<V> values) {
+  bool AssignRaw(KeyArray keys, ValueArray values) {
     Rehash(16);
     if (keys.size() != values.size() || keys.size() < 16 ||
         (keys.size() & (keys.size() - 1)) != 0) {
@@ -160,8 +173,8 @@ class FlatHashMap {
   }
 
   void Rehash(size_t new_cap) {
-    std::vector<uint64_t> old_keys = std::move(keys_);
-    std::vector<V> old_values = std::move(values_);
+    KeyArray old_keys = std::move(keys_);
+    ValueArray old_values = std::move(values_);
     keys_.assign(new_cap, kEmptyKey);
     values_.assign(new_cap, V());
     size_ = 0;
@@ -175,8 +188,8 @@ class FlatHashMap {
     }
   }
 
-  std::vector<uint64_t> keys_;
-  std::vector<V> values_;
+  KeyArray keys_;
+  ValueArray values_;
   size_t size_ = 0;
 };
 
@@ -251,11 +264,6 @@ class FlatHashSet {
   std::vector<uint64_t> keys_;
   size_t size_ = 0;
 };
-
-// Template alias so call sites read FlatHashSet<uint64_t> if they prefer
-// the map-like spelling.
-template <typename K = uint64_t>
-using FlatHashSetT = FlatHashSet;
 
 }  // namespace copydetect
 

@@ -39,16 +39,14 @@ uint32_t CeilToU32(double v) {
 
 /// One shard of the bounded scan over a prebuilt index. Pairs are
 /// partitioned by row ownership (OwnsRow on the pair's smaller
-/// source), and a shard enumerates only its own rows; pair states
-/// never interact, and the per-source observed-value counts n_src
-/// every shard recomputes identically from the shared entry stream,
-/// so each owned pair evolves exactly as in the sequential scan — the
-/// parallel result is bit-identical at any shard count.
-/// entries_scanned is charged to shard 0 only. params.plan partitions
-/// pairs one level up (across processes, by a salted pair hash):
-/// non-owned pairs are skipped entirely and the stream-level charge
-/// goes to the plan's primary shard, so merged shard counters match
-/// the unsharded run.
+/// source), and a shard enumerates only its own rows; `shard` of
+/// `num_shards` is the composite of the process plan and the worker
+/// (RunShardedScan). Pair states never interact, and the per-source
+/// observed-value counts n_src every shard recomputes identically from
+/// the shared entry stream, so each owned pair evolves exactly as in
+/// the sequential scan — the sharded result is bit-identical at any
+/// shard count. entries_scanned is charged to shard 0 only, so merged
+/// shard counters match the unsharded run.
 void ScanShard(const InvertedIndex& index, const DetectionInput& in,
                const DetectionParams& params, const ScanConfig& config,
                const OverlapCounts& overlaps, size_t shard,
@@ -63,14 +61,13 @@ void ScanShard(const InvertedIndex& index, const DetectionInput& in,
 
   // Round scratch — the pair-state table and the per-source counts —
   // comes from the shard's leased arena, which retains its chunks
-  // between rounds. ArenaHashMap replicates FlatHashMap's layout, so
-  // the finalize walk keeps its pre-arena visit order.
+  // between rounds.
   ArenaHashMap<ScanState> pairs(arena);
   uint32_t* n_src = arena->AllocateArray<uint32_t>(data.num_sources());
   std::fill(n_src, n_src + data.num_sources(), 0u);
 
   for (size_t rank = 0; rank < index.num_entries(); ++rank) {
-    if (shard == 0 && params.plan.primary()) ++counters->entries_scanned;
+    if (shard == 0) ++counters->entries_scanned;
     const IndexEntry& e = index.entry(rank);
     std::span<const SourceId> providers = index.providers(rank);
     const bool tail = config.respect_tail && index.in_tail(rank);
@@ -90,7 +87,6 @@ void ScanShard(const InvertedIndex& index, const DetectionInput& in,
       for (size_t j = i + 1; j < providers.size(); ++j) {
         const SourceId hi = providers[j];
         uint64_t key = PairKey(lo, hi);
-        if (!params.plan.Owns(key)) continue;
 
         ScanState* st;
         if (tail) {
@@ -259,12 +255,11 @@ Status BoundedScan(const DetectionInput& in, const DetectionParams& params,
   // path (INCREMENTAL's preparation round) stays sequential: it is
   // paid once per fusion run and merging shard books buys nothing.
   Executor* executor = book == nullptr ? params.executor : nullptr;
-  RunShardedScan(executor, counters, out,
+  RunShardedScan(params.plan, executor, counters, out,
                  [&](size_t shard, size_t num_shards, Counters* c,
                      CopyResult* o, Arena* arena) {
                    ScanShard(index, in, params, config, overlaps, shard,
-                             num_shards, c, o,
-                             num_shards == 1 ? book : nullptr, arena);
+                             num_shards, c, o, book, arena);
                  });
 
   if (extras != nullptr && extras->keep_index) {

@@ -32,11 +32,12 @@ StatusOr<FaginInput> BuildFaginInput(const DetectionInput& in,
     NraList& fwd = input.fwd_lists[rank];
     NraList& bwd = input.bwd_lists[rank];
     for (size_t i = 0; i + 1 < providers.size(); ++i) {
+      // Providers ascend: lo is the smaller source of the whole row.
+      const SourceId lo = providers[i];
+      if (!params.plan.OwnsRow(lo)) continue;
       for (size_t j = i + 1; j < providers.size(); ++j) {
-        SourceId lo = std::min(providers[i], providers[j]);
-        SourceId hi = std::max(providers[i], providers[j]);
+        const SourceId hi = providers[j];
         uint64_t key = PairKey(lo, hi);
-        if (!params.plan.Owns(key)) continue;
         double cf =
             SharedContribution(e.probability, accs[lo], accs[hi], params);
         double cb =

@@ -17,30 +17,26 @@ struct IndexPairState {
 
 /// Scans every entry in rank order, enumerating only the pairs whose
 /// row this shard owns (OwnsRow on the pair's smaller source), then
-/// finalizes them. With num_shards == 1 this is exactly the
-/// sequential INDEX algorithm; with more shards each pair still
-/// accumulates in rank order inside its single owner, which is what
-/// makes the parallel path bit-identical to the serial one.
+/// finalizes them. `shard` of `num_shards` is the composite of the
+/// process plan and the worker (RunShardedScan). With num_shards == 1
+/// this is exactly the sequential INDEX algorithm; with more shards
+/// each pair still accumulates in rank order inside its single owner,
+/// which is what makes sharded runs bit-identical to the serial one.
 /// entries_scanned is charged to shard 0 only (every shard steps
-/// through the same entries, each enumerating its own rows). The same
-/// two rules apply one level up to params.plan, the process-level
-/// partition: a pair is skipped unless this process owns it, and the
-/// stream-level charge goes to the plan's primary shard only, so
+/// through the same entries, each enumerating its own rows), so
 /// summing the shards' counters reproduces the unsharded totals.
 void ScanShard(const InvertedIndex& index, const std::vector<double>& accs,
                const DetectionParams& params,
                const OverlapCounts& overlaps, size_t shard,
                size_t num_shards, Counters* counters, CopyResult* out,
                Arena* arena) {
-  // The pair table lives in the shard's leased arena; ArenaHashMap
-  // mirrors FlatHashMap's layout policy, so the finalize walk below
-  // visits pairs in the exact pre-arena order.
+  // The pair table lives in the shard's leased arena.
   ArenaHashMap<IndexPairState> pairs(arena);
 
   // Steps 1-2: scan entries in order; head entries create state, tail
   // entries only update pairs already seen.
   for (size_t rank = 0; rank < index.num_entries(); ++rank) {
-    if (shard == 0 && params.plan.primary()) ++counters->entries_scanned;
+    if (shard == 0) ++counters->entries_scanned;
     const IndexEntry& e = index.entry(rank);
     std::span<const SourceId> providers = index.providers(rank);
     const bool tail = index.in_tail(rank);
@@ -52,7 +48,6 @@ void ScanShard(const InvertedIndex& index, const std::vector<double>& accs,
       for (size_t j = i + 1; j < providers.size(); ++j) {
         const SourceId hi = providers[j];
         uint64_t key = PairKey(lo, hi);
-        if (!params.plan.Owns(key)) continue;
         IndexPairState* state;
         if (tail) {
           state = pairs.Find(key);
@@ -102,7 +97,7 @@ Status IndexDetector::DetectRound(const DetectionInput& in, int round,
   const InvertedIndex& index = *index_or;
   const std::vector<double>& accs = *in.accuracies;
 
-  RunShardedScan(params_.executor, &counters_, out,
+  RunShardedScan(params_.plan, params_.executor, &counters_, out,
                  [&](size_t shard, size_t num_shards, Counters* c,
                      CopyResult* o, Arena* arena) {
                    ScanShard(index, accs, params_, overlaps, shard,

@@ -147,12 +147,11 @@ Status PairwiseDetector::DetectRound(const DetectionInput& in, int round,
   std::vector<Counters> row_counters(n - 1);
   ParallelFor(params_.executor, n - 1, [&](size_t row) {
     SourceId a = static_cast<SourceId>(row);
+    // Under an active ShardPlan this instance scores only the rows it
+    // owns; the merge of all shards' results is then the full pair set.
+    if (!params_.plan.OwnsRow(a)) return;
     Counters& counters = row_counters[row];
     for (SourceId b = static_cast<SourceId>(a + 1); b < n; ++b) {
-      // Process-level partition: under an active ShardPlan this
-      // instance scores only the pairs it owns; the merge of all
-      // shards' results is then the full pair set.
-      if (!params_.plan.Owns(PairKey(a, b))) continue;
       PairScores scores = use_dense
                               ? dense_scores(a, b, &counters)
                               : ComputePairScores(in, a, b, params_,

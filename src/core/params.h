@@ -42,13 +42,13 @@ struct DetectionParams {
   /// thread count, so this is purely a speed knob.
   Executor* executor = nullptr;
 
-  /// Which slice of the pair space this detector instance owns (see
+  /// Which rows of the pair space this detector instance owns (see
   /// model/shard_plan.h). The default single-shard plan owns every
-  /// pair; an active plan restricts every scan path to the owned
-  /// pairs and gates stream-level counters to the primary shard, so
-  /// that merging the shards' results reproduces the unsharded run
-  /// exactly. Orthogonal to `executor`: threads subdivide the work a
-  /// plan assigns to this process.
+  /// row; an active plan restricts every scan path to the pairs of
+  /// its rows and gates stream-level counters to shard 0, so that
+  /// merging the shards' results reproduces the unsharded run
+  /// exactly. Threads subdivide the rows a plan assigns to this
+  /// process (core/sharded_scan.h).
   ShardPlan plan;
 
   double beta() const { return 1.0 - 2.0 * alpha; }

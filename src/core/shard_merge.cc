@@ -1,8 +1,10 @@
 #include "core/shard_merge.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/stringutil.h"
+#include "model/shard_plan.h"
 
 namespace copydetect {
 
@@ -47,13 +49,25 @@ Status MergeShardResults(std::span<const ShardResult> shards,
 
   copies->Clear();
   for (const ShardResult* s : by_id) {
-    // Pair sets are disjoint across shards (each pair has one owner),
-    // so the Sets below never overwrite; folding in shard order keeps
+    // A shard may hold only pairs of the rows it owns, which keeps the
+    // shards' pair sets disjoint: the Sets below never overwrite, and a
+    // file cut by another partition (or forged) is refused instead of
+    // silently losing or doubling pairs. Folding in shard order keeps
     // the merged result deterministic anyway.
-    s->copies.ForEach([copies](SourceId a, SourceId b,
-                               const PairPosterior& p) {
+    Status owned = Status::OK();
+    s->copies.ForEach([&](SourceId a, SourceId b,
+                          const PairPosterior& p) {
+      if (!owned.ok()) return;
+      if (!OwnsRow(std::min(a, b), s->shard_id, n)) {
+        owned = Status::InvalidArgument(StrFormat(
+            "shard merge: shard %u holds pair (%u, %u), outside the "
+            "rows it owns (row mod %u == %u)",
+            s->shard_id, a, b, n, s->shard_id));
+        return;
+      }
       copies->Set(a, b, p);
     });
+    CD_RETURN_IF_ERROR(owned);
     *counters += s->counters;
   }
   return Status::OK();

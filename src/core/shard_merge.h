@@ -11,7 +11,7 @@
 namespace copydetect {
 
 /// One shard's contribution to a detection round under a ShardPlan:
-/// the posteriors of exactly the pairs the shard owns, plus the
+/// the posteriors of pairs in the rows the shard owns, plus the
 /// counters its scan accumulated. Serialized as the SHARD section of
 /// a `.cdsnap`-framed shard file (snapshot::WriteShardResult).
 struct ShardResult {
@@ -32,7 +32,9 @@ struct ShardResult {
 /// to the unsharded run.
 ///
 /// Requirements (error otherwise): every shard_id 0..num_shards-1
-/// present exactly once, all shards agreeing on num_shards and round.
+/// present exactly once, all shards agreeing on num_shards and round,
+/// and every pair of a shard lying in a row it owns (OwnsRow,
+/// model/shard_plan.h).
 /// `copies` is cleared first; `counters` is accumulated into (callers
 /// summing rounds pass a running total).
 Status MergeShardResults(std::span<const ShardResult> shards,

@@ -65,10 +65,10 @@ TEST(ArenaTest, ZeroByteAllocationYieldsDistinctPointers) {
   EXPECT_NE(a, b);
 }
 
-// The bit-identity seam of the arena layer: ArenaHashMap must mirror
-// FlatHashMap's probing and growth policy exactly, so the same
-// insertion sequence yields the same storage order. The sharded scans'
-// finalize walk — and therefore every downstream floating-point
+// The bit-identity seam of the arena layer: an arena-allocated
+// FlatHashMap (ArenaHashMap) and a heap-allocated one fed the same
+// insertion sequence must yield the same storage order. The sharded
+// scans' finalize walk — and therefore every downstream floating-point
 // accumulation and snapshot byte — depends on this equivalence.
 TEST(ArenaHashMapTest, MatchesFlatHashMapLayoutOnRandomWorkloads) {
   std::mt19937_64 rng(20260807);
@@ -76,6 +76,8 @@ TEST(ArenaHashMapTest, MatchesFlatHashMapLayoutOnRandomWorkloads) {
     Arena arena;
     ArenaHashMap<uint64_t> arena_map(&arena);
     FlatHashMap<uint64_t> flat_map;
+    // The table's arrays come from the arena, not the heap.
+    EXPECT_GE(arena.bytes_used(), 16 * 2 * sizeof(uint64_t));
     size_t n = 1 + static_cast<size_t>(rng() % 3000);
     uint64_t key_range = 1 + rng() % 4000;  // force repeats
     for (size_t i = 0; i < n; ++i) {

@@ -1,8 +1,10 @@
-// Shard-plan partitioning, the in-process N-shard harness, and the
-// multi-process BSP protocol through the Session facade. The central
-// claim under test is the PR's contract: a sharded run — in-process
-// or split across coordinator/shard round trips — reproduces the
-// single-process run bit for bit, for every registered detector.
+// The pair partition and the multi-process BSP protocol through the
+// Session facade. ShardPlan splits pairs by row (OwnsRow), the merge
+// refuses a shard holding a pair outside its rows, and the central
+// claim under test is the sharding contract: a run split across
+// coordinator/shard round trips reproduces the single-process run bit
+// for bit, for every round-stateless registered detector at every
+// thread count.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -12,8 +14,6 @@
 #include "copydetect/session.h"
 #include "core/detector_registry.h"
 #include "core/shard_merge.h"
-#include "core/sharded_detector.h"
-#include "fusion/truth_finder.h"
 #include "model/shard_plan.h"
 #include "snapshot/snapshot_io.h"
 #include "test_util.h"
@@ -21,24 +21,23 @@
 namespace copydetect {
 namespace {
 
-using testutil::PaperParams;
 using testutil::SmallWorld;
 
 // ---------------------------------------------------------------------
-// ShardPlan: the ownership partition itself.
+// ShardPlan: the row partition itself.
 
 TEST(ShardPlan, EveryKeyOwnedByExactlyOneShard) {
   for (uint32_t num_shards : {1u, 2u, 4u, 7u}) {
     for (SourceId a = 0; a < 40; ++a) {
       for (SourceId b = a + 1; b < 40; ++b) {
-        uint64_t key = PairKey(a, b);
         size_t owners = 0;
         for (uint32_t shard = 0; shard < num_shards; ++shard) {
           ShardPlan plan{num_shards, shard};
-          if (plan.Owns(key)) ++owners;
+          if (plan.OwnsRow(PairFirst(PairKey(a, b)))) ++owners;
         }
         EXPECT_EQ(owners, 1u)
-            << "key " << key << " at " << num_shards << " shards";
+            << "pair " << a << "," << b << " at " << num_shards
+            << " shards";
       }
     }
   }
@@ -51,9 +50,7 @@ TEST(ShardPlan, RoughlyBalancedPartition) {
   for (SourceId a = 0; a < 80; ++a) {
     for (SourceId b = a + 1; b < 80; ++b) {
       for (uint32_t shard = 0; shard < kShards; ++shard) {
-        if (ShardPlan{kShards, shard}.Owns(PairKey(a, b))) {
-          ++owned[shard];
-        }
+        if (ShardPlan{kShards, shard}.OwnsRow(a)) ++owned[shard];
       }
       ++total;
     }
@@ -68,8 +65,8 @@ TEST(ShardPlan, InactivePlanOwnsEverything) {
   ShardPlan plan;
   EXPECT_FALSE(plan.active());
   EXPECT_TRUE(plan.primary());
-  for (uint64_t key = 0; key < 1000; ++key) {
-    EXPECT_TRUE(plan.Owns(key));
+  for (SourceId lo = 0; lo < 1000; ++lo) {
+    EXPECT_TRUE(plan.OwnsRow(lo));
   }
 }
 
@@ -120,17 +117,35 @@ TEST(MergeShardResults, RejectsIncompleteOrInconsistentSets) {
     EXPECT_FALSE(MergeShardResults(shards, &copies, &counters).ok());
   }
   {
+    // Shard 0 holds a pair of row 3, which shard 1 owns — a file cut
+    // by another partition, or forged.
+    std::vector<ShardResult> shards = {MakeShard(2, 0, 1),
+                                       MakeShard(2, 1, 1)};
+    shards[0].copies.Set(2, 5, PairPosterior{0.2, 0.4, 0.4});
+    shards[0].copies.Set(3, 4, PairPosterior{0.2, 0.4, 0.4});
+    Status status = MergeShardResults(shards, &copies, &counters);
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("shard 0 holds pair (3, 4)"),
+              std::string::npos)
+        << status.message();
+  }
+  {
     // A complete, consistent set merges.
     std::vector<ShardResult> shards = {MakeShard(2, 0, 1),
                                        MakeShard(2, 1, 1)};
+    shards[0].copies.Set(2, 5, PairPosterior{0.2, 0.4, 0.4});
+    shards[1].copies.Set(3, 4, PairPosterior{0.3, 0.3, 0.4});
     EXPECT_TRUE(MergeShardResults(shards, &copies, &counters).ok());
+    EXPECT_EQ(copies.NumTracked(), 2u);
+    EXPECT_EQ(copies.Get(3, 4).p_indep, 0.3);
   }
 }
 
 // ---------------------------------------------------------------------
-// Bit-identity of the in-process N-shard harness, every registered
-// detector x shards {1,2,4,7} x threads {1,4}. EXPECT_EQ on doubles is
-// exact equality — no tolerance anywhere.
+// The multi-process BSP protocol through the Session facade, run
+// in-process: coordinator Init, N RunShardRound sessions per round,
+// MergeShardRound, until done — against one plain Session::Run.
+// EXPECT_EQ on doubles is exact equality — no tolerance anywhere.
 
 void ExpectSameCopies(const CopyResult& got, const CopyResult& want) {
   EXPECT_EQ(got.NumTracked(), want.NumTracked());
@@ -163,69 +178,27 @@ void ExpectSameFusion(const FusionResult& got,
   ExpectSameCopies(got.copies, want.copies);
 }
 
-FusionOptions TestFusionOptions(Executor* executor) {
-  FusionOptions options;
-  options.params = PaperParams();
-  options.params.executor = executor;
-  options.max_rounds = 4;
-  return options;
+void ExpectSameCounters(const Counters& got, const Counters& want) {
+  EXPECT_EQ(got.score_evals, want.score_evals);
+  EXPECT_EQ(got.bound_evals, want.bound_evals);
+  EXPECT_EQ(got.finalize_evals, want.finalize_evals);
+  EXPECT_EQ(got.pairs_tracked, want.pairs_tracked);
+  EXPECT_EQ(got.entries_scanned, want.entries_scanned);
+  EXPECT_EQ(got.values_examined, want.values_examined);
+  EXPECT_EQ(got.early_copy, want.early_copy);
+  EXPECT_EQ(got.early_nocopy, want.early_nocopy);
 }
-
-TEST(ShardedDetector, BitIdenticalToUnshardedEveryDetector) {
-  World world = SmallWorld(11);
-  for (const std::string& name : ListDetectors()) {
-    for (uint32_t shards : {1u, 2u, 4u, 7u}) {
-      for (size_t threads : {size_t{1}, size_t{4}}) {
-        SCOPED_TRACE(name + " shards=" + std::to_string(shards) +
-                     " threads=" + std::to_string(threads));
-        Executor baseline_executor(threads);
-        FusionOptions options = TestFusionOptions(&baseline_executor);
-        auto plain = CreateDetector(name, options.params);
-        ASSERT_TRUE(plain.ok()) << plain.status().message();
-        auto want =
-            IterativeFusion(options).Run(world.data, plain->get());
-        ASSERT_TRUE(want.ok()) << want.status().message();
-
-        Executor sharded_executor(threads);
-        FusionOptions sharded_options =
-            TestFusionOptions(&sharded_executor);
-        auto sharded = ShardedDetector::Create(
-            name, sharded_options.params, shards);
-        ASSERT_TRUE(sharded.ok()) << sharded.status().message();
-        auto got = IterativeFusion(sharded_options)
-                       .Run(world.data, sharded->get());
-        ASSERT_TRUE(got.ok()) << got.status().message();
-
-        ExpectSameFusion(*got, *want);
-      }
-    }
-  }
-}
-
-TEST(ShardedDetector, RejectsUnknownInnerDetector) {
-  DetectionParams params = PaperParams();
-  EXPECT_FALSE(ShardedDetector::Create("no-such", params, 2).ok());
-}
-
-TEST(ShardedDetector, RejectsInvalidShardCount) {
-  DetectionParams params = PaperParams();
-  EXPECT_FALSE(ShardedDetector::Create("index", params, 0).ok());
-}
-
-// ---------------------------------------------------------------------
-// The multi-process BSP protocol through the Session facade, run
-// in-process: coordinator Init, N RunShardRound sessions per round,
-// MergeShardRound, until done — against one plain Session::Run.
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
 SessionOptions BspOptions(const std::string& detector,
-                          uint32_t num_shards, uint32_t shard_id) {
+                          uint32_t num_shards, uint32_t shard_id,
+                          size_t threads = 1) {
   SessionOptions options;
   options.detector = detector;
-  options.threads = 1;
+  options.threads = threads;
   options.max_rounds = 5;
   options.plan.num_shards = num_shards;
   options.plan.shard_id = shard_id;
@@ -233,17 +206,20 @@ SessionOptions BspOptions(const std::string& detector,
 }
 
 Report RunBsp(const Dataset& data, const std::string& detector,
-              uint32_t num_shards, const std::string& tag) {
+              uint32_t num_shards, size_t threads,
+              const std::string& tag) {
   const std::string state_path = TempPath("bsp_state_" + tag);
   Session coordinator = [&] {
-    auto made = Session::Create(BspOptions(detector, num_shards, 0));
+    auto made =
+        Session::Create(BspOptions(detector, num_shards, 0, threads));
     CD_CHECK_OK(made.status());
     return std::move(made).value();
   }();
   CD_CHECK_OK(coordinator.InitShardedRun(data, state_path));
   std::vector<Session> shards;
   for (uint32_t i = 0; i < num_shards; ++i) {
-    auto made = Session::Create(BspOptions(detector, num_shards, i));
+    auto made =
+        Session::Create(BspOptions(detector, num_shards, i, threads));
     CD_CHECK_OK(made.status());
     shards.push_back(std::move(made).value());
   }
@@ -267,32 +243,67 @@ Report RunBsp(const Dataset& data, const std::string& detector,
   return coordinator.report();
 }
 
+// Every registered detector but INCREMENTAL (whose cross-round state
+// the BSP entry points refuse) x shards {1,2,3,4,7} x threads {1,4}:
+// each process splits its rows over its workers, and the merged
+// fusion result and all eight counters equal the single-process run's.
 TEST(SessionBsp, BitIdenticalToSingleProcessRun) {
   World world = SmallWorld(23);
-  for (const std::string detector : {"index", "pairwise", "hybrid"}) {
-    for (uint32_t num_shards : {2u, 3u}) {
-      SCOPED_TRACE(std::string(detector) +
-                   " shards=" + std::to_string(num_shards));
-      SessionOptions options;
-      options.detector = detector;
-      options.threads = 1;
-      options.max_rounds = 5;
-      auto session = Session::Create(options);
-      ASSERT_TRUE(session.ok()) << session.status().message();
-      auto want = session->Run(world.data);
-      ASSERT_TRUE(want.ok()) << want.status().message();
+  for (const std::string& detector : ListDetectors()) {
+    if (detector == "incremental") continue;
+    for (uint32_t num_shards : {1u, 2u, 3u, 4u, 7u}) {
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        SCOPED_TRACE(detector + " shards=" + std::to_string(num_shards) +
+                     " threads=" + std::to_string(threads));
+        SessionOptions options = BspOptions(detector, 1, 0, threads);
+        auto session = Session::Create(options);
+        ASSERT_TRUE(session.ok()) << session.status().message();
+        auto want = session->Run(world.data);
+        ASSERT_TRUE(want.ok()) << want.status().message();
 
-      Report got = RunBsp(
-          world.data, detector, num_shards,
-          detector + std::to_string(num_shards));
-      ExpectSameFusion(got.fusion, want->fusion);
-      // The merged counters reproduce the single-process totals: each
-      // pair is scanned by exactly its owning shard.
-      EXPECT_EQ(got.counters.pairs_tracked,
-                want->counters.pairs_tracked);
-      EXPECT_EQ(got.counters.score_evals, want->counters.score_evals);
+        Report got =
+            RunBsp(world.data, detector, num_shards, threads,
+                   detector + std::to_string(num_shards) + "_" +
+                       std::to_string(threads));
+        ExpectSameFusion(got.fusion, want->fusion);
+        // Each pair is scanned by exactly its owning shard and worker,
+        // and stream-level work is charged once.
+        ExpectSameCounters(got.counters, want->counters);
+      }
     }
   }
+}
+
+// A shard file whose pairs lie outside its rows — here shard 0 of 2
+// claiming a pair of row 1 — is refused at the merge, not folded in.
+TEST(SessionBsp, MergeRefusesForgedShard) {
+  World world = SmallWorld(5);
+  const std::string state_path = TempPath("bsp_forged_state");
+  auto coordinator = Session::Create(BspOptions("index", 2, 0));
+  ASSERT_TRUE(coordinator.ok());
+  CD_CHECK_OK(coordinator->InitShardedRun(world.data, state_path));
+  auto honest = Session::Create(BspOptions("index", 2, 1));
+  ASSERT_TRUE(honest.ok());
+  const std::string honest_path = TempPath("bsp_forged_shard1");
+  CD_CHECK_OK(honest->RunShardRound(world.data, state_path, honest_path));
+
+  ShardResult forged;
+  forged.num_shards = 2;
+  forged.shard_id = 0;
+  forged.round = 1;
+  forged.copies.Set(1, 2, PairPosterior{0.1, 0.8, 0.1});
+  const std::string forged_path = TempPath("bsp_forged_shard0");
+  CD_CHECK_OK(snapshot::WriteShardResult(forged_path, forged));
+
+  auto merged = coordinator->MergeShardRound(
+      world.data, {forged_path, honest_path}, state_path);
+  EXPECT_FALSE(merged.ok());
+  EXPECT_NE(merged.status().message().find("shard 0 holds pair (1, 2)"),
+            std::string::npos)
+      << merged.status().message();
+  std::remove(forged_path.c_str());
+  std::remove(honest_path.c_str());
+  std::remove(state_path.c_str());
 }
 
 TEST(SessionBsp, RunWithActivePlanIsRefused) {

@@ -515,6 +515,10 @@ constexpr RetiredName kRetiredNames[] = {
      "the DetectorRegistry class was removed — the detector table in "
      "core/detector_registry.cc names every detector "
      "(CreateDetector/ResolveDetector/ListDetectors)"},
+    {"ShardedDetector",
+     "the in-process ShardedDetector harness was removed — run shards "
+     "through Session's InitShardedRun/RunShardRound/MergeShardRound, "
+     "or plan-pinned CreateDetector instances and MergeShardResults"},
 };
 
 /// Shims that completed their one-release deprecation window must not

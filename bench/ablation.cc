@@ -26,14 +26,12 @@ class ConfiguredScanDetector : public CopyDetector {
     config.lazy_bounds = true;
     config.hybrid_threshold = params_.hybrid_threshold;
     config.respect_tail = respect_tail_;
-    return BoundedScan(in, params_, config,
-                       overlap_cache_.Get(*in.data), &counters_, out,
-                       nullptr, nullptr);
+    return BoundedScan(in, params_, config, &counters_, out, nullptr,
+                       nullptr);
   }
 
  private:
   bool respect_tail_;
-  OverlapCache overlap_cache_;
 };
 
 }  // namespace

@@ -40,7 +40,6 @@
 #include "fusion/truth_finder.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
 #include "simjoin/intersect.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
 #include "simjoin/overlap.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
-#include "simjoin/prefix_join.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
 #include "topk/nra.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
 
 namespace copydetect {
@@ -94,9 +93,12 @@ struct WorldInputs {
     accs = world.true_accuracy;
   }
 
-  DetectionInput Input() const {
+  /// The inputs of one round over this world, reading the shared-item
+  /// counts from `overlaps`.
+  DetectionInput Input(OverlapCache* overlaps) const {
     DetectionInput in;
     in.data = &world.data;
+    in.overlaps = overlaps;
     in.value_probs = &probs;
     in.accuracies = &accs;
     return in;
@@ -162,8 +164,9 @@ BENCHMARK(BM_NoCopyPosterior);
 void BM_IndexBuild(benchmark::State& state) {
   WorldInputs inputs(64, static_cast<size_t>(state.range(0)));
   DetectionParams params = Params();
+  OverlapCache overlaps;
   for (auto _ : state) {
-    auto index = InvertedIndex::Build(inputs.Input(), params);
+    auto index = InvertedIndex::Build(inputs.Input(&overlaps), params);
     benchmark::DoNotOptimize(index);
   }
   state.SetItemsProcessed(
@@ -224,19 +227,11 @@ void BM_SortedIntersect(benchmark::State& state) {
 BENCHMARK(BM_SortedIntersect)
     ->ArgsProduct({{1 << 6, 1 << 10, 1 << 14}, {1, 8, 256}});
 
-void BM_PrefixJoin(benchmark::State& state) {
-  WorldInputs inputs(128, 2000);
-  for (auto _ : state) {
-    auto pairs = PrefixFilterJoin(inputs.world.data, 16);
-    benchmark::DoNotOptimize(pairs);
-  }
-}
-BENCHMARK(BM_PrefixJoin)->Unit(benchmark::kMillisecond);
-
 void BM_PairMerge(benchmark::State& state) {
   WorldInputs inputs(64, 4000);
   DetectionParams params = Params();
-  DetectionInput in = inputs.Input();
+  OverlapCache overlaps;
+  DetectionInput in = inputs.Input(&overlaps);
   Counters counters;
   SourceId a = 0;
   SourceId b = 1;
@@ -313,10 +308,14 @@ void DetectorRoundLoop(benchmark::State& state, const WorldInputs& inputs,
     state.SkipWithError(detector.status().message().c_str());
     return;
   }
-  DetectionInput in = inputs.Input();
+  // Each iteration is a fresh run's first round: the detector's state
+  // and the run's overlap counts both start empty.
+  OverlapCache overlaps;
+  DetectionInput in = inputs.Input(&overlaps);
   CopyResult result;
   for (auto _ : state) {
     (*detector)->Reset();
+    overlaps.Clear();
     Status status = (*detector)->DetectRound(in, /*round=*/1, &result);
     if (!status.ok()) {
       state.SkipWithError(status.message().c_str());
@@ -653,11 +652,14 @@ void BM_ShardedDetectBookCs(benchmark::State& state) {
     parts[i].shard_id = i;
     parts[i].round = 1;
   }
-  DetectionInput in = BookCsWorld().Input();
+  // Each shard is a fresh process that counts the overlaps itself.
+  OverlapCache overlaps;
+  DetectionInput in = BookCsWorld().Input(&overlaps);
   CopyResult result;
   for (auto _ : state) {
     for (uint32_t i = 0; i < shards; ++i) {
       detectors[i]->Reset();
+      overlaps.Clear();
       Status status =
           detectors[i]->DetectRound(in, /*round=*/1, &parts[i].copies);
       if (!status.ok()) {

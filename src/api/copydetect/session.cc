@@ -25,72 +25,6 @@ void Require(bool ok, std::vector<std::string>* problems,
 
 }  // namespace
 
-/// The overlap counts an online session maintains across updates. It
-/// publishes them through SharedOverlaps so every detector's private
-/// OverlapCache borrows them instead of recounting, and steps them
-/// across each delta (Session::Update) by patching the touched items.
-class MaintainedOverlaps {
- public:
-  MaintainedOverlaps() = default;
-  MaintainedOverlaps(const MaintainedOverlaps&) = delete;
-  MaintainedOverlaps& operator=(const MaintainedOverlaps&) = delete;
-
-  ~MaintainedOverlaps() {
-    if (generation_ != 0) SharedOverlaps::Withdraw(generation_);
-  }
-
-  /// Publishes counts for `data`, computing them cold when the
-  /// maintained ones belong to another generation.
-  void Ensure(const Dataset& data) {
-    if (HasFor(data.generation())) return;
-    Set(std::make_shared<const OverlapCounts>(ComputeOverlaps(data)),
-        data.generation());
-  }
-
-  /// Steps the maintained counts across a delta. Returns true when
-  /// they were patched per touched item, false when they had to be
-  /// recounted (either way the new snapshot's counts end up
-  /// published).
-  bool Advance(const Dataset& old_data, const Dataset& new_data,
-               const DeltaSummary& summary, bool allow_patch) {
-    std::shared_ptr<const OverlapCounts> next;
-    if (allow_patch && HasFor(old_data.generation())) {
-      auto patched = std::make_shared<OverlapCounts>(*counts_);
-      if (UpdateOverlaps(patched.get(), old_data, new_data,
-                         summary.touched_items)) {
-        next = std::move(patched);
-      }
-    }
-    const bool patched = next != nullptr;
-    if (!patched) {
-      next = std::make_shared<const OverlapCounts>(
-          ComputeOverlaps(new_data));
-    }
-    Set(std::move(next), new_data.generation());
-    return patched;
-  }
-
-  /// True when the maintained counts are live for `generation`.
-  bool HasFor(uint64_t generation) const {
-    return counts_ != nullptr && generation_ == generation;
-  }
-  const OverlapCounts& counts() const { return *counts_; }
-
-  /// Adopts `counts` (loaded by Session::Load) as the maintained and
-  /// published ones.
-  void Set(std::shared_ptr<const OverlapCounts> counts,
-           uint64_t generation) {
-    if (generation_ != 0) SharedOverlaps::Withdraw(generation_);
-    counts_ = std::move(counts);
-    generation_ = generation;
-    SharedOverlaps::Publish(generation_, counts_);
-  }
-
- private:
-  std::shared_ptr<const OverlapCounts> counts_;
-  uint64_t generation_ = 0;
-};
-
 Status SessionOptions::Validate() const {
   std::vector<std::string> problems;
   // Model-parameter ranges, mirroring DetectionParams::Validate() (the
@@ -188,7 +122,8 @@ Session::Session(SessionOptions options, std::string detector_name,
     : options_(std::move(options)),
       detector_name_(std::move(detector_name)),
       executor_(std::move(executor)),
-      detector_(std::move(detector)) {}
+      detector_(std::move(detector)),
+      overlaps_(std::make_unique<OverlapCache>()) {}
 
 Session::Session(Session&&) noexcept = default;
 Session& Session::operator=(Session&&) noexcept = default;
@@ -216,17 +151,8 @@ StatusOr<Session> Session::Create(const SessionOptions& options) {
           params, std::move(detector), spec);
     }
   }
-  Session session(options, std::move(name), std::move(executor),
-                  std::move(detector));
-  // Maintained overlap counts only pay off with an unsampled detector
-  // that reads them (a SampledDetector counts on its own sub-snapshot;
-  // PAIRWISE and accuracy-only runs never read them).
-  if (options.online_updates && options.use_copy_detection &&
-      options.sample_rate == 0.0 &&
-      session.detector_name_ != "pairwise") {
-    session.overlaps_ = std::make_unique<MaintainedOverlaps>();
-  }
-  return session;
+  return Session(options, std::move(name), std::move(executor),
+                 std::move(detector));
 }
 
 size_t Session::threads() const { return executor_->num_threads(); }
@@ -241,8 +167,8 @@ Status Session::Start(const Dataset& data) {
   if (options_.online_updates) {
     // Own the snapshot: Update chains deltas off it without imposing
     // lifetime rules on the caller's object. The copy shares the
-    // generation (identical content), so published overlap counts
-    // apply to both.
+    // generation (identical content), so the session's overlap counts
+    // of the caller's data carry over to it.
     snapshot_ = std::make_unique<Dataset>(data);
     return StartOn(*snapshot_);
   }
@@ -267,8 +193,7 @@ Status Session::StartOn(const Dataset& data) {
   loop_ = std::make_unique<FusionLoop>(fusion);
   data_ = &data;
   report_ = Report();
-  if (overlaps_ != nullptr) overlaps_->Ensure(data);
-  return loop_->Start(data, detector_.get());
+  return loop_->Start(data, detector_.get(), overlaps_.get());
 }
 
 StatusOr<bool> Session::Step() {
@@ -668,7 +593,9 @@ Status Session::Save(const std::string& path) {
   state.options = OptionFieldsOf(options_);
   state.data = *data;
   state.fusion = report_.fusion;
-  if (overlaps_ != nullptr && overlaps_->HasFor(state.generation)) {
+  // Only online sessions persist their counts; Load installs them for
+  // those alone.
+  if (options_.online_updates && overlaps_->HasFor(state.generation)) {
     state.has_overlaps = true;
     state.overlaps_generation = state.generation;
     state.overlaps = overlaps_->counts();
@@ -698,10 +625,8 @@ void Session::InstallLoaded(snapshot::SessionState state) {
   data_ = snapshot_.get();
   report_ = Report();
   report_.fusion = std::move(state.fusion);
-  if (overlaps_ != nullptr && state.has_overlaps) {
-    overlaps_->Set(
-        std::make_shared<const OverlapCounts>(std::move(state.overlaps)),
-        snapshot_->generation());
+  if (options_.online_updates && state.has_overlaps) {
+    overlaps_->Set(std::move(state.overlaps), snapshot_->generation());
   }
   RefreshReport();
 }
@@ -734,16 +659,15 @@ Status Session::Update(const DatasetDelta& delta) {
   update_stats_.overwritten_observations = summary.overwritten;
   update_stats_.retracted_observations = summary.retracted;
 
-  // Stepping the maintained overlap counts across a delta that touches
-  // most items costs more than recounting them; either way the counts
-  // (and hence the report) are identical.
+  // Stepping the overlap counts across a delta that touches most
+  // items costs more than recounting them; either way the counts (and
+  // hence the report) are identical. A session whose runs never read
+  // the counts holds none and steps nothing.
   const bool small = summary.TouchedItemFraction(*next) <=
                      options_.update_rebuild_fraction;
   update_stats_.incremental = small;
-  if (overlaps_ != nullptr) {
-    update_stats_.overlaps_maintained =
-        overlaps_->Advance(*snapshot_, *next, summary, small);
-  }
+  update_stats_.overlaps_maintained = overlaps_->Advance(
+      *snapshot_, *next, summary.touched_items, small);
   // Nothing derived from the superseded snapshot outlives the overlap
   // patch, so it is freed before the re-run.
   snapshot_ = std::move(next);
@@ -855,6 +779,7 @@ Status Session::RunShardRound(const Dataset& data,
   detector_->Reset();
   DetectionInput in;
   in.data = &data;
+  in.overlaps = overlaps_.get();
   in.value_probs = &state->fusion.value_probs;
   in.accuracies = &state->fusion.accuracies;
   ShardResult part;
@@ -917,7 +842,8 @@ StatusOr<bool> Session::MergeShardRound(
   PrecomputedDetector precomputed(fusion.params, std::move(merged));
   FusionLoop loop(fusion);
   CD_RETURN_IF_ERROR(
-      loop.Resume(data, &precomputed, std::move(state->fusion)));
+      loop.Resume(data, &precomputed, overlaps_.get(),
+                  std::move(state->fusion)));
   StatusOr<bool> stepped = loop.Step();
   if (!stepped.ok()) return stepped.status();
   state->fusion = std::move(loop).Take();

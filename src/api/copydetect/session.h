@@ -24,7 +24,7 @@
 /// incremental/online scenarios; both modes produce bit-identical
 /// results (Session::Run is the streaming loop driven to completion).
 /// Update applies a DatasetDelta to the session's snapshot, patches
-/// the maintained overlap counts and re-runs detection + fusion, with
+/// the session's overlap counts and re-runs detection + fusion, with
 /// output bit-identical to rebuilding the data set and re-running from
 /// scratch (tests/session_update_test.cc proves it per detector).
 ///
@@ -61,8 +61,6 @@
 #include "model/stats.h"
 
 namespace copydetect {
-
-class MaintainedOverlaps;
 
 namespace snapshot {
 struct SessionState;
@@ -113,11 +111,10 @@ struct SessionOptions {
 
   // --- Online updates (Session::Update). ---
   /// Enables Session::Update: the session keeps its own evolving
-  /// snapshot (Run copies the input once) and, for detectors that read
-  /// them, the snapshot's overlap counts. Memory cost: one Dataset
-  /// copy plus the counts; off by default.
+  /// snapshot (Run copies the input once), and Save persists its
+  /// overlap counts. Memory cost: one Dataset copy; off by default.
   bool online_updates = false;
-  /// Update recounts the maintained overlap counts from scratch
+  /// Update recounts the session's overlap counts from scratch
   /// instead of patching them when the delta touches more than this
   /// fraction of items — patching nearly everything costs more than a
   /// recount. Either path yields bit-identical reports.
@@ -261,7 +258,10 @@ struct LoadOptions {
 /// as a whole, builds the shared Executor and resolves the detector
 /// through the registry; Run()/Start()+Step() then drive the fusion
 /// loop. A Session is reusable: each Run/Start resets detector state,
-/// so consecutive runs are independent. Movable, not copyable.
+/// so consecutive runs are independent. The one thing it keeps between
+/// runs is the overlap counts of the last data set a run read them on,
+/// keyed on Dataset::generation(), so a rerun on unchanged data does
+/// not recount them and Update patches them. Movable, not copyable.
 class Session {
  public:
   /// Builds a session or returns the aggregated validation error.
@@ -304,12 +304,12 @@ class Session {
   // --- Online updates (requires SessionOptions::online_updates). ---
   /// Applies `delta` to the session's snapshot and re-runs detection +
   /// fusion in three steps: the next snapshot comes from
-  /// Dataset::Apply, the maintained overlap counts are patched per
-  /// touched item (recounted for large deltas, see
-  /// SessionOptions::update_rebuild_fraction), then a plain run. The
-  /// refreshed report() is bit-identical to rebuilding the merged data
-  /// set and Run()ning it from scratch. Requires a completed Run/Start
-  /// on this session first.
+  /// Dataset::Apply, the session's overlap counts (held once a run
+  /// read them) are patched per touched item (recounted for large
+  /// deltas, see SessionOptions::update_rebuild_fraction), then a
+  /// plain run. The refreshed report() is bit-identical to rebuilding
+  /// the merged data set and Run()ning it from scratch. Requires a
+  /// completed Run/Start on this session first.
   Status Update(const DatasetDelta& delta);
 
   /// What the most recent Update did; default-constructed before the
@@ -319,10 +319,10 @@ class Session {
   // --- Snapshot persistence (snapshot/snapshot_io.h; format spec in
   // docs/FORMATS.md). ---
   /// Serializes the session's current state — options, the data
-  /// snapshot, the maintained overlap counts and the fusion result —
-  /// to a versioned, checksummed binary file, so a later process can
-  /// Load() it and resume exactly where this one stopped. Written
-  /// atomically (temp + rename).
+  /// snapshot, the fusion result and, for an online session whose runs
+  /// read them, the overlap counts — to a versioned, checksummed
+  /// binary file, so a later process can Load() it and resume exactly
+  /// where this one stopped. Written atomically (temp + rename).
   ///
   /// Requires a finished run whose state is still live: a Run with
   /// online_updates on, or a streaming run driven to its final Step
@@ -333,7 +333,7 @@ class Session {
   /// Reconstructs a session from a Save()d file: options are restored
   /// and re-validated through Create, the data snapshot and fusion
   /// result are installed (report() works immediately, without
-  /// re-running), and with online_updates the maintained overlaps are
+  /// re-running), and with online_updates the saved overlap counts are
   /// rebound to the loaded snapshot — a subsequent Update/Start/Step
   /// behaves bit-identically to the session that never left memory
   /// (tests/session_snapshot_test.cc). Files from older writers that
@@ -430,6 +430,9 @@ class Session {
   std::string detector_name_;
   std::unique_ptr<Executor> executor_;
   std::unique_ptr<CopyDetector> detector_;  // null when accuracy-only
+  /// The session's overlap counts, handed to every round. Heap-held
+  /// because loop_ borrows it and a Session moves.
+  std::unique_ptr<OverlapCache> overlaps_;
   std::unique_ptr<FusionLoop> loop_;        // null until Start
   const Dataset* data_ = nullptr;           // current run's data set
   Report report_;
@@ -441,7 +444,6 @@ class Session {
 
   // Online-update state (null/empty unless options_.online_updates).
   std::unique_ptr<Dataset> snapshot_;  // owned evolving snapshot
-  std::unique_ptr<MaintainedOverlaps> overlaps_;  // null if unread
   UpdateStats update_stats_;
 };
 

@@ -233,11 +233,11 @@ void ScanShard(const InvertedIndex& index, const DetectionInput& in,
 }  // namespace
 
 Status BoundedScan(const DetectionInput& in, const DetectionParams& params,
-                   const ScanConfig& config,
-                   const OverlapCounts& overlaps, Counters* counters,
+                   const ScanConfig& config, Counters* counters,
                    CopyResult* out, ScanBookkeeping* book,
                    ScanOutputs* extras) {
   CD_RETURN_IF_ERROR(in.Validate());
+  const OverlapCounts& overlaps = in.overlaps->Get(*in.data);
   out->Clear();
   if (book != nullptr) book->Clear();
 
@@ -271,14 +271,13 @@ Status BoundedScan(const DetectionInput& in, const DetectionParams& params,
 Status BoundDetector::DetectRound(const DetectionInput& in, int round,
                                   CopyResult* out) {
   (void)round;
-  CD_RETURN_IF_ERROR(in.Validate());
   ScanConfig config;
   config.lazy_bounds = lazy_;
   config.hybrid_threshold = 0;
   config.ordering = ordering_;
   config.seed = seed_;
-  return BoundedScan(in, params_, config, overlap_cache_.Get(*in.data),
-                     &counters_, out, /*book=*/nullptr, /*extras=*/nullptr);
+  return BoundedScan(in, params_, config, &counters_, out,
+                     /*book=*/nullptr, /*extras=*/nullptr);
 }
 
 }  // namespace copydetect

@@ -5,7 +5,6 @@
 
 #include "core/detector.h"
 #include "core/inverted_index.h"
-#include "simjoin/overlap.h"
 
 namespace copydetect {
 
@@ -50,8 +49,9 @@ struct ScanOutputs {
 };
 
 /// Shared implementation of the bounded index scan (§IV): builds the
-/// index, scans it maintaining Cmin (Eq. 9) / Cmax (Eq. 10) per active
-/// pair, terminates pairs early against theta_cp / theta_ind, and
+/// index, reads the shared-item counts from `in.overlaps`, scans the
+/// index maintaining Cmin (Eq. 9) / Cmax (Eq. 10) per active pair,
+/// terminates pairs early against theta_cp / theta_ind, and
 /// finalizes survivors exactly. Fills `book` (when non-null) with the
 /// per-pair records INCREMENTAL needs. The tail-set optimization is
 /// only active under kByContribution ordering; other orderings process
@@ -66,8 +66,7 @@ struct ScanOutputs {
 /// owner exactly as it would sequentially — bit-identical results at
 /// every thread count. The bookkeeping path stays sequential.
 Status BoundedScan(const DetectionInput& in, const DetectionParams& params,
-                   const ScanConfig& config,
-                   const OverlapCounts& overlaps, Counters* counters,
+                   const ScanConfig& config, Counters* counters,
                    CopyResult* out, ScanBookkeeping* book,
                    ScanOutputs* extras);
 
@@ -80,11 +79,6 @@ class BoundDetector : public CopyDetector {
       : CopyDetector(params), lazy_(lazy), ordering_(ordering),
         seed_(seed) {}
 
-  void Reset() override {
-    CopyDetector::Reset();
-    overlap_cache_.Clear();
-  }
-
   Status DetectRound(const DetectionInput& in, int round,
                      CopyResult* out) override;
 
@@ -92,7 +86,6 @@ class BoundDetector : public CopyDetector {
   bool lazy_;
   EntryOrdering ordering_;
   uint64_t seed_;
-  OverlapCache overlap_cache_;
 };
 
 }  // namespace copydetect

@@ -3,7 +3,8 @@
 namespace copydetect {
 
 Status DetectionInput::Validate() const {
-  if (data == nullptr || value_probs == nullptr || accuracies == nullptr) {
+  if (data == nullptr || overlaps == nullptr || value_probs == nullptr ||
+      accuracies == nullptr) {
     return Status::InvalidArgument("DetectionInput has null fields");
   }
   if (value_probs->size() != data->num_slots()) {

@@ -8,14 +8,20 @@
 #include "core/counters.h"
 #include "core/params.h"
 #include "model/dataset.h"
+#include "simjoin/overlap.h"
 
 namespace copydetect {
 
-/// Everything a detection round reads: the static data set plus the
-/// fusion loop's current estimates. Value probabilities are per slot
-/// (see Dataset), accuracies per source.
+/// Everything a detection round reads: the static data set, its
+/// overlap counts, and the fusion loop's current estimates. Value
+/// probabilities are per slot (see Dataset), accuracies per source.
+/// The run's owner holds `overlaps` and hands the same cache to every
+/// round; a detector calls overlaps->Get(*data) only after Validate(),
+/// so the counts are computed at most once per data set, by the first
+/// round that reads them. Validate() refuses any null field.
 struct DetectionInput {
   const Dataset* data = nullptr;
+  OverlapCache* overlaps = nullptr;
   const std::vector<double>* value_probs = nullptr;
   const std::vector<double>* accuracies = nullptr;
 

@@ -9,7 +9,6 @@ namespace copydetect {
 
 StatusOr<FaginInput> BuildFaginInput(const DetectionInput& in,
                                      const DetectionParams& params,
-                                     const OverlapCounts& overlaps,
                                      Counters* counters) {
   CD_RETURN_IF_ERROR(in.Validate());
 
@@ -60,6 +59,7 @@ StatusOr<FaginInput> BuildFaginInput(const DetectionInput& in,
 
   // Different-value list: ln(1-s) * (l - n) per pair, same both ways.
   NraList& diff_fwd = input.fwd_lists.back();
+  const OverlapCounts& overlaps = in.overlaps->Get(*in.data);
   const double penalty = params.different_penalty();
   n_shared.ForEach([&](uint64_t key, uint32_t& n) {
     uint32_t l = overlaps.Get(PairFirst(key), PairSecond(key));
@@ -85,9 +85,7 @@ Status FaginInputDetector::DetectRound(const DetectionInput& in,
                                        int round, CopyResult* out) {
   (void)round;
   out->Clear();
-  auto input_or = BuildFaginInput(in, params_,
-                                  overlap_cache_.Get(*in.data),
-                                  &counters_);
+  auto input_or = BuildFaginInput(in, params_, &counters_);
   if (!input_or.ok()) return input_or.status();
   const FaginInput& input = *input_or;
 

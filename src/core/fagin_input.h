@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/detector.h"
-#include "simjoin/overlap.h"
 #include "topk/nra.h"
 
 namespace copydetect {
@@ -18,11 +17,11 @@ struct FaginInput {
   std::vector<NraList> bwd_lists;
 };
 
-/// Materializes the NRA input. This already costs as much as a full
-/// INDEX scan — the paper's argument for why the NRA route cannot win.
+/// Materializes the NRA input, reading the shared-item counts from
+/// `in.overlaps`. This already costs as much as a full INDEX scan —
+/// the paper's argument for why the NRA route cannot win.
 StatusOr<FaginInput> BuildFaginInput(const DetectionInput& in,
                                      const DetectionParams& params,
-                                     const OverlapCounts& overlaps,
                                      Counters* counters);
 
 /// Top-k candidate copier pairs by forward score via NRA over the
@@ -40,14 +39,6 @@ class FaginInputDetector : public CopyDetector {
 
   Status DetectRound(const DetectionInput& in, int round,
                      CopyResult* out) override;
-
-  void Reset() override {
-    CopyDetector::Reset();
-    overlap_cache_.Clear();
-  }
-
- private:
-  OverlapCache overlap_cache_;
 };
 
 }  // namespace copydetect

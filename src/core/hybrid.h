@@ -19,20 +19,9 @@ class HybridDetector : public CopyDetector {
   Status DetectRound(const DetectionInput& in, int round,
                      CopyResult* out) override;
 
-  /// Like DetectRound but also emits the per-pair bookkeeping the
-  /// INCREMENTAL detector seeds itself with.
-  Status DetectWithBookkeeping(const DetectionInput& in, CopyResult* out,
-                               ScanBookkeeping* book);
-
-  void Reset() override {
-    CopyDetector::Reset();
-    overlap_cache_.Clear();
-  }
-
  private:
   EntryOrdering ordering_;
   uint64_t seed_;
-  OverlapCache overlap_cache_;
 };
 
 }  // namespace copydetect

@@ -93,7 +93,6 @@ class IncrementalDetector : public CopyDetector {
                           CopyResult* out);
 
   bool seeded_ = false;
-  OverlapCache overlap_cache_;
   std::unique_ptr<InvertedIndex> index_;  // frozen order + tail
   std::vector<double> p_snap_;            // per rank
   std::vector<double> score_snap_;        // per rank (M̂ at snapshot)

@@ -89,7 +89,7 @@ Status IndexDetector::DetectRound(const DetectionInput& in, int round,
                                   CopyResult* out) {
   (void)round;
   CD_RETURN_IF_ERROR(in.Validate());
-  const OverlapCounts& overlaps = overlap_cache_.Get(*in.data);
+  const OverlapCounts& overlaps = in.overlaps->Get(*in.data);
   out->Clear();
 
   auto index_or = InvertedIndex::Build(in, params_, ordering_, seed_);

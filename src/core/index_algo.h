@@ -3,7 +3,6 @@
 
 #include "core/detector.h"
 #include "core/inverted_index.h"
-#include "simjoin/overlap.h"
 
 namespace copydetect {
 
@@ -33,15 +32,9 @@ class IndexDetector : public CopyDetector {
   Status DetectRound(const DetectionInput& in, int round,
                      CopyResult* out) override;
 
-  void Reset() override {
-    CopyDetector::Reset();
-    overlap_cache_.Clear();
-  }
-
  private:
   EntryOrdering ordering_;
   uint64_t seed_;
-  OverlapCache overlap_cache_;
 };
 
 }  // namespace copydetect

@@ -163,12 +163,12 @@ SampledDetector::SampledDetector(const DetectionParams& params,
 Status SampledDetector::DetectRound(const DetectionInput& in, int round,
                                     CopyResult* out) {
   CD_RETURN_IF_ERROR(in.Validate());
-  if (sample_ == nullptr || sampled_from_ != in.data) {
+  if (sample_ == nullptr || sampled_generation_ != in.data->generation()) {
     auto sampled = SampleDataset(*in.data, spec_);
     if (!sampled.ok()) return sampled.status();
     sample_ =
         std::make_unique<SampledData>(std::move(sampled).value());
-    sampled_from_ = in.data;
+    sampled_generation_ = in.data->generation();
     base_->Reset();
   }
   // Project the fusion loop's value probabilities onto the sample.
@@ -178,6 +178,7 @@ Status SampledDetector::DetectRound(const DetectionInput& in, int round,
   }
   DetectionInput sub;
   sub.data = &sample_->data;
+  sub.overlaps = &sample_overlaps_;
   sub.value_probs = &projected_probs_;
   sub.accuracies = in.accuracies;  // source ids preserved
   Status st = base_->DetectRound(sub, round, out);
@@ -189,7 +190,8 @@ void SampledDetector::Reset() {
   CopyDetector::Reset();
   base_->Reset();
   sample_.reset();
-  sampled_from_ = nullptr;
+  sampled_generation_ = 0;
+  sample_overlaps_.Clear();
 }
 
 }  // namespace copydetect

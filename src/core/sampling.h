@@ -45,9 +45,12 @@ StatusOr<SampledData> SampleDataset(const Dataset& full,
                                     const SampleSpec& spec);
 
 /// Wraps any detector to run on a sample of the data set; the sample
-/// is drawn once per data set and reused across rounds (the paper's
-/// SCALESAMPLE applies INCREMENTAL on one sample). Value probabilities
-/// are projected through the slot mapping each round.
+/// is drawn once per data set (keyed on Dataset::generation(), like
+/// OverlapCache) and reused across rounds (the paper's SCALESAMPLE
+/// applies INCREMENTAL on one sample). Value probabilities are
+/// projected through the slot mapping each round. The wrapper owns the
+/// sample's overlap counts and hands them to the base detector; the
+/// full data set's counts in the caller's input are never read.
 class SampledDetector : public CopyDetector {
  public:
   SampledDetector(const DetectionParams& params,
@@ -68,8 +71,9 @@ class SampledDetector : public CopyDetector {
  private:
   std::unique_ptr<CopyDetector> base_;
   SampleSpec spec_;
-  const Dataset* sampled_from_ = nullptr;
+  uint64_t sampled_generation_ = 0;
   std::unique_ptr<SampledData> sample_;
+  OverlapCache sample_overlaps_;
   std::vector<double> projected_probs_;
 };
 

@@ -22,17 +22,20 @@ std::vector<SlotId> VoteFusion(const Dataset& data) {
   return truth;
 }
 
-Status FusionLoop::Start(const Dataset& data, CopyDetector* detector) {
+Status FusionLoop::Start(const Dataset& data, CopyDetector* detector,
+                         OverlapCache* overlaps) {
   CD_RETURN_IF_ERROR(options_.params.Validate());
-  if (options_.use_copy_detection && detector == nullptr) {
+  if (options_.use_copy_detection &&
+      (detector == nullptr || overlaps == nullptr)) {
     return Status::InvalidArgument(
-        "use_copy_detection requires a detector");
+        "use_copy_detection requires a detector and an overlap cache");
   }
 
   Stopwatch init;
   init.Start();
   data_ = &data;
   detector_ = detector;
+  overlaps_ = overlaps;
   result_ = FusionResult();
   result_.value_probs = InitialValueProbs(data);
   result_.accuracies =
@@ -45,11 +48,12 @@ Status FusionLoop::Start(const Dataset& data, CopyDetector* detector) {
 }
 
 Status FusionLoop::Resume(const Dataset& data, CopyDetector* detector,
-                          FusionResult state) {
+                          OverlapCache* overlaps, FusionResult state) {
   CD_RETURN_IF_ERROR(options_.params.Validate());
-  if (options_.use_copy_detection && detector == nullptr) {
+  if (options_.use_copy_detection &&
+      (detector == nullptr || overlaps == nullptr)) {
     return Status::InvalidArgument(
-        "use_copy_detection requires a detector");
+        "use_copy_detection requires a detector and an overlap cache");
   }
   if (state.value_probs.size() != data.num_slots() ||
       state.accuracies.size() != data.num_sources()) {
@@ -59,6 +63,7 @@ Status FusionLoop::Resume(const Dataset& data, CopyDetector* detector,
   }
   data_ = &data;
   detector_ = detector;
+  overlaps_ = overlaps;
   result_ = std::move(state);
   done_ = result_.converged || result_.rounds >= options_.max_rounds;
   return Status::OK();
@@ -80,6 +85,7 @@ StatusOr<bool> FusionLoop::Step() {
   if (options_.use_copy_detection) {
     DetectionInput in;
     in.data = &data;
+    in.overlaps = overlaps_;
     in.value_probs = &result_.value_probs;
     in.accuracies = &result_.accuracies;
     Stopwatch detect;
@@ -137,8 +143,9 @@ StatusOr<bool> FusionLoop::Step() {
 
 StatusOr<FusionResult> IterativeFusion::Run(const Dataset& data,
                                             CopyDetector* detector) const {
+  OverlapCache overlaps;
   FusionLoop loop(options_);
-  CD_RETURN_IF_ERROR(loop.Start(data, detector));
+  CD_RETURN_IF_ERROR(loop.Start(data, detector, &overlaps));
   while (true) {
     StatusOr<bool> stepped = loop.Step();
     if (!stepped.ok()) return stepped.status();

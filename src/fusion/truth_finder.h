@@ -72,15 +72,18 @@ std::vector<SlotId> VoteFusion(const Dataset& data);
 /// Session API (copydetect/session.h). Holds the loop's cross-round
 /// state so callers can interleave work between rounds:
 ///
+///   OverlapCache overlaps;
 ///   FusionLoop loop(options);
-///   CD_RETURN_IF_ERROR(loop.Start(data, detector));
+///   CD_RETURN_IF_ERROR(loop.Start(data, detector, &overlaps));
 ///   while (*loop.Step()) { /* inspect loop.result() per round */ }
 ///   FusionResult result = std::move(loop).Take();
 ///
-/// `data` and `detector` must outlive the loop; `detector` may be null
-/// only when options.use_copy_detection is false. Because Run is
-/// implemented on top of this class, driving it to completion is
-/// bit-identical to the one-shot path by construction.
+/// `data`, `detector` and `overlaps` must outlive the loop, which puts
+/// `overlaps` into every round's DetectionInput; `detector` and
+/// `overlaps` may be null only when options.use_copy_detection is
+/// false. Because Run is implemented on top of this class, driving it
+/// to completion is bit-identical to the one-shot path by
+/// construction.
 class FusionLoop {
  public:
   explicit FusionLoop(const FusionOptions& options)
@@ -88,7 +91,8 @@ class FusionLoop {
 
   /// Validates options and initializes round-0 state (initial value
   /// probabilities and accuracies). Resets any previous run.
-  Status Start(const Dataset& data, CopyDetector* detector);
+  Status Start(const Dataset& data, CopyDetector* detector,
+               OverlapCache* overlaps);
 
   /// Start()'s warm twin: adopts `state` — a FusionResult persisted
   /// after some round N — as the loop's state, so the next Step()
@@ -99,7 +103,7 @@ class FusionLoop {
   /// immediately done() when `state` already converged or exhausted
   /// max_rounds.
   Status Resume(const Dataset& data, CopyDetector* detector,
-                FusionResult state);
+                OverlapCache* overlaps, FusionResult state);
 
   /// Executes the next round (detection + fusion update + convergence
   /// check). Returns true when a round was executed, false when the
@@ -125,6 +129,7 @@ class FusionLoop {
   FusionOptions options_;
   const Dataset* data_ = nullptr;
   CopyDetector* detector_ = nullptr;
+  OverlapCache* overlaps_ = nullptr;
   FusionResult result_;
   bool done_ = true;  // until Start
 };
@@ -133,6 +138,7 @@ class FusionLoop {
 /// options.use_copy_detection is false; otherwise it is invoked once
 /// per round with the current estimates (stateful detectors like
 /// INCREMENTAL rely on the monotonically increasing round number).
+/// Each Run owns the overlap counts of its data set.
 class IterativeFusion {
  public:
   explicit IterativeFusion(const FusionOptions& options)

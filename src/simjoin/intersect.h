@@ -10,8 +10,7 @@ namespace copydetect {
 
 /// Sorted-set intersection kernels — the one merge loop behind
 /// ComputeOverlaps' pairwise path, UpdateOverlaps' provider diffing,
-/// PrefixFilterJoin's candidate verification, and the PAIRWISE
-/// detector's item merge (core/pairwise.cc).
+/// and the PAIRWISE detector's item merge (core/pairwise.cc).
 ///
 /// Inputs are strictly ascending uint32 spans (ItemId / SourceId /
 /// SlotId all alias uint32_t; Dataset guarantees strictness for

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_map>
 #include <utility>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "model/dataset.h"
 #include "simjoin/intersect.h"
 
@@ -36,81 +33,37 @@ size_t OverlapCounts::NumPositivePairs() const {
   return n;
 }
 
-namespace {
-
-/// The process-wide generation -> counts publications. Publications
-/// are reference-counted: two sessions serving the same generation
-/// each publish and each withdraw, and the entry must outlive the
-/// first withdrawal (see SharedOverlaps::Publish).
-struct SharedOverlapsRegistry {
-  struct Entry {
-    std::shared_ptr<const OverlapCounts> counts;
-    size_t publishers = 0;
-  };
-
-  Mutex mu;
-  std::unordered_map<uint64_t, Entry> published CD_GUARDED_BY(mu);
-
-  static SharedOverlapsRegistry& Instance() {
-    // cd-lint: allow(banned-new-delete) intentional leak; sessions may withdraw during static teardown
-    static SharedOverlapsRegistry* registry = new SharedOverlapsRegistry;
-    return *registry;
-  }
-};
-
-}  // namespace
-
-void SharedOverlaps::Publish(
-    uint64_t generation, std::shared_ptr<const OverlapCounts> counts) {
-  SharedOverlapsRegistry& registry = SharedOverlapsRegistry::Instance();
-  MutexLock lock(registry.mu);
-  auto& entry = registry.published[generation];
-  ++entry.publishers;
-  if (entry.counts == nullptr) {
-    // First publisher wins; a generation's counts are immutable, so
-    // any subsequent publication necessarily holds equal counts.
-    entry.counts = std::move(counts);
-  }
-}
-
-std::shared_ptr<const OverlapCounts> SharedOverlaps::Lookup(
-    uint64_t generation) {
-  SharedOverlapsRegistry& registry = SharedOverlapsRegistry::Instance();
-  MutexLock lock(registry.mu);
-  auto it = registry.published.find(generation);
-  return it == registry.published.end() ? nullptr : it->second.counts;
-}
-
-void SharedOverlaps::Withdraw(uint64_t generation) {
-  SharedOverlapsRegistry& registry = SharedOverlapsRegistry::Instance();
-  MutexLock lock(registry.mu);
-  auto it = registry.published.find(generation);
-  if (it == registry.published.end()) return;
-  if (--it->second.publishers == 0) registry.published.erase(it);
-}
-
-size_t SharedOverlaps::NumPublished() {
-  SharedOverlapsRegistry& registry = SharedOverlapsRegistry::Instance();
-  MutexLock lock(registry.mu);
-  return registry.published.size();
-}
-
 const OverlapCounts& OverlapCache::Get(const Dataset& data) {
-  if (generation_ != data.generation()) {
-    std::shared_ptr<const OverlapCounts> published =
-        SharedOverlaps::Lookup(data.generation());
-    counts_ = published != nullptr
-                  ? std::move(published)
-                  : std::make_shared<const OverlapCounts>(
-                        ComputeOverlaps(data));
-    generation_ = data.generation();
+  if (!HasFor(data.generation())) {
+    Set(ComputeOverlaps(data), data.generation());
   }
-  return *counts_;
+  return counts_;
+}
+
+void OverlapCache::Set(OverlapCounts counts, uint64_t generation) {
+  counts_ = std::move(counts);
+  generation_ = generation;
+}
+
+bool OverlapCache::Advance(const Dataset& old_data,
+                           const Dataset& new_data,
+                           std::span<const ItemId> touched_items,
+                           bool allow_patch) {
+  if (!HasFor(old_data.generation())) {
+    Clear();
+    return false;
+  }
+  const bool patched =
+      allow_patch &&
+      UpdateOverlaps(&counts_, old_data, new_data, touched_items);
+  if (!patched) counts_ = ComputeOverlaps(new_data);
+  generation_ = new_data.generation();
+  return patched;
 }
 
 void OverlapCache::Clear() {
   generation_ = 0;
-  counts_.reset();
+  counts_ = OverlapCounts();
 }
 
 namespace {

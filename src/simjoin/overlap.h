@@ -2,7 +2,6 @@
 #define COPYDETECT_SIMJOIN_OVERLAP_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -100,55 +99,48 @@ bool UpdateOverlaps(OverlapCounts* counts, const Dataset& old_data,
                     const Dataset& new_data,
                     std::span<const ItemId> touched_items);
 
-/// Cross-snapshot publication point for delta-maintained overlap
-/// counts, keyed on Dataset::generation(). An updating session that
-/// already holds the counts of a new snapshot (Session::Update
-/// maintains them through UpdateOverlaps) publishes them here;
-/// OverlapCache::Get consults the registry before recounting, so every
-/// detector's private cache picks the maintained counts up with no
-/// plumbing through the detector interface. Generations are
-/// process-unique and a generation's counts are immutable, so a lookup
-/// can never return stale data. Thread-safe.
-/// Publications are reference-counted per generation: two sessions
-/// serving the same snapshot each Publish and each Withdraw, and the
-/// entry survives until the last publisher withdraws — without the
-/// count, the first session's destruction would yank the second's
-/// publication out from under it, and a long-lived process would
-/// either leak generations or drop live ones.
-class SharedOverlaps {
- public:
-  static void Publish(uint64_t generation,
-                      std::shared_ptr<const OverlapCounts> counts);
-  /// Counts published for `generation`, or null.
-  static std::shared_ptr<const OverlapCounts> Lookup(uint64_t generation);
-  /// Drops one publication of `generation`; the registry entry goes
-  /// away with the last one (borrowed references stay valid).
-  static void Withdraw(uint64_t generation);
-  /// Number of generations currently published — a leak check for
-  /// session-lifecycle tests.
-  static size_t NumPublished();
-};
-
-/// Round-to-round cache: l(S1,S2) depends only on which cells are
-/// filled, which never changes inside a fusion run, so detectors
-/// compute it once per data set and reuse it every round (§III counts
-/// it as index-build work; only the first round pays it).
+/// The overlap counts of one data set, held by whoever owns the run —
+/// a Session for its whole life, IterativeFusion::Run for one run, a
+/// SampledDetector for its sample — and handed to every detection
+/// round through DetectionInput::overlaps. l(S1,S2) depends only on
+/// which cells are filled, which never changes inside a fusion run, so
+/// the first round that reads the counts pays for them and later
+/// rounds reuse them (§III counts them as index-build work).
 ///
 /// Keyed on Dataset::generation(), not the object's address: keying on
 /// the pointer alone let a *different* data set allocated at a
 /// recycled address silently inherit the previous one's counts.
 class OverlapCache {
  public:
-  /// Returns the counts for `data`: the cached ones when the
-  /// generation matches, else SharedOverlaps-published ones when
-  /// available (the Session::Update fast path), else a fresh count.
+  /// Returns the counts for `data`: the held ones when the generation
+  /// matches, else a fresh count, which replaces them.
   const OverlapCounts& Get(const Dataset& data);
+
+  /// True when the cache holds the counts of `generation`.
+  bool HasFor(uint64_t generation) const {
+    return generation_ != 0 && generation_ == generation;
+  }
+  /// The held counts; meaningful only while HasFor() holds for some
+  /// generation.
+  const OverlapCounts& counts() const { return counts_; }
+
+  /// Adopts `counts` as those of `generation` (Session::Load).
+  void Set(OverlapCounts counts, uint64_t generation);
+
+  /// Steps the held counts of `old_data` across a delta to `new_data`
+  /// (Session::Update): patches them in place per touched item when
+  /// `allow_patch` (UpdateOverlaps), else — or when the patch does not
+  /// apply — recounts them. Returns true when they were patched. When
+  /// the cache holds nothing for `old_data` it stays empty and returns
+  /// false; the next Get counts.
+  bool Advance(const Dataset& old_data, const Dataset& new_data,
+               std::span<const ItemId> touched_items, bool allow_patch);
 
   void Clear();
 
  private:
   uint64_t generation_ = 0;  // 0 = empty (generations start at 1)
-  std::shared_ptr<const OverlapCounts> counts_;
+  OverlapCounts counts_;
 };
 
 }  // namespace copydetect

@@ -30,10 +30,9 @@ Verdicts EarlyVerdicts(const DetectionInput& in, bool lazy,
   Counters counters;
   CopyResult result;
   ScanBookkeeping book;
-  OverlapCounts overlaps = ComputeOverlaps(*in.data);
   ScanOutputs extras;
-  CD_CHECK_OK(BoundedScan(in, PaperParams(), config, overlaps,
-                          &counters, &result, &book, &extras));
+  CD_CHECK_OK(BoundedScan(in, PaperParams(), config, &counters, &result,
+                          &book, &extras));
   *num_entries_out = extras.num_entries;
   Verdicts v;
   book.ForEach([&](uint64_t key, PairBook& pb) {
@@ -109,10 +108,9 @@ TEST(BoundInvariants, SurvivorsAreExact) {
   Counters counters;
   CopyResult result;
   ScanBookkeeping book;
-  OverlapCounts overlaps = ComputeOverlaps(world.data);
   ScanOutputs extras;
-  ASSERT_TRUE(BoundedScan(in, PaperParams(), config, overlaps, &counters,
-                          &result, &book, &extras)
+  ASSERT_TRUE(BoundedScan(in, PaperParams(), config, &counters, &result,
+                          &book, &extras)
                   .ok());
 
   size_t checked = 0;

@@ -131,9 +131,8 @@ TEST(BoundedScan, BookkeepingRecordsDecisions) {
   Counters counters;
   CopyResult result;
   ScanBookkeeping book;
-  OverlapCounts overlaps = ComputeOverlaps(fx.world.data);
-  ASSERT_TRUE(BoundedScan(fx.Input(), PaperParams(), config, overlaps,
-                          &counters, &result, &book, nullptr)
+  ASSERT_TRUE(BoundedScan(fx.Input(), PaperParams(), config, &counters,
+                          &result, &book, nullptr)
                   .ok());
   EXPECT_EQ(book.size(), 26u);
   const PairBook* pb = book.Find(PairKey(2, 3));
@@ -158,9 +157,8 @@ TEST(BoundedScan, BookkeepingCountsAfterDecisionValues) {
   Counters counters;
   CopyResult result;
   ScanBookkeeping book;
-  OverlapCounts overlaps = ComputeOverlaps(world.data);
-  ASSERT_TRUE(BoundedScan(in, PaperParams(), config, overlaps, &counters,
-                          &result, &book, nullptr)
+  ASSERT_TRUE(BoundedScan(in, PaperParams(), config, &counters, &result,
+                          &book, nullptr)
                   .ok());
   // Verify against an exhaustive recount for a handful of pairs.
   size_t checked = 0;

@@ -21,9 +21,11 @@ CopyResult RunTrajectory(CopyDetector* detector, const Dataset& data,
                          const std::vector<std::vector<double>>& probs,
                          const std::vector<double>& accs) {
   CopyResult result;
+  OverlapCache overlaps;
   for (size_t round = 0; round < probs.size(); ++round) {
     DetectionInput in;
     in.data = &data;
+    in.overlaps = &overlaps;
     in.value_probs = &probs[round];
     in.accuracies = &accs;
     CD_CHECK_OK(detector->DetectRound(
@@ -62,6 +64,7 @@ TEST(IncrementalDeep, SmallDriftKeepsHybridAgreement) {
   HybridDetector hybrid(PaperParams());
   DetectionInput final_in;
   final_in.data = &world.data;
+  final_in.overlaps = &wi.overlaps;
   final_in.value_probs = &trajectory.back();
   final_in.accuracies = &wi.accs;
   CopyResult hybrid_last;
@@ -95,6 +98,7 @@ TEST(IncrementalDeep, BigProbabilityJumpForcesCorrectFlips) {
   HybridDetector hybrid(PaperParams());
   DetectionInput final_in;
   final_in.data = &world.data;
+  final_in.overlaps = &wi.overlaps;
   final_in.value_probs = &last;
   final_in.accuracies = &wi.accs;
   CopyResult hybrid_last;
@@ -115,6 +119,7 @@ TEST(IncrementalDeep, BigAccuracyJumpMigratesPairsToExact) {
   for (int round = 1; round <= 3; ++round) {
     DetectionInput in;
     in.data = &world.data;
+    in.overlaps = &wi.overlaps;
     in.value_probs = &wi.probs;
     in.accuracies = &accs;
     CD_CHECK_OK(detector.DetectRound(in, round, &result));
@@ -123,6 +128,7 @@ TEST(IncrementalDeep, BigAccuracyJumpMigratesPairsToExact) {
   accs[0] = std::max(0.05, accs[0] - 0.5);
   DetectionInput in;
   in.data = &world.data;
+  in.overlaps = &wi.overlaps;
   in.value_probs = &wi.probs;
   in.accuracies = &accs;
   CD_CHECK_OK(detector.DetectRound(in, 4, &result));

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "model/dataset_delta.h"
-#include "simjoin/prefix_join.h"
+#include "simjoin/intersect.h"
 #include "test_util.h"
 
 namespace copydetect {
@@ -40,13 +40,21 @@ TEST(OverlapCounts, DenseAndSparseAgree) {
 }
 
 TEST(OverlapCounts, MatchesBruteForceJoin) {
+  // The oracle: one sorted-list intersection per source pair.
   testutil::World world = testutil::SmallWorld(56, 25, 150);
-  OverlapCounts counts = ComputeOverlaps(world.data);
-  std::vector<OverlapPair> brute = BruteForceJoin(world.data, 1);
-  for (const OverlapPair& p : brute) {
-    EXPECT_EQ(counts.Get(p.a, p.b), p.overlap);
+  const Dataset& data = world.data;
+  OverlapCounts counts = ComputeOverlaps(data);
+  size_t positive = 0;
+  for (SourceId a = 0; a < data.num_sources(); ++a) {
+    for (SourceId b = static_cast<SourceId>(a + 1);
+         b < data.num_sources(); ++b) {
+      const uint32_t want = IntersectSize(data.items_of(a),
+                                          data.items_of(b));
+      EXPECT_EQ(counts.Get(a, b), want) << "pair " << a << "," << b;
+      if (want > 0) ++positive;
+    }
   }
-  EXPECT_EQ(counts.NumPositivePairs(), brute.size());
+  EXPECT_EQ(counts.NumPositivePairs(), positive);
 }
 
 TEST(OverlapCounts, ForEachVisitsPositivePairsOnce) {
@@ -119,7 +127,7 @@ TEST(OverlapCache, ClearForcesRecompute) {
 }
 
 // ---------------------------------------------------------------------
-// Delta maintenance (UpdateOverlaps) and cross-snapshot publication.
+// Delta maintenance (UpdateOverlaps, OverlapCache::Advance).
 
 /// A delta over SmallWorld that retracts, overwrites and adds cells.
 AppliedDelta ApplyTestDelta(const Dataset& base) {
@@ -226,22 +234,35 @@ TEST(UpdateOverlaps, ChainedDeltasStayExact) {
   }
 }
 
-TEST(SharedOverlaps, CachePicksUpPublishedCounts) {
-  testutil::World world = testutil::SmallWorld(74, 15, 80);
-  auto counts = std::make_shared<const OverlapCounts>(
-      ComputeOverlaps(world.data));
-  SharedOverlaps::Publish(world.data.generation(), counts);
-  OverlapCache cache;
-  // Borrowed, not recomputed: the cache must hand back the very
-  // object that was published.
-  EXPECT_EQ(&cache.Get(world.data), counts.get());
-  SharedOverlaps::Withdraw(world.data.generation());
-  // Borrow survives withdrawal; a fresh cache recomputes.
-  EXPECT_EQ(&cache.Get(world.data), counts.get());
-  OverlapCache fresh;
-  EXPECT_NE(&fresh.Get(world.data), counts.get());
-  ExpectSameCounts(fresh.Get(world.data), *counts,
-                   world.data.num_sources());
+TEST(OverlapCache, AdvancePatchesHeldCountsOrStaysEmpty) {
+  testutil::World world = testutil::SmallWorld(74, 20, 100);
+  const Dataset& base = world.data;
+  DatasetDelta delta;  // same source universe: the patchable case
+  std::span<const ItemId> items3 = base.items_of(3);
+  delta.Set(base.source_name(3), base.item_name(items3[0]), "flip");
+  auto applied = base.Apply(delta);
+  CD_CHECK_OK(applied.status());
+  const Dataset& next = applied->data;
+  std::span<const ItemId> touched = applied->summary.touched_items;
+  const OverlapCounts want = ComputeOverlaps(next);
+
+  // Nothing held for the old data set: nothing to step, nothing counted.
+  OverlapCache empty;
+  EXPECT_FALSE(empty.Advance(base, next, touched, /*allow_patch=*/true));
+  EXPECT_FALSE(empty.HasFor(next.generation()));
+
+  OverlapCache patched;
+  (void)patched.Get(base);
+  EXPECT_TRUE(patched.Advance(base, next, touched, /*allow_patch=*/true));
+  ASSERT_TRUE(patched.HasFor(next.generation()));
+  ExpectSameCounts(patched.counts(), want, next.num_sources());
+
+  OverlapCache recounted;
+  (void)recounted.Get(base);
+  EXPECT_FALSE(
+      recounted.Advance(base, next, touched, /*allow_patch=*/false));
+  ASSERT_TRUE(recounted.HasFor(next.generation()));
+  ExpectSameCounts(recounted.counts(), want, next.num_sources());
 }
 
 }  // namespace

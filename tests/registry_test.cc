@@ -14,6 +14,7 @@
 #include "core/incremental.h"
 #include "core/index_algo.h"
 #include "core/pairwise.h"
+#include "test_util.h"
 
 namespace copydetect {
 namespace {
@@ -83,6 +84,31 @@ TEST(DetectorRegistry, ParallelIndexAliasResolvesToIndex) {
   const CopyDetector& made = **detector;
   EXPECT_EQ(std::type_index(typeid(made)),
             std::type_index(typeid(IndexDetector)));
+}
+
+TEST(DetectorRegistry, EveryDetectorRefusesAnIncompleteInput) {
+  // Every detector validates its input before reading any of it: with
+  // one field unset, DetectRound fails cleanly instead of crashing.
+  const std::pair<const char*, void (*)(DetectionInput*)> kUnset[] = {
+      {"data", [](DetectionInput* in) { in->data = nullptr; }},
+      {"overlaps", [](DetectionInput* in) { in->overlaps = nullptr; }},
+      {"value_probs",
+       [](DetectionInput* in) { in->value_probs = nullptr; }},
+      {"accuracies", [](DetectionInput* in) { in->accuracies = nullptr; }},
+  };
+  testutil::ExampleFixture fx;
+  for (const std::string& name : ListDetectors()) {
+    for (const auto& [field, unset] : kUnset) {
+      SCOPED_TRACE(name + " without " + field);
+      DetectionInput in = fx.Input();
+      unset(&in);
+      auto detector = CreateDetector(name, testutil::PaperParams());
+      ASSERT_TRUE(detector.ok());
+      CopyResult out;
+      EXPECT_EQ((*detector)->DetectRound(in, 1, &out).code(),
+                StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST(DetectorRegistry, UnknownNameErrorListsRegistry) {

@@ -153,5 +153,42 @@ TEST(SampledDetector, ReusesSampleAcrossRounds) {
   EXPECT_EQ(detector.sample(), sample1);  // same object, not redrawn
 }
 
+TEST(SampledDetector, NewDataInTheSameObjectDrawsANewSample) {
+  // The sample follows the data set's generation, not its address: a
+  // same-shape world assigned over the one a round ran on must be
+  // sampled afresh, exactly as a fresh detector samples it.
+  testutil::World world_a = testutil::SmallWorld(309);
+  testutil::World world_b = testutil::SmallWorld(310);
+  testutil::WorldInput wa(world_a);
+  testutil::WorldInput wb(world_b);
+  SampleSpec spec;
+  spec.method = SamplingMethod::kByItem;
+  spec.rate = 0.5;
+  SampledDetector reused(PaperParams(),
+                         testutil::NewDetector("index", PaperParams()), spec);
+  SampledDetector fresh(PaperParams(),
+                        testutil::NewDetector("index", PaperParams()), spec);
+
+  Dataset data = world_a.data;
+  OverlapCache overlaps;
+  DetectionInput in;
+  in.data = &data;
+  in.overlaps = &overlaps;
+  in.value_probs = &wa.probs;
+  in.accuracies = &wa.accs;
+  CopyResult first;
+  ASSERT_TRUE(reused.DetectRound(in, 1, &first).ok());
+
+  data = world_b.data;
+  in.value_probs = &wb.probs;
+  in.accuracies = &wb.accs;
+  CopyResult got;
+  ASSERT_TRUE(reused.DetectRound(in, 2, &got).ok());
+  CopyResult want;
+  ASSERT_TRUE(fresh.DetectRound(in, 1, &want).ok());
+  EXPECT_EQ(got.NumTracked(), want.NumTracked());
+  EXPECT_EQ(testutil::CopySet(got), testutil::CopySet(want));
+}
+
 }  // namespace
 }  // namespace copydetect

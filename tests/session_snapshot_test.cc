@@ -626,6 +626,46 @@ TEST(SessionSnapshot, SaveWritesNoTapeSection) {
   EXPECT_EQ(ids, (std::vector<uint32_t>{1, 2, 3, 4}));
 }
 
+TEST(SessionSnapshot, OverlapsAreSavedOnlyForOnlineSessionsThatReadThem) {
+  // Save writes the OVERLAPS section (id 3) only for an online session
+  // whose runs read the counts: PAIRWISE never reads them, a sampled
+  // run counts its sample's, and a batch session persists none.
+  World world = MotivatingExample();
+  struct Case {
+    const char* tag;
+    const char* detector;
+    bool online;
+    double sample_rate;
+    std::vector<uint32_t> want;
+  };
+  const Case kCases[] = {
+      {"online-index", "index", true, 0.0, {1, 2, 3, 4}},
+      {"online-pairwise", "pairwise", true, 0.0, {1, 2, 4}},
+      {"online-sampled", "index", true, 0.5, {1, 2, 4}},
+      {"batch-hybrid", "hybrid", false, 0.0, {1, 2, 4}},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.tag);
+    SessionOptions options;
+    options.detector = c.detector;
+    options.online_updates = c.online;
+    options.sample_rate = c.sample_rate;
+    auto session = Session::Create(options);
+    CD_CHECK_OK(session.status());
+    ASSERT_TRUE(session->Start(world.data).ok());
+    while (true) {
+      auto stepped = session->Step();
+      CD_CHECK_OK(stepped.status());
+      if (!*stepped) break;
+    }
+    const std::string path =
+        TempPath(std::string("overlaps_") + c.tag + ".cdsnap");
+    CD_CHECK_OK(session->Save(path));
+    EXPECT_EQ(testutil::SectionIds(ReadFileBytes(path)), c.want);
+    std::remove(path.c_str());
+  }
+}
+
 TEST(SessionSnapshot, V2TapeGoldenLoadsAndUpdatesLikeAColdRun) {
   // A committed version-2 file from a writer that still taped updates:
   // the motivating example under "index" with online updates, one

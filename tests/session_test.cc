@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -343,6 +344,31 @@ TEST(SessionStreaming, StepByStepMatchesOneShot) {
   auto extra = session->Step();
   CD_CHECK_OK(extra.status());
   EXPECT_FALSE(*extra);
+}
+
+TEST(SessionStreaming, MovedMidRunKeepsStepping) {
+  // The running loop borrows the session's detector and overlap
+  // counts; a Session moved mid-run must keep stepping on them after
+  // the moved-from object is gone.
+  World world = MotivatingExample();
+  SessionOptions options;
+  options.detector = "hybrid";
+  Report straight = RunSession(world.data, options);
+
+  std::optional<Session> moved;
+  {
+    auto source = Session::Create(options);
+    CD_CHECK_OK(source.status());
+    ASSERT_TRUE(source->Start(world.data).ok());
+    CD_CHECK_OK(source->Step().status());
+    moved.emplace(std::move(source).value());
+  }  // the moved-from source is destroyed here
+  while (true) {
+    auto stepped = moved->Step();
+    CD_CHECK_OK(stepped.status());
+    if (!*stepped) break;
+  }
+  ExpectSameFusion(moved->report().fusion, straight.fusion);
 }
 
 TEST(SessionStreaming, StepBeforeStartFails) {

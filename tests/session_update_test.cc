@@ -12,8 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "simjoin/overlap.h"
-
 namespace copydetect {
 namespace {
 
@@ -215,45 +213,23 @@ TEST(SessionUpdate, IndexSessionMaintainsOverlaps) {
   SessionOptions options = ExampleOptions("index", 1);
   options.n = world->suggested_n;
   options.online_updates = true;
-  // Registry hygiene: sessions publish their maintained counts into
-  // the process-wide SharedOverlaps registry and must withdraw them on
-  // destruction — a long-lived serving process cannot accumulate dead
-  // generations.
-  const size_t published_before = SharedOverlaps::NumPublished();
-  {
-    auto session = Session::Create(options);
-    CD_CHECK_OK(session.status());
-    CD_CHECK_OK(session->Run(base).status());
-    EXPECT_EQ(SharedOverlaps::NumPublished(), published_before + 1);
-    {
-      // A second session over the same dataset generation refcounts
-      // the published entry instead of duplicating it, and its
-      // destruction must not yank the entry from under the first.
-      auto twin = Session::Create(options);
-      CD_CHECK_OK(twin.status());
-      CD_CHECK_OK(twin->Run(base).status());
-      EXPECT_EQ(SharedOverlaps::NumPublished(), published_before + 1);
-    }
-    EXPECT_EQ(SharedOverlaps::NumPublished(), published_before + 1);
+  auto session = Session::Create(options);
+  CD_CHECK_OK(session.status());
+  CD_CHECK_OK(session->Run(base).status());
 
-    DatasetDelta delta;  // same source universe: the patchable case
-    std::span<const ItemId> items = base.items_of(1);
-    delta.Set(base.source_name(1), base.item_name(items[0]), "patched");
-    CD_CHECK_OK(session->Update(delta));
-    EXPECT_TRUE(session->last_update_stats().incremental);
-    EXPECT_TRUE(session->last_update_stats().overlaps_maintained);
-    // The update republished under the new dataset generation — the
-    // old generation's entry is gone, not leaked.
-    EXPECT_EQ(SharedOverlaps::NumPublished(), published_before + 1);
+  DatasetDelta delta;  // same source universe: the patchable case
+  std::span<const ItemId> items = base.items_of(1);
+  delta.Set(base.source_name(1), base.item_name(items[0]), "patched");
+  CD_CHECK_OK(session->Update(delta));
+  EXPECT_TRUE(session->last_update_stats().incremental);
+  EXPECT_TRUE(session->last_update_stats().overlaps_maintained);
 
-    // Growing the source universe forces a recount — still correct,
-    // just not patched.
-    DatasetDelta grow;
-    grow.Set("brand-new", base.item_name(items[0]), "x");
-    CD_CHECK_OK(session->Update(grow));
-    EXPECT_FALSE(session->last_update_stats().overlaps_maintained);
-  }
-  EXPECT_EQ(SharedOverlaps::NumPublished(), published_before);
+  // Growing the source universe forces a recount — still correct,
+  // just not patched.
+  DatasetDelta grow;
+  grow.Set("brand-new", base.item_name(items[0]), "x");
+  CD_CHECK_OK(session->Update(grow));
+  EXPECT_FALSE(session->last_update_stats().overlaps_maintained);
 }
 
 TEST(SessionUpdate, LargeDeltaFallsBackAndStaysEquivalent) {

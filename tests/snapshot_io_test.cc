@@ -132,8 +132,10 @@ LegacyTape FullTape(uint64_t generation) {
     tape_round.pre_accs = fusion.accuracies;
     tape_round.copies = fusion.copies;
     if (round == 1) {
+      OverlapCache overlaps;
       DetectionInput in;
       in.data = &state.data;
+      in.overlaps = &overlaps;
       in.value_probs = &fusion.value_probs;
       in.accuracies = &fusion.accuracies;
       auto index = InvertedIndex::Build(in, DetectionParams());

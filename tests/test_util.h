@@ -36,20 +36,22 @@ inline std::unique_ptr<CopyDetector> NewDetector(
 
 /// A fixture bundling the running example with the converged value
 /// probabilities (Table III) and accuracies (Table I), wired into a
-/// DetectionInput.
+/// DetectionInput together with the fixture's own overlap counts.
 struct ExampleFixture {
   World world;
   std::vector<double> probs;
   std::vector<double> accs;
+  OverlapCache overlaps;
 
   ExampleFixture()
       : world(MotivatingExample()),
         probs(MotivatingValueProbabilities(world.data)),
         accs(MotivatingAccuracies()) {}
 
-  DetectionInput Input() const {
+  DetectionInput Input() {
     DetectionInput in;
     in.data = &world.data;
+    in.overlaps = &overlaps;
     in.value_probs = &probs;
     in.accuracies = &accs;
     return in;
@@ -89,16 +91,19 @@ inline World SmallWorld(uint64_t seed, size_t sources = 40,
 
 /// Builds a DetectionInput over a world using naive vote-share value
 /// probabilities and the planted true accuracies — a realistic
-/// mid-iteration state for single-round algorithm tests.
+/// mid-iteration state for single-round algorithm tests — plus the
+/// overlap counts every round over it shares.
 struct WorldInput {
   std::vector<double> probs;
   std::vector<double> accs;
+  OverlapCache overlaps;
 
   explicit WorldInput(const World& world);
 
-  DetectionInput Input(const World& world) const {
+  DetectionInput Input(const World& world) {
     DetectionInput in;
     in.data = &world.data;
+    in.overlaps = &overlaps;
     in.value_probs = &probs;
     in.accuracies = &accs;
     return in;

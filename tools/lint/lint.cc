@@ -519,6 +519,14 @@ constexpr RetiredName kRetiredNames[] = {
      "the in-process ShardedDetector harness was removed — run shards "
      "through Session's InitShardedRun/RunShardRound/MergeShardRound, "
      "or plan-pinned CreateDetector instances and MergeShardResults"},
+    {"SharedOverlaps",
+     "the process-wide SharedOverlaps registry was removed — the run's "
+     "owner holds one OverlapCache and hands it to every round through "
+     "DetectionInput::overlaps"},
+    {"MaintainedOverlaps",
+     "MaintainedOverlaps was removed — OverlapCache holds a session's "
+     "counts, installs loaded ones (Set) and steps them across a delta "
+     "(Advance)"},
 };
 
 /// Shims that completed their one-release deprecation window must not

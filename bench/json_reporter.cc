@@ -1,7 +1,9 @@
 #include "json_reporter.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <thread>
 #include <utility>
 
 #include "common/json.h"
@@ -31,7 +33,13 @@ std::string JsonReporter::ToJson() const {
   out += "{\n";
   out += StrFormat("  \"benchmark\": \"%s\",\n",
                    JsonEscape(benchmark_name_).c_str());
-  out += "  \"schema_version\": 2,\n";
+  out += "  \"schema_version\": 4,\n";
+  out += StrFormat("  \"host_cpus\": %u,\n",
+                   std::max(1u, std::thread::hardware_concurrency()));
+  out += StrFormat("  \"build_type\": \"%s\",\n",
+                   JsonEscape(COPYDETECT_BENCH_BUILD_TYPE).c_str());
+  out += StrFormat("  \"sanitize\": \"%s\",\n",
+                   JsonEscape(COPYDETECT_BENCH_SANITIZE).c_str());
   out += "  \"records\": [";
   for (size_t i = 0; i < records_.size(); ++i) {
     const BenchRecord& r = records_[i];

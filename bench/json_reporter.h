@@ -12,7 +12,8 @@
 //
 //   {
 //     "benchmark": "micro_core",
-//     "schema_version": 2,
+//     "schema_version": 4,
+//     "host_cpus": 4, "build_type": "Release", "sanitize": "",
 //     "records": [
 //       {"name": "...", "detector": "pairwise", "dataset": "book-cs",
 //        "scale": 0.5, "real_seconds": 1.2e-3, "cpu_seconds": 1.1e-3,
@@ -34,8 +35,14 @@
 // speedup curve of one configuration.
 //
 // schema_version 3 added per-operation latency percentiles for a load
-// harness that has since been retired; the writer emits version 2
-// again, without them.
+// harness that has since been retired; no writer emits them any more.
+//
+// schema_version 4 adds the host block cdbench's output carries:
+// `host_cpus` (hardware threads of the measuring host), `build_type`
+// (CMAKE_BUILD_TYPE) and `sanitize` (COPYDETECT_SANITIZE, empty for
+// an unsanitized build), so a committed BENCH file says what produced
+// it. Records are unchanged; tools/bench_compare.py reads versions 2
+// and 4 alike.
 
 #include <cstdint>
 #include <string>

@@ -133,8 +133,15 @@ BENCHMARK(BM_FlatHashMapUpsert)->Arg(1 << 10)->Arg(1 << 16);
 void BM_SharedContribution(benchmark::State& state) {
   DetectionParams params = Params();
   double p = 0.05;
+  double a1 = 0.8;
+  double a2 = 0.3;
   for (auto _ : state) {
-    double c = SharedContribution(p, 0.8, 0.3, params);
+    // The kernel is inline: opaque inputs keep the compiler from
+    // hoisting the whole evaluation out of the loop.
+    benchmark::DoNotOptimize(p);
+    benchmark::DoNotOptimize(a1);
+    benchmark::DoNotOptimize(a2);
+    double c = SharedContribution(p, a1, a2, params);
     benchmark::DoNotOptimize(c);
   }
 }

@@ -63,15 +63,21 @@ class FlatHashMap {
 
   /// Returns the value slot for `key`, inserting a default-constructed
   /// value when absent.
-  V& operator[](uint64_t key) {
+  V& operator[](uint64_t key) { return *Insert(key).first; }
+
+  /// Returns {the value slot for `key`, whether this call inserted it}
+  /// in one probe; an inserted value is default-constructed. Grows
+  /// exactly when operator[] would, so the two fill a table alike.
+  std::pair<V*, bool> Insert(uint64_t key) {
     assert(key != kEmptyKey);
     if ((size_ + 1) * 4 >= keys_.size() * 3) Rehash(keys_.size() * 2);
     size_t i = Probe(key);
-    if (keys_[i] == kEmptyKey) {
+    const bool fresh = keys_[i] == kEmptyKey;
+    if (fresh) {
       keys_[i] = key;
       ++size_;
     }
-    return values_[i];
+    return {&values_[i], fresh};
   }
 
   /// Returns a pointer to the value for `key`, or nullptr when absent.

@@ -6,25 +6,6 @@
 
 namespace copydetect {
 
-double IndependentSharedProb(double p, double a1, double a2,
-                             const DetectionParams& params) {
-  return p * a1 * a2 + (1.0 - p) * (1.0 - a1) * (1.0 - a2) / params.n;
-}
-
-double CopiedValueProb(double p, double a2) {
-  return p * a2 + (1.0 - p) * (1.0 - a2);
-}
-
-double SharedContribution(double p, double a1, double a2,
-                          const DetectionParams& params) {
-  p = ClampProbability(p);
-  a1 = ClampAccuracy(a1);
-  a2 = ClampAccuracy(a2);
-  double indep = IndependentSharedProb(p, a1, a2, params);
-  double copied = CopiedValueProb(p, a2);
-  return std::log(1.0 - params.s + params.s * copied / indep);
-}
-
 double NoCopyPosterior(double c_fwd, double c_bwd,
                        const DetectionParams& params) {
   // 1 / (1 + exp(L + logaddexp(c_fwd, c_bwd))), L = ln(alpha/beta).
@@ -36,10 +17,10 @@ double NoCopyPosterior(double c_fwd, double c_bwd,
 }
 
 Posteriors DirectionPosteriors(double c_fwd, double c_bwd,
-                               const DetectionParams& params) {
-  double lb = std::log(params.beta());
-  double lf = std::log(params.alpha) + c_fwd;
-  double lw = std::log(params.alpha) + c_bwd;
+                               const PosteriorPrior& prior) {
+  double lb = prior.log_beta;
+  double lf = prior.log_alpha + c_fwd;
+  double lw = prior.log_alpha + c_bwd;
   double m = std::max({lb, lf, lw});
   double eb = std::exp(lb - m);
   double ef = std::exp(lf - m);

@@ -11,28 +11,55 @@
 
 namespace copydetect {
 
+// The per-shared-value kernels below are inline: every shared value of
+// an INDEX, BOUND or HYBRID scan evaluates SharedContribution twice.
+
 /// Probability that two *independent* sources S1, S2 both provide the
 /// same value v on an item, given Pr(v true) = p and accuracies a1, a2
 /// (Eq. 3):  p·a1·a2 + (1-p)·(1-a1)(1-a2)/n.
-double IndependentSharedProb(double p, double a1, double a2,
-                             const DetectionParams& params);
+inline double IndependentSharedProb(double p, double a1, double a2,
+                                    const DetectionParams& params) {
+  return p * a1 * a2 + (1.0 - p) * (1.0 - a1) * (1.0 - a2) / params.n;
+}
 
 /// Probability of observing S2's value when the copier copied it
 /// (Eq. 4):  p·a2 + (1-p)(1-a2).
-double CopiedValueProb(double p, double a2);
+inline double CopiedValueProb(double p, double a2) {
+  return p * a2 + (1.0 - p) * (1.0 - a2);
+}
 
 /// Contribution score C→(D) of a *shared* value to "S1 copies from S2"
 /// (Eq. 6):  ln(1 - s + s · CopiedValueProb / IndependentSharedProb).
 /// a1 is the candidate copier's accuracy, a2 the candidate original's.
 /// Positive for plausible values, larger for improbable (false) values.
-double SharedContribution(double p, double a1, double a2,
-                          const DetectionParams& params);
+inline double SharedContribution(double p, double a1, double a2,
+                                 const DetectionParams& params) {
+  p = ClampProbability(p);
+  a1 = ClampAccuracy(a1);
+  a2 = ClampAccuracy(a2);
+  double indep = IndependentSharedProb(p, a1, a2, params);
+  double copied = CopiedValueProb(p, a2);
+  return std::log(1.0 - params.s + params.s * copied / indep);
+}
 
 /// Posterior probability of independence given accumulated directional
 /// scores (Eq. 2): 1 / (1 + (alpha/beta)(e^{c_fwd} + e^{c_bwd})).
 /// Overflow-safe for arbitrarily large scores.
 double NoCopyPosterior(double c_fwd, double c_bwd,
                        const DetectionParams& params);
+
+/// The log prior weights of DirectionPosteriors, ln(beta) and
+/// ln(alpha). They depend only on the parameters, so a detection round
+/// takes them once, not once per pair. Explicit, so that no call site
+/// rebuilds them per pair by accident.
+struct PosteriorPrior {
+  explicit PosteriorPrior(const DetectionParams& params)
+      : log_beta(std::log(params.beta())),
+        log_alpha(std::log(params.alpha)) {}
+
+  double log_beta;
+  double log_alpha;
+};
 
 /// Full directional posterior: Pr(independent), Pr(S1→S2) (S1 copies
 /// from S2) and Pr(S1←S2), proportional to {beta, alpha·e^{c_fwd},
@@ -43,7 +70,7 @@ struct Posteriors {
   double bwd = 0.0;
 };
 Posteriors DirectionPosteriors(double c_fwd, double c_bwd,
-                               const DetectionParams& params);
+                               const PosteriorPrior& prior);
 
 /// Batched per-pair form of SharedContribution for the PAIRWISE merge
 /// loop, which evaluates Eq. 6 for one (S1, S2) pair across every
@@ -100,11 +127,12 @@ class PairContributionScorer {
 double MaxEntryContribution(std::span<const double> accuracies, double p,
                             const DetectionParams& params);
 
-/// Provider-batched form for the index (re)build hot path: reads the
-/// providers' accuracies straight out of the source-indexed accuracy
-/// array instead of a copied-out scratch vector. The extremes scan
-/// visits accuracies in the same order as the copy would, so the
-/// result is bit-identical to the span overload on the copied values.
+/// Provider-batched form for the index build and INCREMENTAL's
+/// rescoring: reads the providers' accuracies straight out of the
+/// source-indexed accuracy array instead of a copied-out scratch
+/// vector. The extremes scan visits accuracies in the same order as
+/// the copy would, so the result is bit-identical to the span
+/// overload on the copied values.
 double MaxEntryContribution(std::span<const SourceId> providers,
                             std::span<const double> accuracies, double p,
                             const DetectionParams& params);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "common/arena.h"
 #include "common/executor.h"
@@ -58,11 +59,17 @@ void ScanShard(const InvertedIndex& index, const DetectionInput& in,
   const double penalty = params.different_penalty();
   const double theta_cp = params.theta_cp();
   const double theta_ind = params.theta_ind();
+  const PosteriorPrior prior(params);
 
   // Round scratch — the pair-state table and the per-source counts —
   // comes from the shard's leased arena, which retains its chunks
-  // between rounds.
+  // between rounds. Pairs are created only outside the tail, which
+  // bounds the table; it is sized once.
+  const size_t creating_end =
+      config.respect_tail ? index.tail_begin() : index.num_entries();
   ArenaHashMap<ScanState> pairs(arena);
+  pairs.Reserve(
+      ShardPairReservation(index, creating_end, shard, num_shards, arena));
   uint32_t* n_src = arena->AllocateArray<uint32_t>(data.num_sources());
   std::fill(n_src, n_src + data.num_sources(), 0u);
 
@@ -93,17 +100,15 @@ void ScanShard(const InvertedIndex& index, const DetectionInput& in,
           st = pairs.Find(key);
           if (st == nullptr) continue;
         } else {
-          ScanState* existing = pairs.Find(key);
-          if (existing == nullptr) {
-            st = &pairs[key];
+          bool fresh = false;
+          std::tie(st, fresh) = pairs.Insert(key);
+          if (fresh) {
             st->l = overlaps.Get(lo, hi);
             st->mode = (config.hybrid_threshold > 0 &&
                         st->l <= config.hybrid_threshold)
                            ? kIndexMode
                            : kBoundMode;
             ++counters->pairs_tracked;
-          } else {
-            st = existing;
           }
         }
         if (st->status != kActive) {
@@ -137,7 +142,7 @@ void ScanShard(const InvertedIndex& index, const DetectionInput& in,
             st->status = kDoneCopy;
             st->decision_rank = static_cast<uint32_t>(rank);
             ++counters->early_copy;
-            Posteriors post = DirectionPosteriors(cmin_f, cmin_b, params);
+            Posteriors post = DirectionPosteriors(cmin_f, cmin_b, prior);
             out->Set(lo, hi, PairPosterior{post.indep, post.fwd, post.bwd});
             continue;
           }
@@ -169,7 +174,7 @@ void ScanShard(const InvertedIndex& index, const DetectionInput& in,
             st->status = kDoneNoCopy;
             st->decision_rank = static_cast<uint32_t>(rank);
             ++counters->early_nocopy;
-            Posteriors post = DirectionPosteriors(cmax_f, cmax_b, params);
+            Posteriors post = DirectionPosteriors(cmax_f, cmax_b, prior);
             out->Set(lo, hi, PairPosterior{post.indep, post.fwd, post.bwd});
             continue;
           }
@@ -214,7 +219,7 @@ void ScanShard(const InvertedIndex& index, const DetectionInput& in,
     double c_fwd = st.c_fwd + diff;
     double c_bwd = st.c_bwd + diff;
     counters->finalize_evals += 2;
-    Posteriors post = DirectionPosteriors(c_fwd, c_bwd, params);
+    Posteriors post = DirectionPosteriors(c_fwd, c_bwd, prior);
     out->Set(lo, hi, PairPosterior{post.indep, post.fwd, post.bwd});
     if (book != nullptr) {
       PairBook pb;

@@ -31,4 +31,12 @@ std::vector<uint64_t> CopyResult::CopyingPairs() const {
   return out;
 }
 
+size_t CopyResult::NumCopying() const {
+  size_t n = 0;
+  map_.ForEach([&n](uint64_t, const PairPosterior& p) {
+    if (p.IsCopying()) ++n;
+  });
+  return n;
+}
+
 }  // namespace copydetect

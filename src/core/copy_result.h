@@ -40,6 +40,9 @@ class CopyResult {
   /// All pairs concluded as copying, as packed PairKeys (unsorted).
   std::vector<uint64_t> CopyingPairs() const;
 
+  /// CopyingPairs().size(), without building the list.
+  size_t NumCopying() const;
+
   /// Number of tracked pairs.
   size_t NumTracked() const { return map_.size(); }
 

@@ -100,9 +100,10 @@ Status FaginInputDetector::DetectRound(const DetectionInput& in,
       sums[key].second += score;
     }
   }
+  const PosteriorPrior prior(params_);
   sums.ForEach([&](uint64_t key, std::pair<double, double>& c) {
     counters_.finalize_evals += 2;
-    Posteriors post = DirectionPosteriors(c.first, c.second, params_);
+    Posteriors post = DirectionPosteriors(c.first, c.second, prior);
     out->Set(PairFirst(key), PairSecond(key),
              PairPosterior{post.indep, post.fwd, post.bwd});
   });

@@ -117,6 +117,7 @@ Status IncrementalDetector::IncrementalRound(const DetectionInput& in,
   const std::vector<double>& accs = *in.accuracies;
   const double theta_cp = params_.theta_cp();
   const double theta_ind = params_.theta_ind();
+  const PosteriorPrior prior(params_);
   const size_t m = index_->num_entries();
 
   RoundStats rs;
@@ -131,32 +132,25 @@ Status IncrementalDetector::IncrementalRound(const DetectionInput& in,
   std::vector<uint32_t> big_ranks;
   double delta_rho_dec = 0.0;  // max small decrease magnitude
   double delta_rho_inc = 0.0;  // max small increase magnitude
-  {
-    std::vector<double> scratch;
-    for (size_t rank = 0; rank < m; ++rank) {
-      SlotId slot = index_->entry(rank).slot;
-      p_new[rank] = probs[slot];
-      scratch.clear();
-      for (SourceId s : data.providers(slot)) {
-        scratch.push_back(a_snap_[s]);
-      }
-      score_new[rank] =
-          MaxEntryContribution(scratch, p_new[rank], params_);
-      double delta = score_new[rank] - score_snap_[rank];
-      if (delta >= 0.0) {
-        category[rank] = delta > params_.rho_value ? kBigInc : kSmallInc;
-        if (category[rank] == kSmallInc) {
-          delta_rho_inc = std::max(delta_rho_inc, delta);
-        } else {
-          big_ranks.push_back(static_cast<uint32_t>(rank));
-        }
+  for (size_t rank = 0; rank < m; ++rank) {
+    SlotId slot = index_->entry(rank).slot;
+    p_new[rank] = probs[slot];
+    score_new[rank] = MaxEntryContribution(
+        data.providers(slot), a_snap_, p_new[rank], params_);
+    double delta = score_new[rank] - score_snap_[rank];
+    if (delta >= 0.0) {
+      category[rank] = delta > params_.rho_value ? kBigInc : kSmallInc;
+      if (category[rank] == kSmallInc) {
+        delta_rho_inc = std::max(delta_rho_inc, delta);
       } else {
-        category[rank] = -delta > params_.rho_value ? kBigDec : kSmallDec;
-        if (category[rank] == kSmallDec) {
-          delta_rho_dec = std::max(delta_rho_dec, -delta);
-        } else {
-          big_ranks.push_back(static_cast<uint32_t>(rank));
-        }
+        big_ranks.push_back(static_cast<uint32_t>(rank));
+      }
+    } else {
+      category[rank] = -delta > params_.rho_value ? kBigDec : kSmallDec;
+      if (category[rank] == kSmallDec) {
+        delta_rho_dec = std::max(delta_rho_dec, -delta);
+      } else {
+        big_ranks.push_back(static_cast<uint32_t>(rank));
       }
     }
   }
@@ -336,7 +330,7 @@ Status IncrementalDetector::IncrementalRound(const DetectionInput& in,
           ComputePairScores(in, lo, hi, params_, &counters_);
       counters_.finalize_evals += 2;
       Posteriors post =
-          DirectionPosteriors(scores.c_fwd, scores.c_bwd, params_);
+          DirectionPosteriors(scores.c_fwd, scores.c_bwd, prior);
       st.last_post = PairPosterior{post.indep, post.fwd, post.bwd};
       out->Set(lo, hi, st.last_post);
       st.decision = post.indep <= 0.5 ? int8_t{1} : int8_t{-1};
@@ -350,7 +344,7 @@ Status IncrementalDetector::IncrementalRound(const DetectionInput& in,
         counters_.finalize_evals += 2;
         Posteriors post = DirectionPosteriors(st.c_fwd + st.big_fwd,
                                               st.c_bwd + st.big_bwd,
-                                              params_);
+                                              prior);
         st.last_post = PairPosterior{post.indep, post.fwd, post.bwd};
       }
       out->Set(lo, hi, st.last_post);
@@ -364,7 +358,7 @@ Status IncrementalDetector::IncrementalRound(const DetectionInput& in,
     PairScores scores = ComputePairScores(in, lo, hi, params_, &counters_);
     counters_.finalize_evals += 2;
     Posteriors post =
-        DirectionPosteriors(scores.c_fwd, scores.c_bwd, params_);
+        DirectionPosteriors(scores.c_fwd, scores.c_bwd, prior);
     st.last_post = PairPosterior{post.indep, post.fwd, post.bwd};
     out->Set(lo, hi, st.last_post);
     int8_t new_decision = post.indep <= 0.5 ? int8_t{1} : int8_t{-1};

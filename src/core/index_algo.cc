@@ -1,5 +1,7 @@
 #include "core/index_algo.h"
 
+#include <tuple>
+
 #include "common/arena.h"
 #include "common/executor.h"
 #include "core/bayes.h"
@@ -30,8 +32,11 @@ void ScanShard(const InvertedIndex& index, const std::vector<double>& accs,
                const OverlapCounts& overlaps, size_t shard,
                size_t num_shards, Counters* counters, CopyResult* out,
                Arena* arena) {
-  // The pair table lives in the shard's leased arena.
+  // The pair table lives in the shard's leased arena. Only head
+  // entries create pairs, which bounds the table; it is sized once.
   ArenaHashMap<IndexPairState> pairs(arena);
+  pairs.Reserve(ShardPairReservation(index, index.tail_begin(), shard,
+                                     num_shards, arena));
 
   // Steps 1-2: scan entries in order; head entries create state, tail
   // entries only update pairs already seen.
@@ -53,8 +58,8 @@ void ScanShard(const InvertedIndex& index, const std::vector<double>& accs,
           state = pairs.Find(key);
           if (state == nullptr) continue;
         } else {
-          bool fresh = pairs.Find(key) == nullptr;
-          state = &pairs[key];
+          bool fresh = false;
+          std::tie(state, fresh) = pairs.Insert(key);
           if (fresh) ++counters->pairs_tracked;
         }
         state->c_fwd +=
@@ -70,6 +75,7 @@ void ScanShard(const InvertedIndex& index, const std::vector<double>& accs,
 
   // Step 3: different-value penalty and posterior.
   const double penalty = params.different_penalty();
+  const PosteriorPrior prior(params);
   pairs.ForEach([&](uint64_t key, IndexPairState& state) {
     SourceId a = PairFirst(key);
     SourceId b = PairSecond(key);
@@ -78,7 +84,7 @@ void ScanShard(const InvertedIndex& index, const std::vector<double>& accs,
     double c_fwd = state.c_fwd + diff;
     double c_bwd = state.c_bwd + diff;
     counters->finalize_evals += 2;
-    Posteriors post = DirectionPosteriors(c_fwd, c_bwd, params);
+    Posteriors post = DirectionPosteriors(c_fwd, c_bwd, prior);
     out->Set(a, b, PairPosterior{post.indep, post.fwd, post.bwd});
   });
 }

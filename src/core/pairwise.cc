@@ -145,6 +145,7 @@ Status PairwiseDetector::DetectRound(const DetectionInput& in, int round,
   };
   std::vector<std::vector<RowPair>> rows(n - 1);
   std::vector<Counters> row_counters(n - 1);
+  const PosteriorPrior prior(params_);
   ParallelFor(params_.executor, n - 1, [&](size_t row) {
     SourceId a = static_cast<SourceId>(row);
     // Under an active ShardPlan this instance scores only the rows it
@@ -164,7 +165,7 @@ Status PairwiseDetector::DetectRound(const DetectionInput& in, int round,
       // and would make the result quadratic in |S|.
       if (scores.shared_items == 0) continue;
       Posteriors post =
-          DirectionPosteriors(scores.c_fwd, scores.c_bwd, params_);
+          DirectionPosteriors(scores.c_fwd, scores.c_bwd, prior);
       rows[row].push_back(
           {b, PairPosterior{post.indep, post.fwd, post.bwd}});
     }

@@ -97,7 +97,7 @@ StatusOr<bool> FusionLoop::Step() {
     trace.detect_seconds = detect.Seconds();
     trace.detect_cpu_seconds = ProcessCpuSeconds() - cpu_before;
     trace.computations = detector_->counters().Total();
-    trace.copying_pairs = result_.copies.CopyingPairs().size();
+    trace.copying_pairs = result_.copies.NumCopying();
     result_.detect_seconds += trace.detect_seconds;
     result_.detect_cpu_seconds += trace.detect_cpu_seconds;
   }

@@ -30,15 +30,42 @@ void ComputeValueProbs(const Dataset& data,
                        const DetectionParams& params,
                        std::vector<double>* probs) {
   probs->assign(data.num_slots(), 0.0);
+  const size_t num_sources = data.num_sources();
 
-  // Pair lookups in the discount loop are O(#providers^2) per value;
-  // skip them entirely for sources with no copying relation at all
-  // (the overwhelming majority).
-  std::vector<uint8_t> in_copying(data.num_sources(), 0);
-  for (uint64_t key : copies.CopyingPairs()) {
-    in_copying[PairFirst(key)] = 1;
-    in_copying[PairSecond(key)] = 1;
+  // Per-source round constants: the vote weight, and the source's
+  // place in the vote order (accuracy descending, then id), so that
+  // ordering a value's providers compares integers only.
+  std::vector<double> weight(num_sources);
+  std::vector<SourceId> by_vote(num_sources);
+  for (SourceId s = 0; s < num_sources; ++s) {
+    double a = ClampAccuracy(accuracies[s]);
+    weight[s] = std::log(params.n * a / (1.0 - a));
+    by_vote[s] = s;
   }
+  std::sort(by_vote.begin(), by_vote.end(),
+            [&accuracies](SourceId a, SourceId b) {
+              if (accuracies[a] != accuracies[b]) {
+                return accuracies[a] > accuracies[b];
+              }
+              return a < b;
+            });
+  std::vector<uint32_t> vote_rank(num_sources);
+  for (size_t r = 0; r < num_sources; ++r) {
+    vote_rank[by_vote[r]] = static_cast<uint32_t>(r);
+  }
+
+  // The copy discount reads only pairs concluded as copying: a table
+  // of those alone, and a per-source flag that skips the lookups for
+  // sources with no copying relation at all (the overwhelming
+  // majority).
+  FlatHashMap<PairPosterior> copying;
+  std::vector<uint8_t> in_copying(num_sources, 0);
+  copies.ForEach([&](SourceId a, SourceId b, const PairPosterior& post) {
+    if (!post.IsCopying()) return;
+    copying[PairKey(a, b)] = post;
+    in_copying[a] = 1;
+    in_copying[b] = 1;
+  });
 
   // Items are independent and write disjoint slot ranges, so the loop
   // parallelizes over the shared executor with bit-identical results.
@@ -55,45 +82,53 @@ void ComputeValueProbs(const Dataset& data,
 
     for (SlotId v = begin; v < end; ++v) {
       std::span<const SourceId> providers = data.providers(v);
+      if (providers.size() == 1) {
+        // Nothing to order and nothing to discount; the same sum as
+        // the loop below, 0 + w·1.
+        votes[v - begin] = 0.0 + weight[providers[0]] * 1.0;
+        continue;
+      }
       order.assign(providers.begin(), providers.end());
       std::sort(order.begin(), order.end(),
-                [&accuracies](SourceId a, SourceId b) {
-                  if (accuracies[a] != accuracies[b]) {
-                    return accuracies[a] > accuracies[b];
-                  }
-                  return a < b;
+                [&vote_rank](SourceId a, SourceId b) {
+                  return vote_rank[a] < vote_rank[b];
                 });
       double vote = 0.0;
       for (size_t i = 0; i < order.size(); ++i) {
         SourceId s = order[i];
-        double a = ClampAccuracy(accuracies[s]);
-        double weight = std::log(params.n * a / (1.0 - a));
         // Copy discount against earlier (higher-accuracy) providers.
         double independence = 1.0;
         if (in_copying[s]) {
           for (size_t j = 0; j < i; ++j) {
-            if (!in_copying[order[j]]) continue;
-            const PairPosterior post = copies.Get(s, order[j]);
-            if (!post.IsCopying()) continue;
-            independence *=
-                1.0 - params.s * copies.PrCopies(s, order[j]);
+            SourceId t = order[j];
+            if (!in_copying[t]) continue;
+            const PairPosterior* post = copying.Find(PairKey(s, t));
+            if (post == nullptr) continue;
+            // Pr(s copies from t), as CopyResult::PrCopies reads it.
+            double pr_copies =
+                s < t ? post->p_first_copies : post->p_second_copies;
+            independence *= 1.0 - params.s * pr_copies;
           }
         }
-        vote += weight * independence;
+        vote += weight[s] * independence;
       }
       votes[v - begin] = vote;
     }
 
-    // Softmax over provided values + unprovided false candidates.
+    // Softmax over provided values + unprovided false candidates; each
+    // exponential is taken once and kept for the normalization.
     double mx = 0.0;  // vote of an unprovided value is 0
     for (double v : votes) mx = std::max(mx, v);
     double z = 0.0;
-    for (double v : votes) z += std::exp(v - mx);
+    for (double& v : votes) {
+      v = std::exp(v - mx);
+      z += v;
+    }
     double unprovided =
         std::max(0.0, params.n + 1.0 - static_cast<double>(provided));
     z += unprovided * std::exp(0.0 - mx);
     for (SlotId v = begin; v < end; ++v) {
-      (*probs)[v] = std::exp(votes[v - begin] - mx) / z;
+      (*probs)[v] = votes[v - begin] / z;
     }
   };
   ParallelFor(params.executor, data.num_items(),

@@ -23,17 +23,28 @@ std::vector<double> InitialAccuracies(size_t num_sources,
 /// One round of value-probability computation in the style of Dong,
 /// Berti-Equille, Srivastava (VLDB 2009), the loop the paper plugs its
 /// detectors into:
-///  * each source votes with weight A'(S) = ln(n·A(S) / (1 - A(S)));
+///  * each source votes with weight A'(S) = ln(n·A(S) / (1 - A(S))),
+///    with A clamped by ClampAccuracy;
 ///  * a source's vote for a value is discounted by its probability of
 ///    having copied it: providers of the same value are visited in
-///    decreasing accuracy order and each later provider S is scaled by
-///    Π (1 - s·Pr(S copies S')) over earlier same-value providers S'
-///    (only pairs concluded as copying contribute, so detectors that
-///    skip hopeless pairs yield identical fusion results);
+///    vote order (accuracy descending, ties by ascending id) and each
+///    later provider S is scaled by Π (1 - s·Pr(S copies S')) over
+///    earlier same-value providers S', in that order (only pairs
+///    concluded as copying contribute, so detectors that skip
+///    hopeless pairs yield identical fusion results);
+///  * a value's vote is the sum of its providers' discounted weights
+///    in vote order, starting from 0;
 ///  * P(v) = softmax over the item's provided values plus
 ///    (n + 1 - #provided) unprovided candidates with vote 0.
-/// Items are aggregated in parallel over `params.executor` when one is
-/// set; results are bit-identical to the sequential loop.
+/// What depends only on the round or on a source is computed once per
+/// call: every source's weight, its place in the vote order, and the
+/// table of concluded-copying pairs the discount reads. Those reuse
+/// the exact doubles a per-observation evaluation would produce, so
+/// the probabilities are bit-identical to the per-observation loop
+/// (kept as the oracle of ValueProbs.MatchesReferenceLoop in
+/// tests/fusion_test.cc). Items are aggregated in parallel over
+/// `params.executor` when one is set; results are bit-identical to
+/// the sequential loop.
 void ComputeValueProbs(const Dataset& data,
                        const std::vector<double>& accuracies,
                        const CopyResult& copies,

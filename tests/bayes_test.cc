@@ -1,6 +1,9 @@
 #include "core/bayes.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -129,11 +132,52 @@ TEST(DirectionPosteriors, SumsToOneAndAgrees) {
   for (int i = 0; i < 200; ++i) {
     double cf = rng.UniformDouble(-20.0, 20.0);
     double cb = rng.UniformDouble(-20.0, 20.0);
-    Posteriors post = DirectionPosteriors(cf, cb, params);
+    Posteriors post = DirectionPosteriors(cf, cb, PosteriorPrior(params));
     EXPECT_NEAR(post.indep + post.fwd + post.bwd, 1.0, 1e-12);
     EXPECT_NEAR(post.indep, NoCopyPosterior(cf, cb, params), 1e-9);
     if (cf > cb) {
       EXPECT_GT(post.fwd, post.bwd);
+    }
+  }
+}
+
+// DirectionPosteriors as it was before the prior moved out of it: the
+// two logs of the parameters taken on every call. Kept as the oracle
+// the per-round PosteriorPrior form must reproduce bit for bit.
+Posteriors PerCallDirectionPosteriors(double c_fwd, double c_bwd,
+                                      const DetectionParams& params) {
+  double lb = std::log(params.beta());
+  double lf = std::log(params.alpha) + c_fwd;
+  double lw = std::log(params.alpha) + c_bwd;
+  double m = std::max({lb, lf, lw});
+  double eb = std::exp(lb - m);
+  double ef = std::exp(lf - m);
+  double ew = std::exp(lw - m);
+  double z = eb + ef + ew;
+  Posteriors out;
+  out.indep = eb / z;
+  out.fwd = ef / z;
+  out.bwd = ew / z;
+  return out;
+}
+
+TEST(PosteriorPrior, MatchesPerCallFormulaBitForBit) {
+  const std::vector<double> scores = {
+      -5000.0, -700.0, -20.5, -1.0,  -1e-300, 0.0,  0.04,
+      1.386,   2.079,  3.89,  20.0,  700.0,   5000.0};
+  for (double alpha : {0.1, 0.01, 0.2, 0.249}) {
+    DetectionParams params = PaperParams();
+    params.alpha = alpha;
+    const PosteriorPrior prior(params);
+    for (double cf : scores) {
+      for (double cb : scores) {
+        const Posteriors got = DirectionPosteriors(cf, cb, prior);
+        const Posteriors want = PerCallDirectionPosteriors(cf, cb, params);
+        const double got_bits[] = {got.indep, got.fwd, got.bwd};
+        const double want_bits[] = {want.indep, want.fwd, want.bwd};
+        EXPECT_EQ(std::memcmp(got_bits, want_bits, sizeof(got_bits)), 0)
+            << "alpha " << alpha << " c_fwd " << cf << " c_bwd " << cb;
+      }
     }
   }
 }

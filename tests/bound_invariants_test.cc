@@ -125,7 +125,7 @@ TEST(BoundInvariants, SurvivorsAreExact) {
         ComputePairScores(in, a, b, PaperParams(), &scratch);
     PairPosterior recorded = result.Get(a, b);
     Posteriors post = DirectionPosteriors(scores.c_fwd, scores.c_bwd,
-                                          PaperParams());
+                                          PosteriorPrior(PaperParams()));
     EXPECT_NEAR(recorded.p_indep, post.indep, 1e-9)
         << "pair " << a << "," << b;
   });

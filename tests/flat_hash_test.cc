@@ -2,6 +2,8 @@
 
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -92,6 +94,50 @@ TEST(FlatHashMap, ReserveAvoidsInvalidation) {
   for (uint64_t i = 2; i < 700; ++i) map[i] = 0;
   // With capacity reserved up-front, no rehash happened.
   EXPECT_EQ(p, map.Find(1));
+}
+
+TEST(FlatHashMap, InsertReportsFreshOncePerKeyAndKeepsValuesAcrossRehash) {
+  FlatHashMap<uint64_t> map;
+  // 5000 keys walk the table through nine doublings; the second pass
+  // finds every key with the value its first Insert stored.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (uint64_t i = 0; i < 5000; ++i) {
+      auto [value, fresh] = map.Insert(i * 2654435761ULL);
+      ASSERT_NE(value, nullptr);
+      EXPECT_EQ(fresh, pass == 0) << "pass " << pass << " key " << i;
+      if (fresh) {
+        EXPECT_EQ(*value, 0u);
+        *value = i;
+      } else {
+        EXPECT_EQ(*value, i);
+      }
+    }
+    EXPECT_EQ(map.size(), 5000u);
+  }
+}
+
+TEST(FlatHashMap, InsertFillsTheTableLikeOperatorBracket) {
+  // Same key sequence, repeats included: both maps must grow at the
+  // same moments and so walk ForEach in the same storage order, which
+  // is what the scans' finalize order rests on.
+  FlatHashMap<int> by_insert;
+  FlatHashMap<int> by_bracket;
+  Rng rng(5);
+  for (int i = 0; i < 20000; ++i) {
+    uint64_t key = rng.NextBelow(6000);
+    ++*by_insert.Insert(key).first;
+    ++by_bracket[key];
+  }
+  std::vector<std::pair<uint64_t, int>> inserted;
+  std::vector<std::pair<uint64_t, int>> bracketed;
+  by_insert.ForEach([&inserted](uint64_t key, int& v) {
+    inserted.emplace_back(key, v);
+  });
+  by_bracket.ForEach([&bracketed](uint64_t key, int& v) {
+    bracketed.emplace_back(key, v);
+  });
+  EXPECT_EQ(by_insert.raw_keys().size(), by_bracket.raw_keys().size());
+  EXPECT_EQ(inserted, bracketed);
 }
 
 TEST(FlatHashSet, InsertContains) {

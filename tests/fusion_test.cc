@@ -1,15 +1,24 @@
 #include "fusion/truth_finder.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/executor.h"
 #include "core/hybrid.h"
 #include "core/pairwise.h"
+#include "eval/experiment.h"
 #include "test_util.h"
 
 namespace copydetect {
 namespace {
 
 using testutil::ExampleFixture;
+using testutil::NewDetector;
 using testutil::PaperParams;
 
 FusionOptions Options(bool use_copy = true) {
@@ -185,6 +194,141 @@ TEST(CopyDiscount, CopierVotesCountLess) {
   }
   ASSERT_NE(newyork, kInvalidSlot);
   EXPECT_LT(p_aware[newyork], p_indep[newyork]);
+}
+
+// The vote pass as it was before it worked per source: a weight log
+// per observation, a comparator sort of every provider list, and copy
+// discounts read from the full CopyResult. Kept as the oracle the
+// per-source pass must reproduce bit for bit.
+std::vector<double> ReferenceValueProbs(
+    const Dataset& data, const std::vector<double>& accuracies,
+    const CopyResult& copies, const DetectionParams& params) {
+  std::vector<double> probs(data.num_slots(), 0.0);
+  std::vector<uint8_t> in_copying(data.num_sources(), 0);
+  for (uint64_t key : copies.CopyingPairs()) {
+    in_copying[PairFirst(key)] = 1;
+    in_copying[PairSecond(key)] = 1;
+  }
+  std::vector<double> votes;
+  std::vector<SourceId> order;
+  for (ItemId d = 0; d < data.num_items(); ++d) {
+    const SlotId begin = data.slot_begin(d);
+    const SlotId end = data.slot_end(d);
+    if (begin == end) continue;
+    votes.assign(end - begin, 0.0);
+    size_t provided = end - begin;
+    for (SlotId v = begin; v < end; ++v) {
+      std::span<const SourceId> providers = data.providers(v);
+      order.assign(providers.begin(), providers.end());
+      std::sort(order.begin(), order.end(),
+                [&accuracies](SourceId a, SourceId b) {
+                  if (accuracies[a] != accuracies[b]) {
+                    return accuracies[a] > accuracies[b];
+                  }
+                  return a < b;
+                });
+      double vote = 0.0;
+      for (size_t i = 0; i < order.size(); ++i) {
+        SourceId s = order[i];
+        double a = ClampAccuracy(accuracies[s]);
+        double weight = std::log(params.n * a / (1.0 - a));
+        double independence = 1.0;
+        if (in_copying[s]) {
+          for (size_t j = 0; j < i; ++j) {
+            if (!in_copying[order[j]]) continue;
+            const PairPosterior post = copies.Get(s, order[j]);
+            if (!post.IsCopying()) continue;
+            independence *=
+                1.0 - params.s * copies.PrCopies(s, order[j]);
+          }
+        }
+        vote += weight * independence;
+      }
+      votes[v - begin] = vote;
+    }
+    double mx = 0.0;
+    for (double v : votes) mx = std::max(mx, v);
+    double z = 0.0;
+    for (double v : votes) z += std::exp(v - mx);
+    double unprovided =
+        std::max(0.0, params.n + 1.0 - static_cast<double>(provided));
+    z += unprovided * std::exp(0.0 - mx);
+    for (SlotId v = begin; v < end; ++v) {
+      probs[v] = std::exp(votes[v - begin] - mx) / z;
+    }
+  }
+  return probs;
+}
+
+/// Runs the vote pass on one state at executor widths 1 and 4 and
+/// compares every probability with the reference loop's, bit for bit.
+void ExpectMatchesReference(const Dataset& data,
+                            const std::vector<double>& accuracies,
+                            const CopyResult& copies,
+                            DetectionParams params) {
+  ASSERT_GT(copies.NumCopying(), 0u) << "the discount must be exercised";
+  const std::vector<double> want =
+      ReferenceValueProbs(data, accuracies, copies, params);
+  for (size_t width : {1, 4}) {
+    Executor executor(width);
+    params.executor = &executor;
+    std::vector<double> got;
+    ComputeValueProbs(data, accuracies, copies, params, &got);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          want.size() * sizeof(double)),
+              0)
+        << "executor width " << width;
+  }
+}
+
+/// The final state of a fusion run with `detector` on `world`.
+FusionResult FinalState(const World& world, const std::string& detector) {
+  FusionOptions options;
+  options.params.n = world.suggested_n;
+  auto det = NewDetector(detector, options.params);
+  auto result = IterativeFusion(options).Run(world.data, det.get());
+  CD_CHECK_OK(result.status());
+  return std::move(result).value();
+}
+
+TEST(ValueProbs, MatchesReferenceLoop) {
+  auto book = MakeWorldByName("book-full", 0.05, 7);
+  ASSERT_TRUE(book.ok()) << book.status().ToString();
+  DetectionParams book_params;
+  book_params.n = book->suggested_n;
+  for (const char* detector : {"hybrid", "pairwise"}) {
+    SCOPED_TRACE(std::string("book-full 0.05 / ") + detector);
+    const FusionResult state = FinalState(*book, detector);
+    ExpectMatchesReference(book->data, state.accuracies, state.copies,
+                           book_params);
+  }
+  {
+    SCOPED_TRACE("book-full 0.05, every accuracy equal");
+    // Every comparison falls to the id tie-break.
+    const FusionResult state = FinalState(*book, "hybrid");
+    const std::vector<double> equal(book->data.num_sources(), 0.8);
+    ExpectMatchesReference(book->data, equal, state.copies, book_params);
+  }
+  {
+    SCOPED_TRACE("stock-1day 0.1");
+    auto stock = MakeWorldByName("stock-1day", 0.1, 7);
+    ASSERT_TRUE(stock.ok()) << stock.status().ToString();
+    DetectionParams stock_params;
+    stock_params.n = stock->suggested_n;
+    const FusionResult state = FinalState(*stock, "hybrid");
+    ExpectMatchesReference(stock->data, state.accuracies, state.copies,
+                           stock_params);
+  }
+  {
+    SCOPED_TRACE("motivating example");
+    ExampleFixture fx;
+    PairwiseDetector detector(PaperParams());
+    auto result = IterativeFusion(Options()).Run(fx.world.data, &detector);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectMatchesReference(fx.world.data, result->accuracies,
+                           result->copies, PaperParams());
+  }
 }
 
 }  // namespace

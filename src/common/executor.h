@@ -1,73 +1,37 @@
 #ifndef COPYDETECT_COMMON_EXECUTOR_H_
 #define COPYDETECT_COMMON_EXECUTOR_H_
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
-#include <memory>
+#include <queue>
+#include <thread>
 #include <vector>
 
-#include "common/arena.h"
-#include "common/thread_pool.h"
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
 
 namespace copydetect {
 
-class Executor;
-
-/// Exclusive, RAII handle on a scratch Arena for the duration of one
-/// scan shard. Usually it wraps one of the Executor's persistent
-/// per-worker arenas — warm chunks that survive from round to round, so
-/// steady-state shards never reach the system allocator. When no
-/// executor is available, or the preferred slot is already claimed by a
-/// concurrently running ParallelFor, the lease owns a private heap
-/// arena instead; callers see the same interface either way. Release
-/// Reset()s the arena (consolidating its chunks) and reopens the slot.
-class ArenaLease {
- public:
-  ArenaLease(ArenaLease&& other) noexcept
-      : arena_(other.arena_), owner_(other.owner_), slot_(other.slot_),
-        owned_(std::move(other.owned_)) {
-    other.arena_ = nullptr;
-    other.owner_ = nullptr;
-  }
-  ArenaLease& operator=(ArenaLease&&) = delete;
-  ArenaLease(const ArenaLease&) = delete;
-  ArenaLease& operator=(const ArenaLease&) = delete;
-  ~ArenaLease();
-
-  Arena* get() const { return arena_; }
-  Arena& operator*() const { return *arena_; }
-  Arena* operator->() const { return arena_; }
-
- private:
-  friend class Executor;
-  friend ArenaLease AcquireArena(Executor* executor, size_t shard);
-
-  ArenaLease(Arena* arena, Executor* owner, size_t slot)
-      : arena_(arena), owner_(owner), slot_(slot) {}
-  explicit ArenaLease(std::unique_ptr<Arena> owned)
-      : arena_(owned.get()), owned_(std::move(owned)) {}
-
-  Arena* arena_;
-  Executor* owner_ = nullptr;  // null for privately owned arenas
-  size_t slot_ = 0;
-  std::unique_ptr<Arena> owned_;
-};
-
-/// Shared execution backend for every parallel path in the engine: one
-/// persistent ThreadPool reused by all detectors and the fusion loop
-/// for the lifetime of a run, instead of the per-round pool the §VIII
-/// prototype constructed and tore down on every detection round. A
-/// handle travels through DetectionParams (and therefore
-/// FusionOptions); components that receive no handle run serially.
+/// Shared execution backend for every parallel path in the engine (the
+/// parallel index scan is the paper's §VIII future-work direction): one
+/// set of persistent workers reused by all detectors and the fusion
+/// loop for the lifetime of a run. A handle travels through
+/// DetectionParams (and therefore FusionOptions); components that
+/// receive no handle run serially.
 ///
 /// Guarantees:
 ///  * num_threads == 1 (the `--threads=1` fallback) never spawns a
 ///    thread — everything runs inline on the caller;
-///  * nested ParallelFor from inside a pool worker runs inline instead
-///    of deadlocking (see ThreadPool::ParallelFor);
-///  * ParallelFor calls from different threads may overlap safely
-///    (each call tracks its own completion).
+///  * a nested ParallelFor from inside a worker runs inline: a worker
+///    that blocked on chunks queued behind its own would deadlock the
+///    moment every worker did so;
+///  * ParallelFor calls from different threads may overlap safely —
+///    each call carries its own completion latch, so no caller waits
+///    on another's chunks.
+///
+/// Lock discipline is machine-checked: the queue and the shutdown flag
+/// are CD_GUARDED_BY(mu_), and the clang `-Wthread-safety` CI leg
+/// proves each access holds the mutex.
 class Executor {
  public:
   /// `num_threads` == 0 picks std::thread::hardware_concurrency().
@@ -78,47 +42,43 @@ class Executor {
   Executor& operator=(const Executor&) = delete;
 
   size_t num_threads() const { return num_threads_; }
-  /// True when ParallelFor always runs inline on the caller.
-  bool serial() const { return pool_ == nullptr; }
 
   /// Runs fn(i) for i in [0, n) and returns when all iterations are
-  /// done. `fn` must be safe to invoke concurrently for distinct i
-  /// unless serial().
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
+  /// done. `fn` must be safe to invoke concurrently for distinct i.
+  /// The range is split into at most 4 chunks per worker.
+  void ParallelFor(size_t n, const std::function<void(size_t)>& fn)
+      CD_EXCLUDES(mu_);
 
-  /// Deterministic drain for daemons: completes every task already
-  /// handed to the pool, then joins the worker threads. Afterwards the
-  /// executor stays usable — ParallelFor simply degrades to inline
-  /// execution on the caller (as if serial()). Idempotent; safe to
-  /// call concurrently; must not be called from inside a ParallelFor
-  /// body. A no-op in serial mode.
-  void Shutdown();
-
-  /// Leases the persistent scratch arena for `shard` (mod num_threads).
-  /// Falls back to a private heap arena when that slot is held by an
-  /// overlapping ParallelFor from another thread — exclusivity is
-  /// per-lease, so the scan code never shares bump-allocator state.
-  ArenaLease AcquireArena(size_t shard);
+  /// Deterministic drain for daemons: every chunk already queued runs
+  /// to completion, then the workers are joined. Afterwards the
+  /// executor stays usable — ParallelFor runs inline on the caller.
+  /// Idempotent; concurrent callers all block until the drain
+  /// completes. Must not be called from inside a ParallelFor body (a
+  /// worker cannot join itself). A no-op when num_threads == 1.
+  void Shutdown() CD_EXCLUDES(mu_, join_mu_);
 
  private:
-  friend class ArenaLease;
-
-  void ReleaseArena(size_t slot);
+  void WorkerLoop() CD_EXCLUDES(mu_);
 
   size_t num_threads_;
-  std::unique_ptr<ThreadPool> pool_;  // null in serial mode
 
-  // Arena-lease protocol (lock-free, so Clang Thread Safety Analysis
-  // cannot check it — atomics are not capabilities; TSan and
-  // arena_test's overlapping-lease cases cover it dynamically):
-  // arenas_[i] is readable/writable only between winning the
-  // compare_exchange on arena_claimed_[i] (acquire) and the release
-  // store in ReleaseArena. The acquire/release pair also orders the
-  // lazy construction of arenas_[i] between successive lease holders.
-  // No CD_GUARDED_BY applies; AcquireArena/ReleaseArena are the only
-  // two functions that touch either array after construction.
-  std::vector<std::unique_ptr<Arena>> arenas_;
-  std::unique_ptr<std::atomic<bool>[]> arena_claimed_;
+  Mutex mu_;
+  CondVar work_cv_;  ///< signaled on new chunks and on shutdown
+  std::queue<std::function<void()>> queue_ CD_GUARDED_BY(mu_);
+  /// Set by Shutdown(): later ParallelFor calls run inline, and a
+  /// worker exits once the queue is empty.
+  bool shutdown_ CD_GUARDED_BY(mu_) = false;
+
+  /// Serializes Shutdown() bodies so a second caller blocks until the
+  /// first finishes joining, instead of racing the join. Always
+  /// acquired before mu_, never while holding it.
+  Mutex join_mu_;
+  bool joined_ CD_GUARDED_BY(join_mu_) = false;
+
+  /// Empty when num_threads_ == 1. Declared after the state the workers
+  /// use. Only the constructor writes it, and it publishes the workers
+  /// through the thread constructor, so reads need no lock.
+  std::vector<std::thread> workers_;
 };
 
 /// Convenience for call sites holding a nullable handle: runs on
@@ -131,10 +91,6 @@ inline void ParallelFor(Executor* executor, size_t n,
     for (size_t i = 0; i < n; ++i) fn(i);
   }
 }
-
-/// Nullable-handle counterpart of Executor::AcquireArena: a private
-/// heap arena when no executor is present.
-ArenaLease AcquireArena(Executor* executor, size_t shard);
 
 }  // namespace copydetect
 

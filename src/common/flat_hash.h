@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -37,23 +36,15 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t v) {
 /// Key 0xFFFFFFFFFFFFFFFF is reserved as the empty marker; callers never
 /// use it (pair keys pack two 32-bit source ids, both < 2^32 - 1).
 ///
-/// `Alloc` only decides where the two arrays live: the scans' per-round
-/// pair tables use ArenaHashMap (common/arena.h), this map over an arena
-/// allocator. Probing, growth and therefore ForEach order do not depend
-/// on it, so an arena-backed and a heap-backed map fed the same inserts
-/// walk their entries in the same order.
-template <typename V, template <typename> class Alloc = std::allocator>
+/// Probing, growth and therefore ForEach order depend only on the
+/// sequence of Reserve and insert calls, so two maps fed the same
+/// sequence walk their entries in the same order.
+template <typename V>
 class FlatHashMap {
  public:
   static constexpr uint64_t kEmptyKey = ~0ULL;
-  using KeyArray = std::vector<uint64_t, Alloc<uint64_t>>;
-  using ValueArray = std::vector<V, Alloc<V>>;
 
-  FlatHashMap() : FlatHashMap(Alloc<uint64_t>()) {}
-  explicit FlatHashMap(const Alloc<uint64_t>& alloc)
-      : keys_(alloc), values_(Alloc<V>(alloc)) {
-    Rehash(16);
-  }
+  FlatHashMap() { Rehash(16); }
 
   /// Pre-sizes the table for `n` entries without rehashing afterwards.
   void Reserve(size_t n) {
@@ -109,10 +100,10 @@ class FlatHashMap {
   // the live entries in some canonical order would not.
 
   /// The key array, capacity-sized, kEmptyKey marking free slots.
-  const KeyArray& raw_keys() const { return keys_; }
+  const std::vector<uint64_t>& raw_keys() const { return keys_; }
   /// The value array, aligned with raw_keys() (default V() in free
   /// slots).
-  const ValueArray& raw_values() const { return values_; }
+  const std::vector<V>& raw_values() const { return values_; }
 
   /// Restores a table from raw_keys()/raw_values() output. Returns
   /// false — leaving the map empty — when the arrays are not a valid
@@ -121,7 +112,7 @@ class FlatHashMap {
   /// duplicate key, or an entry unreachable from its probe sequence
   /// (Find would miss it). Validation keeps a hand-crafted snapshot
   /// file from planting a map that lookups silently disagree with.
-  bool AssignRaw(KeyArray keys, ValueArray values) {
+  bool AssignRaw(std::vector<uint64_t> keys, std::vector<V> values) {
     Rehash(16);
     if (keys.size() != values.size() || keys.size() < 16 ||
         (keys.size() & (keys.size() - 1)) != 0) {
@@ -179,8 +170,8 @@ class FlatHashMap {
   }
 
   void Rehash(size_t new_cap) {
-    KeyArray old_keys = std::move(keys_);
-    ValueArray old_values = std::move(values_);
+    std::vector<uint64_t> old_keys = std::move(keys_);
+    std::vector<V> old_values = std::move(values_);
     keys_.assign(new_cap, kEmptyKey);
     values_.assign(new_cap, V());
     size_ = 0;
@@ -194,8 +185,8 @@ class FlatHashMap {
     }
   }
 
-  KeyArray keys_;
-  ValueArray values_;
+  std::vector<uint64_t> keys_;
+  std::vector<V> values_;
   size_t size_ = 0;
 };
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <tuple>
 
-#include "common/arena.h"
 #include "common/executor.h"
 #include "core/bayes.h"
 #include "core/sharded_scan.h"
@@ -52,7 +51,7 @@ void ScanShard(const InvertedIndex& index, const DetectionInput& in,
                const DetectionParams& params, const ScanConfig& config,
                const OverlapCounts& overlaps, size_t shard,
                size_t num_shards, Counters* counters, CopyResult* out,
-               ScanBookkeeping* book, Arena* arena) {
+               ScanBookkeeping* book) {
   const Dataset& data = *in.data;
   const std::vector<double>& accs = *in.accuracies;
 
@@ -61,17 +60,13 @@ void ScanShard(const InvertedIndex& index, const DetectionInput& in,
   const double theta_ind = params.theta_ind();
   const PosteriorPrior prior(params);
 
-  // Round scratch — the pair-state table and the per-source counts —
-  // comes from the shard's leased arena, which retains its chunks
-  // between rounds. Pairs are created only outside the tail, which
-  // bounds the table; it is sized once.
+  // Pairs are created only outside the tail, which bounds the pair
+  // table; it is sized once.
   const size_t creating_end =
       config.respect_tail ? index.tail_begin() : index.num_entries();
-  ArenaHashMap<ScanState> pairs(arena);
-  pairs.Reserve(
-      ShardPairReservation(index, creating_end, shard, num_shards, arena));
-  uint32_t* n_src = arena->AllocateArray<uint32_t>(data.num_sources());
-  std::fill(n_src, n_src + data.num_sources(), 0u);
+  FlatHashMap<ScanState> pairs;
+  pairs.Reserve(ShardPairReservation(index, creating_end, shard, num_shards));
+  std::vector<uint32_t> n_src(data.num_sources(), 0);
 
   for (size_t rank = 0; rank < index.num_entries(); ++rank) {
     if (shard == 0) ++counters->entries_scanned;
@@ -262,9 +257,9 @@ Status BoundedScan(const DetectionInput& in, const DetectionParams& params,
   Executor* executor = book == nullptr ? params.executor : nullptr;
   RunShardedScan(params.plan, executor, counters, out,
                  [&](size_t shard, size_t num_shards, Counters* c,
-                     CopyResult* o, Arena* arena) {
+                     CopyResult* o) {
                    ScanShard(index, in, params, config, overlaps, shard,
-                             num_shards, c, o, book, arena);
+                             num_shards, c, o, book);
                  });
 
   if (extras != nullptr && extras->keep_index) {

@@ -75,15 +75,44 @@ CopyGraph AnalyzeCopyGraph(const CopyResult& result) {
         cluster.members.end());
   }
 
-  // 2. Elect originals: incoming "is copied" probability mass.
+  // 2. Elect originals: incoming "is copied" probability mass, summed
+  // over each member's tracked in-cluster partners in ascending id
+  // order. An untracked partner would add +0.0, which leaves every sum
+  // unchanged, so one pass over the tracked pairs finds all the terms
+  // without probing each of a cluster's m² member pairs.
+  constexpr size_t kNoCluster = ~size_t{0};
+  SourceId max_member = 0;
+  for (const CopyCluster& cluster : graph.clusters) {
+    max_member = std::max(max_member, cluster.members.back());
+  }
+  std::vector<size_t> cluster_of(size_t{max_member} + 1, kNoCluster);
+  for (size_t c = 0; c < graph.clusters.size(); ++c) {
+    for (SourceId s : graph.clusters[c].members) cluster_of[s] = c;
+  }
+  struct Incoming {
+    SourceId partner;
+    double pr_copies;  // Pr(partner copies the list's owner)
+  };
+  std::vector<std::vector<Incoming>> incoming(cluster_of.size());
+  result.ForEach([&](SourceId a, SourceId b, const PairPosterior& p) {
+    // PrCopies never reaches a key with a >= b, so neither does this.
+    if (a >= b || b > max_member || cluster_of[a] == kNoCluster ||
+        cluster_of[a] != cluster_of[b]) {
+      return;
+    }
+    incoming[a].push_back(Incoming{b, p.p_second_copies});
+    incoming[b].push_back(Incoming{a, p.p_first_copies});
+  });
   for (CopyCluster& cluster : graph.clusters) {
     double best_mass = -1.0;
     for (SourceId candidate : cluster.members) {
+      std::vector<Incoming>& in = incoming[candidate];
+      std::sort(in.begin(), in.end(),
+                [](const Incoming& x, const Incoming& y) {
+                  return x.partner < y.partner;
+                });
       double mass = 0.0;
-      for (SourceId other : cluster.members) {
-        if (other == candidate) continue;
-        mass += result.PrCopies(other, candidate);
-      }
+      for (const Incoming& e : in) mass += e.pr_copies;
       if (mass > best_mass) {
         best_mass = mass;
         cluster.original = candidate;

@@ -2,7 +2,6 @@
 
 #include <tuple>
 
-#include "common/arena.h"
 #include "common/executor.h"
 #include "core/bayes.h"
 #include "core/sharded_scan.h"
@@ -30,13 +29,12 @@ struct IndexPairState {
 void ScanShard(const InvertedIndex& index, const std::vector<double>& accs,
                const DetectionParams& params,
                const OverlapCounts& overlaps, size_t shard,
-               size_t num_shards, Counters* counters, CopyResult* out,
-               Arena* arena) {
-  // The pair table lives in the shard's leased arena. Only head
-  // entries create pairs, which bounds the table; it is sized once.
-  ArenaHashMap<IndexPairState> pairs(arena);
-  pairs.Reserve(ShardPairReservation(index, index.tail_begin(), shard,
-                                     num_shards, arena));
+               size_t num_shards, Counters* counters, CopyResult* out) {
+  // Only head entries create pairs, which bounds the pair table; it is
+  // sized once.
+  FlatHashMap<IndexPairState> pairs;
+  pairs.Reserve(
+      ShardPairReservation(index, index.tail_begin(), shard, num_shards));
 
   // Steps 1-2: scan entries in order; head entries create state, tail
   // entries only update pairs already seen.
@@ -105,9 +103,9 @@ Status IndexDetector::DetectRound(const DetectionInput& in, int round,
 
   RunShardedScan(params_.plan, params_.executor, &counters_, out,
                  [&](size_t shard, size_t num_shards, Counters* c,
-                     CopyResult* o, Arena* arena) {
+                     CopyResult* o) {
                    ScanShard(index, accs, params_, overlaps, shard,
-                             num_shards, c, o, arena);
+                             num_shards, c, o);
                  });
   return Status::OK();
 }

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/executor.h"
 #include "core/copy_result.h"
 #include "core/counters.h"
@@ -28,13 +27,12 @@ namespace copydetect {
 /// without growth, and a table whose bound is tight grows once at
 /// most. This replaces the growth chain a table started at the minimum
 /// capacity walks every round. Costs one pass over the creating
-/// entries' providers; `arena` holds the per-row scratch.
+/// entries' providers.
 inline size_t ShardPairReservation(const InvertedIndex& index,
                                    size_t creating_end, size_t shard,
-                                   size_t num_shards, Arena* arena) {
+                                   size_t num_shards) {
   const size_t n = index.data().num_sources();
-  uint64_t* row = arena->AllocateArray<uint64_t>(n);
-  std::fill(row, row + n, uint64_t{0});
+  std::vector<uint64_t> row(n, 0);
   for (size_t rank = 0; rank < creating_end; ++rank) {
     std::span<const SourceId> providers = index.providers(rank);
     for (size_t i = 0; i + 1 < providers.size(); ++i) {
@@ -57,7 +55,7 @@ inline size_t ShardPairReservation(const InvertedIndex& index,
 /// partition (OwnsRow, model/shard_plan.h) in one place: worker w of T
 /// runs composite shard plan.shard_id + P·w of P·T, where P is
 /// plan.num_shards, so the workers split exactly the rows the plan
-/// owns. `scan(shard, num_shards, counters, out, arena)` must process
+/// owns. `scan(shard, num_shards, counters, out)` must process
 /// exactly the pairs whose row it owns (OwnsRow(lo, shard,
 /// num_shards)), each in the sequential accumulation order; distinct
 /// shards then touch disjoint pairs, the merge is a plain union, and
@@ -71,12 +69,6 @@ inline size_t ShardPairReservation(const InvertedIndex& index,
 /// its own worker's stack, and moves both into its merge slot once,
 /// after its scan: adjacent slots share cache lines, so a scan that
 /// wrote them per pair would contend with its neighbours.
-///
-/// Each shard receives an exclusively leased Arena for its round
-/// scratch (pair tables, per-source counters). With an executor the
-/// arenas persist across rounds on their worker slots, so steady-state
-/// scans stop hitting the allocator; without one the lease owns a
-/// private arena with the same interface.
 template <typename ScanFn>
 void RunShardedScan(const ShardPlan& plan, Executor* executor,
                     Counters* counters, CopyResult* out,
@@ -85,18 +77,16 @@ void RunShardedScan(const ShardPlan& plan, Executor* executor,
       executor != nullptr ? executor->num_threads() : 1;
   const size_t num_shards = size_t{plan.num_shards} * workers;
   if (workers <= 1) {
-    ArenaLease lease = AcquireArena(executor, 0);
-    scan(size_t{plan.shard_id}, num_shards, counters, out, lease.get());
+    scan(size_t{plan.shard_id}, num_shards, counters, out);
     return;
   }
   std::vector<Counters> shard_counters(workers);
   std::vector<CopyResult> shard_results(workers);
   executor->ParallelFor(workers, [&](size_t w) {
-    ArenaLease lease = executor->AcquireArena(w);
     Counters local_counters;
     CopyResult local_result;
     scan(plan.shard_id + size_t{plan.num_shards} * w, num_shards,
-         &local_counters, &local_result, lease.get());
+         &local_counters, &local_result);
     shard_counters[w] = local_counters;
     shard_results[w] = std::move(local_result);
   });

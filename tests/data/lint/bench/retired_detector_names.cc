@@ -1,6 +1,6 @@
-// Fixture: the retired detector plumbing coming back in a harness —
-// expect deprecated-shim at lines 6 to 11 and 13 to 15; line 12 (the
-// table lookup, an alias spelled in a string) is legal.
+// Fixture: the retired detector and runtime plumbing coming back in a
+// harness — expect deprecated-shim at lines 6 to 11 and 13 to 20; line
+// 12 (the table lookup, an alias spelled in a string) is legal.
 #include "copydetect/session.h"
 
 auto kind = DetectorKind::kIndex;
@@ -13,3 +13,8 @@ auto index = CreateDetector("parallel-index", DetectionParams());
 auto sharded = ShardedDetector::Create("index", DetectionParams(), 4);
 auto published = SharedOverlaps::Lookup(data.generation());
 MaintainedOverlaps maintained;
+ArenaHashMap<int> table(nullptr);
+ArenaAllocator<uint64_t> alloc(nullptr);
+ArenaLease* lease = nullptr;
+auto leased = AcquireArena(nullptr, 0);
+ThreadPool pool(4);

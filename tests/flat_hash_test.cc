@@ -14,6 +14,8 @@ namespace {
 
 TEST(FlatHashMap, InsertAndFind) {
   FlatHashMap<int> map;
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(map.Find(7), nullptr);
   map[7] = 42;
   map[9] = 43;
   ASSERT_NE(map.Find(7), nullptr);

@@ -38,6 +38,11 @@ TEST(LintTree, FindsEveryPlantedViolationExactly) {
       "bench/retired_detector_names.cc:13:deprecated-shim",
       "bench/retired_detector_names.cc:14:deprecated-shim",
       "bench/retired_detector_names.cc:15:deprecated-shim",
+      "bench/retired_detector_names.cc:16:deprecated-shim",
+      "bench/retired_detector_names.cc:17:deprecated-shim",
+      "bench/retired_detector_names.cc:18:deprecated-shim",
+      "bench/retired_detector_names.cc:19:deprecated-shim",
+      "bench/retired_detector_names.cc:20:deprecated-shim",
       "src/api/banned_assert.cc:5:banned-assert",
       "src/api/deprecated_load.cc:5:deprecated-shim",
       "src/common/deprecated_flagparser.cc:5:deprecated-shim",

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
+#include "common/executor.h"
 
 namespace copydetect {
 namespace {
@@ -69,11 +69,8 @@ TEST(Logging, SinkSerializesConcurrentWriters) {
   SetLogSink(&CaptureSink);
   constexpr int kMessages = 64;
   {
-    ThreadPool pool(4);
-    for (int i = 0; i < kMessages; ++i) {
-      pool.Submit([] { CD_LOG(Info) << "tick"; });
-    }
-    pool.Wait();
+    Executor executor(4);
+    executor.ParallelFor(kMessages, [](size_t) { CD_LOG(Info) << "tick"; });
   }
   SetLogSink(nullptr);
   SetLogLevel(original);

@@ -8,9 +8,16 @@ outside the repository root (e.g. the CI badge's ``../../actions/...``
 github.com path) are skipped — only what can rot silently inside the
 repo is checked.
 
-Also scans every git-tracked .h/.cc/.py/CMakeLists.txt file for the
+Also scans every git-tracked .h/.cc/.py/CMakeLists.txt file (every
+such file outside build/ when the tree is not a git checkout) for the
 ``*.md`` names its comments cite (``see docs/FORMATS.md``): each must
 exist relative to the citing file's directory or the repo root.
+
+And in README.md and docs/*.md, every repo path named in an inline code
+span (``core/bound.h``, ``tools/lint/lint.{h,cc}``; a directory part
+and one of the suffixes .h/.cc/.py/.json/.cmake/.md, not absolute)
+must exist at the repo root, under src/ or src/api/, or next to the
+doc, so a doc cannot keep naming a file that was deleted or moved.
 
 Usage: tools/check_md_links.py [repo_root]
 Exits 1 listing every dangling link and citation.
@@ -44,6 +51,18 @@ SKIP_CITATIONS = {
 }
 
 
+# An inline code span on one line, and a relative repo path inside it
+# whose name ends in one of PATH_SUFFIXES or a {a,b} set of them.
+SPAN_RE = re.compile(r"`([^`\n]+)`")
+PATH_SUFFIXES = r"(?:h|cc|py|json|cmake|md)"
+PATH_RE = re.compile(
+    r"(?<![\w./:{-])((?:[\w.-]+/)+[\w.-]+)\."
+    r"(\{" + PATH_SUFFIXES + r"(?:," + PATH_SUFFIXES + r")*\}|"
+    + PATH_SUFFIXES + r")(?!\w)")
+# Where a path named in a doc may live, besides next to the doc.
+PATH_BASES = ("", "src", os.path.join("src", "api"))
+
+
 def markdown_files(root):
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = [d for d in dirnames if d not in SKIP_DIRS]
@@ -52,12 +71,27 @@ def markdown_files(root):
                 yield os.path.join(dirpath, name)
 
 
+def source_files(root):
+    """The git-tracked files under `root`; every file outside SKIP_DIRS
+    and hidden directories when `root` is not a git checkout (an
+    exported source tree)."""
+    listed = subprocess.run(["git", "ls-files"], cwd=root,
+                            capture_output=True, text=True)
+    if listed.returncode == 0:
+        return listed.stdout.splitlines()
+    files = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [d for d in dirnames
+                       if d not in SKIP_DIRS and not d.startswith(".")]
+        files += [os.path.relpath(os.path.join(dirpath, name), root)
+                  for name in filenames]
+    return sorted(files)
+
+
 def check_citations(root, dangling):
     """Appends one message per cited .md name that does not resolve to
     `dangling`; returns how many citations were checked."""
-    tracked = subprocess.run(
-        ["git", "ls-files"], cwd=root, check=True, capture_output=True,
-        text=True).stdout.splitlines()
+    tracked = source_files(root)
     checked = 0
     for rel in tracked:
         name = os.path.basename(rel)
@@ -78,6 +112,42 @@ def check_citations(root, dangling):
                     dangling.append(
                         f"{rel}:{lineno}: cites {cited}, found neither "
                         f"next to the file nor at the repo root")
+    return checked
+
+
+def check_paths(root, dangling):
+    """Appends one message per repo path named in a code span of
+    README.md or docs/*.md that does not resolve to `dangling`;
+    returns how many paths were checked."""
+    docs = ["README.md"]
+    docs_dir = os.path.join(root, "docs")
+    if os.path.isdir(docs_dir):
+        docs += sorted(os.path.join("docs", name)
+                       for name in os.listdir(docs_dir)
+                       if name.endswith(".md"))
+    checked = 0
+    for rel in docs:
+        doc = os.path.join(root, rel)
+        if not os.path.exists(doc):
+            continue
+        text = open(doc, encoding="utf-8").read()
+        # Fenced blocks are blanked line for line to keep line numbers.
+        text = re.sub(r"```.*?```", lambda m: "\n" * m.group(0).count("\n"),
+                      text, flags=re.DOTALL)
+        bases = [os.path.join(root, b) for b in PATH_BASES]
+        bases.append(os.path.dirname(doc))
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for span in SPAN_RE.findall(line):
+                for stem, suffix in PATH_RE.findall(span):
+                    for ext in suffix.strip("{}").split(","):
+                        path = f"{stem}.{ext}"
+                        checked += 1
+                        if not any(os.path.exists(os.path.join(b, path))
+                                   for b in bases):
+                            dangling.append(
+                                f"{rel}:{lineno}: names {path}, found "
+                                f"neither at the repo root, under src/ "
+                                f"or src/api/, nor next to the doc")
     return checked
 
 
@@ -103,13 +173,15 @@ def main():
                     f"{os.path.relpath(md, root)}: ({target}) -> "
                     f"{os.path.relpath(path, root)} does not exist")
     cited = check_citations(root, dangling)
+    paths = check_paths(root, dangling)
     if dangling:
-        print("dangling intra-repo markdown links and doc citations:")
+        print("dangling intra-repo markdown links, doc citations and "
+              "doc paths:")
         for line in dangling:
             print(f"  {line}")
         return 1
-    print(f"check_md_links: {checked} intra-repo links and {cited} doc "
-          f"citations OK")
+    print(f"check_md_links: {checked} intra-repo links, {cited} doc "
+          f"citations and {paths} doc paths OK")
     return 0
 
 

@@ -437,8 +437,6 @@ void CheckNonfixedReduction(FileScan* scan) {
 }
 
 void CheckBannedNewDelete(FileScan* scan) {
-  // The arena allocator is the sanctioned owner of raw allocation.
-  if (scan->relpath == "src/common/arena.h") return;
   const std::string& code = scan->cleaned.code;
   for (size_t pos : FindWord(code, "new")) {
     size_t p = SkipSpace(code, pos + 3);
@@ -446,8 +444,8 @@ void CheckBannedNewDelete(FileScan* scan) {
     if (code[p] == '(') continue;  // placement new: no allocation
     if (!IsIdentChar(code[p]) && code[p] != ':') continue;
     scan->Add(pos, "banned-new-delete",
-              "naked `new` — use std::make_unique/make_shared, a "
-              "container, or the arena allocator (common/arena.h)");
+              "naked `new` — use std::make_unique/make_shared or a "
+              "container");
   }
   for (size_t pos : FindWord(code, "delete")) {
     size_t i = pos;
@@ -458,7 +456,7 @@ void CheckBannedNewDelete(FileScan* scan) {
     if (i > 0 && code[i - 1] == '=') continue;  // deleted function
     scan->Add(pos, "banned-new-delete",
               "naked `delete` — ownership belongs in RAII types "
-              "(unique_ptr/shared_ptr, containers, Arena)");
+              "(unique_ptr/shared_ptr, containers)");
   }
 }
 
@@ -527,6 +525,22 @@ constexpr RetiredName kRetiredNames[] = {
      "MaintainedOverlaps was removed — OverlapCache holds a session's "
      "counts, installs loaded ones (Set) and steps them across a delta "
      "(Advance)"},
+    {"ArenaHashMap",
+     "ArenaHashMap was removed — a scan shard's pair table is a plain "
+     "FlatHashMap reserved once through ShardPairReservation "
+     "(core/sharded_scan.h)"},
+    {"ArenaAllocator",
+     "the scan arena and its allocator were removed — round scratch is "
+     "a std::vector or a FlatHashMap sized once per round"},
+    {"ArenaLease",
+     "the executor's arena leases were removed — a scan shard owns its "
+     "round scratch"},
+    {"AcquireArena",
+     "the executor's arena leases were removed — a scan shard owns its "
+     "round scratch"},
+    {"ThreadPool",
+     "the ThreadPool layer was folded into Executor (common/executor.h) "
+     "— run parallel work through Executor::ParallelFor"},
 };
 
 /// Shims that completed their one-release deprecation window must not

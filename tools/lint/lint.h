@@ -49,10 +49,9 @@ struct Options {
 ///                          policies, OpenMP reductions,
 ///                          std::atomic<float/double>) in a
 ///                          result-bearing module.
-///  * banned-new-delete   — naked new/delete anywhere in src/ outside
-///                          the arena allocator (placement new is
-///                          allowed; `= delete` declarations are not
-///                          flagged).
+///  * banned-new-delete   — naked new/delete anywhere in src/
+///                          (placement new is allowed; `= delete`
+///                          declarations are not flagged).
 ///  * banned-assert       — assert() in src/api or src/snapshot, where
 ///                          Status is the error convention.
 ///  * deprecated-shim     — a retired name coming back: the
@@ -63,7 +62,11 @@ struct Options {
 ///                          detector plumbing (DetectorKind,
 ///                          MakeDetector, RunFusion,
 ///                          ParallelIndexDetector, DetectorRegistry,
-///                          ... — use the detector table and Session).
+///                          ... — use the detector table and Session)
+///                          or of the retired runtime layers
+///                          (ThreadPool, ArenaHashMap, ArenaAllocator,
+///                          ArenaLease, AcquireArena — use Executor
+///                          and plain containers).
 ///  * suppression         — malformed/unknown/unjustified/unused
 ///                          cd-lint annotations (not itself
 ///                          suppressible).

@@ -36,7 +36,6 @@
 #include "core/bayes.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
 #include "core/inverted_index.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
 #include "core/pairwise.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
-#include "core/shard_merge.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
 #include "fusion/truth_finder.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
 #include "simjoin/intersect.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
 #include "simjoin/overlap.h"  // cd-lint: allow(layering) white-box microbench (docs/API.md exemption)
@@ -621,70 +620,6 @@ void BM_SessionLoadMappedBookFull(benchmark::State& state) {
   std::remove(path.c_str());
 }
 
-/// Scale of the book-cs world behind BM_ShardedDetect — the bench
-/// default of that data set (see bench_util.h).
-constexpr double kBookCsScale = 0.5;
-
-const WorldInputs& BookCsWorld() {
-  static const WorldInputs* inputs = new WorldInputs([] {
-    auto world = MakeWorldByName("book-cs", kBookCsScale, 42);
-    CD_CHECK_OK(world.status());
-    return std::move(world).value();
-  }());
-  return *inputs;
-}
-
-/// The sharding anchor: one INDEX detection round split N ways in one
-/// process, as a sharded run splits it across processes — N detectors
-/// from CreateDetector, detector i pinned to shard i of an N-way
-/// ShardPlan and scanning only the rows it owns, then one
-/// MergeShardResults. Against BM_DetectorRound/index this prices the
-/// shard overhead (N index builds + merge) each sharded round pays.
-void BM_ShardedDetectBookCs(benchmark::State& state) {
-  const uint32_t shards = static_cast<uint32_t>(state.range(0));
-  Executor executor(1);
-  std::vector<std::unique_ptr<CopyDetector>> detectors;
-  std::vector<ShardResult> parts(shards);
-  for (uint32_t i = 0; i < shards; ++i) {
-    DetectionParams params = Params();
-    params.executor = &executor;
-    params.plan = ShardPlan{shards, i};
-    auto detector = CreateDetector("index", params);
-    if (!detector.ok()) {
-      state.SkipWithError(detector.status().message().c_str());
-      return;
-    }
-    detectors.push_back(std::move(detector).value());
-    parts[i].num_shards = shards;
-    parts[i].shard_id = i;
-    parts[i].round = 1;
-  }
-  // Each shard is a fresh process that counts the overlaps itself.
-  OverlapCache overlaps;
-  DetectionInput in = BookCsWorld().Input(&overlaps);
-  CopyResult result;
-  for (auto _ : state) {
-    for (uint32_t i = 0; i < shards; ++i) {
-      detectors[i]->Reset();
-      overlaps.Clear();
-      Status status =
-          detectors[i]->DetectRound(in, /*round=*/1, &parts[i].copies);
-      if (!status.ok()) {
-        state.SkipWithError(status.message().c_str());
-        return;
-      }
-      parts[i].counters = detectors[i]->counters();
-    }
-    Counters counters;
-    Status merged = MergeShardResults(parts, &result, &counters);
-    if (!merged.ok()) {
-      state.SkipWithError(merged.message().c_str());
-      break;
-    }
-    benchmark::DoNotOptimize(result);
-  }
-}
-
 /// The pre-facade anchor: identical configuration driven directly
 /// through IterativeFusion. BM_SessionRun minus BM_FusionRun is the
 /// facade's overhead (detector construction, registry lookup, report
@@ -730,8 +665,6 @@ constexpr std::string_view kReportToJsonName =
     "BM_ReportToJson/book-full";
 constexpr std::string_view kSessionLoadMappedName =
     "BM_SessionLoad/mapped/book-full";
-constexpr std::string_view kShardedDetectPrefix =
-    "BM_ShardedDetect/book-cs";
 
 void RegisterDetectorBenchmarks(size_t multi_threads) {
   // Every registered detector, straight from the registry — a
@@ -770,10 +703,6 @@ void RegisterDetectorBenchmarks(size_t multi_threads) {
       std::string(kSessionLoadMappedName).c_str(),
       BM_SessionLoadMappedBookFull)
       ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark(
-      std::string(kShardedDetectPrefix).c_str(), BM_ShardedDetectBookCs)
-      ->Unit(benchmark::kMillisecond)
-      ->Arg(4);
 }
 
 /// True when the run produced no usable measurement. Google Benchmark
@@ -872,13 +801,6 @@ class CollectingReporter : public benchmark::BenchmarkReporter {
         record.detector = "index";
         record.dataset = "book-full";
         record.scale = kBookFullScale;
-        record.threads = 1;
-      } else if (StartsWith(base_name, kShardedDetectPrefix)) {
-        // "BM_ShardedDetect/book-cs/<shards>": one INDEX round as
-        // <shards> plan-pinned detectors plus their merge, serial.
-        record.detector = "sharded-index";
-        record.dataset = "book-cs";
-        record.scale = kBookCsScale;
         record.threads = 1;
       }
       double iters =

@@ -26,14 +26,6 @@
 //
 //   # serve a big snapshot zero-copy out of the mapped file
 //   ./copydetect_cli --load-snapshot=run.cdsnap --load-mode=mapped
-//
-//   # multi-process sharded run (BSP, one fusion round per superstep;
-//   # examples/cli_sharded_run.cmake drives the full loop)
-//   ./copydetect_cli --data=obs.csv --shards=3 --init-state=st.cdsnap
-//   ./copydetect_cli --data=obs.csv --shards=3 --shard=0
-//       --state=st.cdsnap --emit-shard=shard0.cdsnap   # ... 1, 2
-//   ./copydetect_cli --data=obs.csv --shards=3 --state=st.cdsnap
-//       --merge-shards=shard0.cdsnap,shard1.cdsnap,shard2.cdsnap
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -141,12 +133,6 @@ Status RunCli(int argc, char** argv) {
   std::string save_snapshot;
   std::string load_snapshot;
   std::string load_mode_name = "owned";
-  uint64_t shards = 1;
-  uint64_t shard = 0;
-  std::string init_state;
-  std::string state_path;
-  std::string emit_shard;
-  std::string merge_shards;
 
   FlagSet flags(
       "copydetect_cli: run the full pipeline from the command line");
@@ -179,19 +165,6 @@ Status RunCli(int argc, char** argv) {
                "warm-start from this snapshot file");
   flags.String("load-mode", &load_mode_name,
                "snapshot backing: owned | mapped");
-  // Multi-process sharded runs (Session BSP API): --init-state writes
-  // the round-0 coordinator state, --emit-shard runs this process's
-  // shard for the next round, --merge-shards folds a round's shard
-  // files and advances the fusion loop.
-  flags.Uint64("shards", &shards, "BSP: total shard count");
-  flags.Uint64("shard", &shard, "BSP: this process's shard id");
-  flags.String("init-state", &init_state,
-               "BSP: write round-0 coordinator state here");
-  flags.String("state", &state_path, "BSP: coordinator state file");
-  flags.String("emit-shard", &emit_shard,
-               "BSP: write this round's shard file here");
-  flags.String("merge-shards", &merge_shards,
-               "BSP: comma-separated shard files to fold");
   // Unknown flags are an error, never a silent fall-through to
   // defaults. The detector list rides along so the most common typo
   // (--detector mis-spellings and friends) is self-correcting.
@@ -231,25 +204,6 @@ Status RunCli(int argc, char** argv) {
     return Status::InvalidArgument(
         "--load-mode must be 'owned' or 'mapped', got '" +
         load_mode_name + "'");
-  }
-  const int bsp_modes = (init_state.empty() ? 0 : 1) +
-                        (emit_shard.empty() ? 0 : 1) +
-                        (merge_shards.empty() ? 0 : 1);
-  if (bsp_modes > 1) {
-    return Status::InvalidArgument(
-        "--init-state, --emit-shard and --merge-shards are separate "
-        "steps of the sharded-run protocol — pass exactly one");
-  }
-  if (bsp_modes == 1 && !load_snapshot.empty()) {
-    return Status::InvalidArgument(
-        "sharded-run steps need the shared data set via --data or "
-        "--generate, not --load-snapshot");
-  }
-  if ((!emit_shard.empty() || !merge_shards.empty()) &&
-      state_path.empty()) {
-    return Status::InvalidArgument(
-        "--emit-shard/--merge-shards need the coordinator state via "
-        "--state=<file>");
   }
   if (!load_snapshot.empty()) {
     // The snapshot fixes the whole session configuration; silently
@@ -309,8 +263,6 @@ Status RunCli(int argc, char** argv) {
     options.threads = static_cast<size_t>(threads);
     // Save needs the session to keep its state past Run.
     options.online_updates = !save_snapshot.empty();
-    options.plan.num_shards = static_cast<uint32_t>(shards);
-    options.plan.shard_id = static_cast<uint32_t>(shard);
 
     auto created = Session::Create(options);
     CD_RETURN_IF_ERROR(created.status());
@@ -319,44 +271,11 @@ Status RunCli(int argc, char** argv) {
       std::printf("Threads: %zu\n", session->threads());
     }
 
-    if (bsp_modes == 1) {
-      if (!save_data.empty()) {
-        CD_RETURN_IF_ERROR(SaveObservations(world.data, save_data));
-      }
-      if (!init_state.empty()) {
-        CD_RETURN_IF_ERROR(
-            session->InitShardedRun(world.data, init_state));
-        std::printf("BSP init: %s (%llu shards)\n", init_state.c_str(),
-                    static_cast<unsigned long long>(shards));
-        return Status::OK();
-      }
-      if (!emit_shard.empty()) {
-        CD_RETURN_IF_ERROR(session->RunShardRound(
-            world.data, state_path, emit_shard));
-        std::printf("BSP shard %llu/%llu: wrote %s\n",
-                    static_cast<unsigned long long>(shard),
-                    static_cast<unsigned long long>(shards),
-                    emit_shard.c_str());
-        return Status::OK();
-      }
-      auto done = session->MergeShardRound(
-          world.data, Split(merge_shards, ','), state_path);
-      CD_RETURN_IF_ERROR(done.status());
-      if (!*done) {
-        std::printf("BSP merge: round folded into %s, run continues\n",
-                    state_path.c_str());
-        return Status::OK();
-      }
-      report = session->report();
-      std::printf("BSP done: finished after %d rounds\n",
-                  report.rounds());
-    } else {
-      auto report_or = session->Run(world.data);
-      CD_RETURN_IF_ERROR(report_or.status());
-      report = std::move(report_or).value();
-    }
+    auto report_or = session->Run(world.data);
+    CD_RETURN_IF_ERROR(report_or.status());
+    report = std::move(report_or).value();
   }
-  if (!save_data.empty() && bsp_modes == 0) {
+  if (!save_data.empty()) {
     CD_RETURN_IF_ERROR(SaveObservations(world.data, save_data));
   }
 

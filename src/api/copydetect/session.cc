@@ -62,23 +62,6 @@ Status SessionOptions::Validate() const {
           &problems,
           StrFormat("update_rebuild_fraction must be in [0, 1], got %g",
                     update_rebuild_fraction));
-  // Shard plan.
-  Require(plan.num_shards >= 1, &problems,
-          "plan.num_shards must be at least 1");
-  Require(plan.num_shards < 1 || plan.shard_id < plan.num_shards,
-          &problems,
-          StrFormat("plan.shard_id %u out of range for %u shards",
-                    plan.shard_id, plan.num_shards));
-  if (plan.active()) {
-    // A plan-restricted detector sees only its owned pairs, so state
-    // maintained across rounds/updates and sampled sub-snapshots
-    // cannot be reconciled with the merged whole.
-    Require(!online_updates, &problems,
-            "a multi-shard plan is incompatible with online_updates");
-    Require(sample_rate == 0.0, &problems,
-            "a multi-shard plan is incompatible with detection "
-            "sampling");
-  }
   if (!problems.empty()) {
     std::string joined;
     for (const std::string& p : problems) {
@@ -101,7 +84,6 @@ DetectionParams SessionOptions::ToDetectionParams() const {
   params.hybrid_threshold = hybrid_threshold;
   params.rho_accuracy = rho_accuracy;
   params.rho_value = rho_value;
-  params.plan = plan;
   return params;
 }
 
@@ -158,12 +140,6 @@ StatusOr<Session> Session::Create(const SessionOptions& options) {
 size_t Session::threads() const { return executor_->num_threads(); }
 
 Status Session::Start(const Dataset& data) {
-  if (options_.plan.active()) {
-    return Status::FailedPrecondition(
-        "Session::Run/Start with a multi-shard plan would report a "
-        "partial pair set — drive the run through InitShardedRun / "
-        "RunShardRound / MergeShardRound");
-  }
   if (options_.online_updates) {
     // Own the snapshot: Update chains deltas off it without imposing
     // lifetime rules on the caller's object. The copy shares the
@@ -187,7 +163,6 @@ Status Session::StartOn(const Dataset& data) {
   // Fresh run: drop cross-round detector state so consecutive runs on
   // one Session match runs on freshly created Sessions.
   if (detector_ != nullptr) detector_->Reset();
-  merged_counters_.reset();
   FusionOptions fusion = options_.ToFusionOptions();
   fusion.params.executor = executor_.get();
   loop_ = std::make_unique<FusionLoop>(fusion);
@@ -221,10 +196,8 @@ void Session::RefreshReport() {
     report_.fusion.truth =
         ChooseTruth(*data_, report_.fusion.value_probs);
   }
-  report_.counters = merged_counters_.has_value()
-                         ? *merged_counters_
-                         : (detector_ != nullptr ? detector_->counters()
-                                                 : Counters());
+  report_.counters =
+      detector_ != nullptr ? detector_->counters() : Counters();
   report_.graph = AnalyzeCopyGraph(report_.fusion.copies);
   report_.incremental_rounds.clear();
   // See through the sampling wrapper: a sampled incremental session
@@ -252,8 +225,13 @@ void Session::RefreshReport() {
 }
 
 const Report& Session::report() {
-  if (loop_ != nullptr) report_.fusion = loop_->result();
-  RefreshReport();
+  // Without a live loop nothing can change report_: FinishLoop and
+  // InstallLoaded refreshed it once, and only a new Start, Run, Update
+  // or Load replaces it.
+  if (loop_ != nullptr) {
+    report_.fusion = loop_->result();
+    RefreshReport();
+  }
   return report_;
 }
 
@@ -689,182 +667,6 @@ Status Session::Update(const DatasetDelta& delta) {
     return status;
   }
   return Status::OK();
-}
-
-namespace {
-
-/// Stands in for the detector inside the BSP merge's single fusion
-/// Step: DetectRound serves the already-merged shard copies verbatim,
-/// so the Step reads exactly what a single-process detector would
-/// have produced for the round.
-class PrecomputedDetector : public CopyDetector {
- public:
-  PrecomputedDetector(const DetectionParams& params, CopyResult copies)
-      : CopyDetector(params), copies_(std::move(copies)) {}
-
-  Status DetectRound(const DetectionInput& in, int round,
-                     CopyResult* out) override {
-    (void)in;
-    (void)round;
-    *out = copies_;
-    return Status::OK();
-  }
-
- private:
-  CopyResult copies_;
-};
-
-}  // namespace
-
-Status Session::CheckBspEligible() const {
-  if (detector_ == nullptr) {
-    return Status::FailedPrecondition(
-        "sharded runs need a detector — nothing to shard in an "
-        "accuracy-only session");
-  }
-  if (options_.online_updates || options_.sample_rate > 0.0) {
-    return Status::FailedPrecondition(
-        "sharded runs are incompatible with online_updates and "
-        "detection sampling");
-  }
-  if (detector_name_ == "incremental") {
-    return Status::FailedPrecondition(
-        "the incremental detector keeps cross-round state that cannot "
-        "survive the per-round process boundary of a sharded run — "
-        "use a round-stateless detector");
-  }
-  if (options_.max_rounds < 1) {
-    return Status::FailedPrecondition(
-        "sharded runs need max_rounds >= 1");
-  }
-  return Status::OK();
-}
-
-Status Session::InitShardedRun(const Dataset& data,
-                               const std::string& state_path) {
-  CD_RETURN_IF_ERROR(CheckBspEligible());
-  snapshot::BspState state;
-  state.num_shards = options_.plan.num_shards;
-  // Round 0 exactly as FusionLoop::Start computes it, so the sharded
-  // run's round 1 reads bit-identical inputs.
-  state.fusion.value_probs = InitialValueProbs(data);
-  state.fusion.accuracies =
-      InitialAccuracies(data.num_sources(), options_.initial_accuracy);
-  return snapshot::WriteBspState(state_path, state);
-}
-
-Status Session::RunShardRound(const Dataset& data,
-                              const std::string& state_path,
-                              const std::string& shard_path) {
-  CD_RETURN_IF_ERROR(CheckBspEligible());
-  auto state = snapshot::ReadBspState(state_path, data);
-  if (!state.ok()) return state.status();
-  if (state->num_shards != options_.plan.num_shards) {
-    return Status::InvalidArgument(StrFormat(
-        "shard round: the state file frames a %u-shard run but this "
-        "session's plan says %u shards",
-        state->num_shards, options_.plan.num_shards));
-  }
-  if (state->fusion.converged ||
-      state->fusion.rounds >= options_.max_rounds) {
-    return Status::FailedPrecondition(
-        "shard round: the sharded run already finished");
-  }
-  const int round = state->fusion.rounds + 1;
-  // The detector was created with this session's plan in its params,
-  // so it scores only the owned pairs. Reset makes repeated calls on
-  // one session behave like the fresh process per superstep the
-  // protocol assumes (and zeroes counters, so the shard file carries
-  // this round's work alone).
-  detector_->Reset();
-  DetectionInput in;
-  in.data = &data;
-  in.overlaps = overlaps_.get();
-  in.value_probs = &state->fusion.value_probs;
-  in.accuracies = &state->fusion.accuracies;
-  ShardResult part;
-  part.num_shards = options_.plan.num_shards;
-  part.shard_id = options_.plan.shard_id;
-  part.round = round;
-  CD_RETURN_IF_ERROR(detector_->DetectRound(in, round, &part.copies));
-  part.counters = detector_->counters();
-  return snapshot::WriteShardResult(shard_path, part);
-}
-
-StatusOr<bool> Session::MergeShardRound(
-    const Dataset& data, const std::vector<std::string>& shard_paths,
-    const std::string& state_path) {
-  CD_RETURN_IF_ERROR(CheckBspEligible());
-  auto state = snapshot::ReadBspState(state_path, data);
-  if (!state.ok()) return state.status();
-  if (state->num_shards != options_.plan.num_shards) {
-    return Status::InvalidArgument(StrFormat(
-        "merge: the state file frames a %u-shard run but this "
-        "session's plan says %u shards",
-        state->num_shards, options_.plan.num_shards));
-  }
-  if (state->fusion.converged ||
-      state->fusion.rounds >= options_.max_rounds) {
-    return Status::FailedPrecondition(
-        "merge: the sharded run already finished");
-  }
-  std::vector<ShardResult> parts;
-  parts.reserve(shard_paths.size());
-  for (const std::string& p : shard_paths) {
-    auto part = snapshot::ReadShardResult(p, data);
-    if (!part.ok()) return part.status();
-    if (part->num_shards != state->num_shards) {
-      return Status::InvalidArgument(StrFormat(
-          "merge: %s belongs to a %u-shard run, the state file to a "
-          "%u-shard one",
-          p.c_str(), part->num_shards, state->num_shards));
-    }
-    if (part->round != state->fusion.rounds + 1) {
-      return Status::InvalidArgument(StrFormat(
-          "merge: %s holds round %d but the state file expects round "
-          "%d",
-          p.c_str(), part->round, state->fusion.rounds + 1));
-    }
-    parts.push_back(std::move(*part));
-  }
-  CopyResult merged;
-  Counters round_counters;
-  CD_RETURN_IF_ERROR(
-      MergeShardResults(parts, &merged, &round_counters));
-  state->counters += round_counters;
-
-  // Advance the fusion loop exactly one round, the merged copies
-  // standing in for the detection call. The merge sees the whole pair
-  // set, so its params carry no plan.
-  FusionOptions fusion = options_.ToFusionOptions();
-  fusion.params.executor = executor_.get();
-  fusion.params.plan = ShardPlan();
-  PrecomputedDetector precomputed(fusion.params, std::move(merged));
-  FusionLoop loop(fusion);
-  CD_RETURN_IF_ERROR(
-      loop.Resume(data, &precomputed, overlaps_.get(),
-                  std::move(state->fusion)));
-  StatusOr<bool> stepped = loop.Step();
-  if (!stepped.ok()) return stepped.status();
-  state->fusion = std::move(loop).Take();
-  const bool done = state->fusion.converged ||
-                    state->fusion.rounds >= options_.max_rounds;
-  CD_RETURN_IF_ERROR(snapshot::WriteBspState(state_path, *state));
-  if (done) {
-    // Serve the finished run through report(). The session's own
-    // detector never ran this work, so the counters accumulated over
-    // the merged rounds stand in for detector_->counters().
-    if (snapshot_ != nullptr && &data != snapshot_.get()) {
-      snapshot_.reset();
-    }
-    loop_.reset();
-    data_ = &data;
-    report_ = Report();
-    report_.fusion = std::move(state->fusion);
-    merged_counters_ = state->counters;
-    RefreshReport();
-  }
-  return done;
 }
 
 }  // namespace copydetect

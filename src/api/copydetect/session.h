@@ -36,7 +36,6 @@
 /// CI enforces it).
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,7 +56,6 @@
 #include "eval/table.h"
 #include "fusion/truth_finder.h"
 #include "model/dataset_delta.h"
-#include "model/shard_plan.h"
 #include "model/stats.h"
 
 namespace copydetect {
@@ -119,17 +117,6 @@ struct SessionOptions {
   /// fraction of items — patching nearly everything costs more than a
   /// recount. Either path yields bit-identical reports.
   double update_rebuild_fraction = 0.5;
-
-  // --- Multi-process shard plan (Session BSP API below). ---
-  /// This process's slot in a multi-process sharded run. The default
-  /// {1, 0} is the whole-pair-set plan; with num_shards > 1 the
-  /// session detects only the pairs the plan owns, so ordinary
-  /// Run/Start are refused — drive the run through InitShardedRun /
-  /// RunShardRound / MergeShardRound instead. Incompatible with
-  /// online_updates and detection sampling. Not persisted by Save
-  /// (shard placement is per-process runtime configuration, not
-  /// session state).
-  ShardPlan plan;
 
   /// Validates every field, aggregating all violations into a single
   /// InvalidArgument message ("invalid SessionOptions: <a>; <b>; ...")
@@ -297,8 +284,12 @@ class Session {
   int round() const;
   /// Snapshot of the run so far: after the finishing Step this is the
   /// final report; mid-run, truth and the copy graph are computed
-  /// from the current round's state. Invalidated by the next Step,
-  /// Start, Run or Update.
+  /// from the current round's state. Rebuilt on every call only
+  /// while the session holds a streaming run (from Start until the
+  /// next Run or Update); a finished online Run, an Update and a
+  /// Load build it once, and later calls return it as is (empty
+  /// after a Run without online_updates, which hands its report to
+  /// the caller). Invalidated by the next Step, Start, Run or Update.
   const Report& report();
 
   // --- Online updates (requires SessionOptions::online_updates). ---
@@ -353,53 +344,6 @@ class Session {
   static StatusOr<Session> Load(const std::string& path,
                                 const LoadOptions& options);
 
-  // --- Multi-process sharded runs (BSP; docs/ARCHITECTURE.md). ---
-  //
-  // One fusion round per superstep: every shard process detects its
-  // plan-owned pairs against the shared state file, then one merge
-  // process folds the shard files together and advances the fusion
-  // loop a single round. Driven to completion this reproduces the
-  // single-process Run bit for bit:
-  //
-  //   coordinator:  session.InitShardedRun(data, "state.cdsnap");
-  //   per round:    shard i:  session_i.RunShardRound(data,
-  //                     "state.cdsnap", "shard_i.cdsnap");
-  //                 merge:    done = session.MergeShardRound(data,
-  //                     {"shard_0.cdsnap", ...}, "state.cdsnap");
-  //   until *done;  session.report() then serves the final result.
-  //
-  // Every process must load the identical data set (the state and
-  // shard files validate dimensions and pair ids against it, not its
-  // provenance). Requires a round-stateless detector (INCREMENTAL is
-  // refused — its cross-round state cannot survive process
-  // boundaries) and plain options: no online_updates, no sampling.
-
-  /// Writes the round-0 coordinator state for a run of
-  /// options().plan.num_shards shards to `state_path`: the initial
-  /// fusion estimates (exactly what Start computes) and zeroed
-  /// counters.
-  Status InitShardedRun(const Dataset& data,
-                        const std::string& state_path);
-
-  /// Executes the next detection round for this process's shard
-  /// (options().plan.shard_id of options().plan.num_shards, which
-  /// must match the state file's width) and writes the partial result
-  /// to `shard_path`. The session's detector is Reset() first, so
-  /// repeated calls behave like the fresh process per superstep the
-  /// protocol assumes.
-  Status RunShardRound(const Dataset& data,
-                       const std::string& state_path,
-                       const std::string& shard_path);
-
-  /// Folds one round's shard files (all of them, any order) into the
-  /// state file and advances the fusion loop one round. Returns true
-  /// when the run just finished (converged or max_rounds) — the
-  /// session then holds the final report(), bit-identical to a
-  /// single-process Run on the same data.
-  StatusOr<bool> MergeShardRound(
-      const Dataset& data, const std::vector<std::string>& shard_paths,
-      const std::string& state_path);
-
   /// The session's current snapshot: the owned, delta-evolved data
   /// set when online_updates is on and a run has started; null before
   /// the first run (or, without online_updates, the caller's data of
@@ -423,8 +367,6 @@ class Session {
   /// Installs a snapshot::Read result into this freshly Created
   /// session — the back half of Load().
   void InstallLoaded(snapshot::SessionState state);
-  /// Shared eligibility gate of the three BSP entry points.
-  Status CheckBspEligible() const;
 
   SessionOptions options_;
   std::string detector_name_;
@@ -436,11 +378,6 @@ class Session {
   std::unique_ptr<FusionLoop> loop_;        // null until Start
   const Dataset* data_ = nullptr;           // current run's data set
   Report report_;
-  /// Counters accumulated across a finished BSP run's merged rounds.
-  /// The session's own detector never ran that work, so RefreshReport
-  /// serves these instead of detector_->counters() while set; any
-  /// fresh Start clears them.
-  std::optional<Counters> merged_counters_;
 
   // Online-update state (null/empty unless options_.online_updates).
   std::unique_ptr<Dataset> snapshot_;  // owned evolving snapshot

@@ -292,11 +292,6 @@ StatusOr<SessionRef> SessionManager::Open(const std::string& name,
   }
   // A served session must accept updates and keep its own snapshot.
   session_options.online_updates = true;
-  if (session_options.plan.num_shards > 1) {
-    return Status::InvalidArgument(
-        "session '" + name +
-        "': shard plans are a batch-mode feature, not servable");
-  }
   auto session = Session::Create(session_options);
   if (!session.ok()) return session.status();
   auto report = session->Run(data);

@@ -40,13 +40,13 @@ uint32_t CeilToU32(double v) {
 /// One shard of the bounded scan over a prebuilt index. Pairs are
 /// partitioned by row ownership (OwnsRow on the pair's smaller
 /// source), and a shard enumerates only its own rows; `shard` of
-/// `num_shards` is the composite of the process plan and the worker
-/// (RunShardedScan). Pair states never interact, and the per-source
-/// observed-value counts n_src every shard recomputes identically from
-/// the shared entry stream, so each owned pair evolves exactly as in
-/// the sequential scan — the sharded result is bit-identical at any
-/// shard count. entries_scanned is charged to shard 0 only, so merged
-/// shard counters match the unsharded run.
+/// `num_shards` is the worker's slot (RunShardedScan). Pair states
+/// never interact, and the per-source observed-value counts n_src
+/// every shard recomputes identically from the shared entry stream,
+/// so each owned pair evolves exactly as in the sequential scan — the
+/// sharded result is bit-identical at any shard count.
+/// entries_scanned is charged to shard 0 only, so merged shard
+/// counters match the unsharded run.
 void ScanShard(const InvertedIndex& index, const DetectionInput& in,
                const DetectionParams& params, const ScanConfig& config,
                const OverlapCounts& overlaps, size_t shard,
@@ -255,7 +255,7 @@ Status BoundedScan(const DetectionInput& in, const DetectionParams& params,
   // path (INCREMENTAL's preparation round) stays sequential: it is
   // paid once per fusion run and merging shard books buys nothing.
   Executor* executor = book == nullptr ? params.executor : nullptr;
-  RunShardedScan(params.plan, executor, counters, out,
+  RunShardedScan(executor, counters, out,
                  [&](size_t shard, size_t num_shards, Counters* c,
                      CopyResult* o) {
                    ScanShard(index, in, params, config, overlaps, shard,

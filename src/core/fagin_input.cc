@@ -33,7 +33,6 @@ StatusOr<FaginInput> BuildFaginInput(const DetectionInput& in,
     for (size_t i = 0; i + 1 < providers.size(); ++i) {
       // Providers ascend: lo is the smaller source of the whole row.
       const SourceId lo = providers[i];
-      if (!params.plan.OwnsRow(lo)) continue;
       for (size_t j = i + 1; j < providers.size(); ++j) {
         const SourceId hi = providers[j];
         uint64_t key = PairKey(lo, hi);

@@ -195,9 +195,7 @@ Status IncrementalDetector::IncrementalRound(const DetectionInput& in,
   // are the only entries that can move a pair's score by more than the
   // ∆ρ bulk bound). ----
   for (uint32_t rank : big_ranks) {
-    // Stream-level work: every shard of an active plan walks the same
-    // big-change entries, so the charge goes to the primary only.
-    if (params_.plan.primary()) ++counters_.entries_scanned;
+    ++counters_.entries_scanned;
     std::span<const SourceId> providers = index_->providers(rank);
     for (size_t i = 0; i + 1 < providers.size(); ++i) {
       for (size_t j = i + 1; j < providers.size(); ++j) {

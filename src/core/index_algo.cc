@@ -18,11 +18,11 @@ struct IndexPairState {
 
 /// Scans every entry in rank order, enumerating only the pairs whose
 /// row this shard owns (OwnsRow on the pair's smaller source), then
-/// finalizes them. `shard` of `num_shards` is the composite of the
-/// process plan and the worker (RunShardedScan). With num_shards == 1
-/// this is exactly the sequential INDEX algorithm; with more shards
-/// each pair still accumulates in rank order inside its single owner,
-/// which is what makes sharded runs bit-identical to the serial one.
+/// finalizes them. `shard` of `num_shards` is the worker's slot
+/// (RunShardedScan). With num_shards == 1 this is exactly the
+/// sequential INDEX algorithm; with more shards each pair still
+/// accumulates in rank order inside its single owner, which is what
+/// makes sharded runs bit-identical to the serial one.
 /// entries_scanned is charged to shard 0 only (every shard steps
 /// through the same entries, each enumerating its own rows), so
 /// summing the shards' counters reproduces the unsharded totals.
@@ -101,7 +101,7 @@ Status IndexDetector::DetectRound(const DetectionInput& in, int round,
   const InvertedIndex& index = *index_or;
   const std::vector<double>& accs = *in.accuracies;
 
-  RunShardedScan(params_.plan, params_.executor, &counters_, out,
+  RunShardedScan(params_.executor, &counters_, out,
                  [&](size_t shard, size_t num_shards, Counters* c,
                      CopyResult* o) {
                    ScanShard(index, accs, params_, overlaps, shard,

@@ -148,9 +148,6 @@ Status PairwiseDetector::DetectRound(const DetectionInput& in, int round,
   const PosteriorPrior prior(params_);
   ParallelFor(params_.executor, n - 1, [&](size_t row) {
     SourceId a = static_cast<SourceId>(row);
-    // Under an active ShardPlan this instance scores only the rows it
-    // owns; the merge of all shards' results is then the full pair set.
-    if (!params_.plan.OwnsRow(a)) return;
     Counters& counters = row_counters[row];
     for (SourceId b = static_cast<SourceId>(a + 1); b < n; ++b) {
       PairScores scores = use_dense

@@ -28,7 +28,6 @@ Status DetectionParams::Validate() const {
   if (!(rho_value > 0.0)) {
     return Status::InvalidArgument("rho_value must be positive");
   }
-  CD_RETURN_IF_ERROR(plan.Validate());
   return Status::OK();
 }
 

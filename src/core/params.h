@@ -6,7 +6,6 @@
 #include <cstddef>
 
 #include "common/status.h"
-#include "model/shard_plan.h"
 
 namespace copydetect {
 
@@ -42,15 +41,6 @@ struct DetectionParams {
   /// parallel paths are bit-identical to the sequential ones at any
   /// thread count, so this is purely a speed knob.
   Executor* executor = nullptr;
-
-  /// Which rows of the pair space this detector instance owns (see
-  /// model/shard_plan.h). The default single-shard plan owns every
-  /// row; an active plan restricts every scan path to the pairs of
-  /// its rows and gates stream-level counters to shard 0, so that
-  /// merging the shards' results reproduces the unsharded run
-  /// exactly. Threads subdivide the rows a plan assigns to this
-  /// process (core/sharded_scan.h).
-  ShardPlan plan;
 
   double beta() const { return 1.0 - 2.0 * alpha; }
   /// No-copying threshold theta_ind = ln(beta / (2 alpha)): both Cmax

@@ -12,9 +12,20 @@
 #include "core/copy_result.h"
 #include "core/counters.h"
 #include "core/inverted_index.h"
-#include "model/shard_plan.h"
+#include "model/types.h"
 
 namespace copydetect {
+
+/// Row ownership, the one pair partition of detection: pair (lo, hi),
+/// lo < hi, belongs to shard lo % num_shards. Provider lists ascend
+/// (Dataset::providers), so providers[i] is the smaller source of every
+/// pair (providers[i], providers[j > i]), and a scan tests one position
+/// per row and enumerates only the pairs it owns. Interleaving rows by
+/// id keeps dense data balanced, where row lengths fall linearly with
+/// lo. RunShardedScan gives each executor worker one shard.
+inline bool OwnsRow(SourceId lo, size_t shard, size_t num_shards) {
+  return num_shards <= 1 || lo % num_shards == shard;
+}
 
 /// The entry count to Reserve for the pair table of scan shard `shard`
 /// of `num_shards`, when only the entries at ranks [0, creating_end)
@@ -51,33 +62,26 @@ inline size_t ShardPairReservation(const InvertedIndex& index,
 }
 
 /// Shard-dispatch-and-merge boilerplate shared by the sharded scans
-/// (IndexDetector, BoundedScan). It composes the two levels of the row
-/// partition (OwnsRow, model/shard_plan.h) in one place: worker w of T
-/// runs composite shard plan.shard_id + P·w of P·T, where P is
-/// plan.num_shards, so the workers split exactly the rows the plan
-/// owns. `scan(shard, num_shards, counters, out)` must process
-/// exactly the pairs whose row it owns (OwnsRow(lo, shard,
-/// num_shards)), each in the sequential accumulation order; distinct
-/// shards then touch disjoint pairs, the merge is a plain union, and
-/// counters sum to the sequential values. Stream-level counters
-/// (entries_scanned) go to composite shard 0 alone, which only the
-/// plan's shard 0 runs. With a null or single-thread executor the scan
-/// runs inline as scan(plan.shard_id, P, ...), the sequential algorithm
-/// itself when the plan is inactive.
+/// (IndexDetector, BoundedScan): worker w of T runs shard w of T.
+/// `scan(shard, num_shards, counters, out)` must process exactly the
+/// pairs whose row it owns (OwnsRow(lo, shard, num_shards)), each in
+/// the sequential accumulation order; distinct shards then touch
+/// disjoint pairs, the merge is a plain union, and counters sum to the
+/// sequential values. Stream-level counters (entries_scanned) go to
+/// shard 0 alone. With a null or single-thread executor the scan runs
+/// inline as scan(0, 1, ...), the sequential algorithm itself.
 ///
 /// Each shard counts into a Counters and writes into a CopyResult on
 /// its own worker's stack, and moves both into its merge slot once,
 /// after its scan: adjacent slots share cache lines, so a scan that
 /// wrote them per pair would contend with its neighbours.
 template <typename ScanFn>
-void RunShardedScan(const ShardPlan& plan, Executor* executor,
-                    Counters* counters, CopyResult* out,
-                    const ScanFn& scan) {
+void RunShardedScan(Executor* executor, Counters* counters,
+                    CopyResult* out, const ScanFn& scan) {
   const size_t workers =
       executor != nullptr ? executor->num_threads() : 1;
-  const size_t num_shards = size_t{plan.num_shards} * workers;
   if (workers <= 1) {
-    scan(size_t{plan.shard_id}, num_shards, counters, out);
+    scan(0, 1, counters, out);
     return;
   }
   std::vector<Counters> shard_counters(workers);
@@ -85,8 +89,7 @@ void RunShardedScan(const ShardPlan& plan, Executor* executor,
   executor->ParallelFor(workers, [&](size_t w) {
     Counters local_counters;
     CopyResult local_result;
-    scan(plan.shard_id + size_t{plan.num_shards} * w, num_shards,
-         &local_counters, &local_result);
+    scan(w, workers, &local_counters, &local_result);
     shard_counters[w] = local_counters;
     shard_results[w] = std::move(local_result);
   });

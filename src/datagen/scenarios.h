@@ -1,7 +1,7 @@
 #ifndef COPYDETECT_DATAGEN_SCENARIOS_H_
 #define COPYDETECT_DATAGEN_SCENARIOS_H_
 
-// Adversarial scenario library (ROADMAP item 4).
+// Adversarial scenario library.
 //
 // Where profiles.h describes *static* worlds shaped like the paper's
 // crawls, a scenario is a world plus a history: an initial snapshot

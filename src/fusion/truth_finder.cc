@@ -47,28 +47,6 @@ Status FusionLoop::Start(const Dataset& data, CopyDetector* detector,
   return Status::OK();
 }
 
-Status FusionLoop::Resume(const Dataset& data, CopyDetector* detector,
-                          OverlapCache* overlaps, FusionResult state) {
-  CD_RETURN_IF_ERROR(options_.params.Validate());
-  if (options_.use_copy_detection &&
-      (detector == nullptr || overlaps == nullptr)) {
-    return Status::InvalidArgument(
-        "use_copy_detection requires a detector and an overlap cache");
-  }
-  if (state.value_probs.size() != data.num_slots() ||
-      state.accuracies.size() != data.num_sources()) {
-    return Status::InvalidArgument(
-        "FusionLoop::Resume: state dimensions disagree with the data "
-        "set");
-  }
-  data_ = &data;
-  detector_ = detector;
-  overlaps_ = overlaps;
-  result_ = std::move(state);
-  done_ = result_.converged || result_.rounds >= options_.max_rounds;
-  return Status::OK();
-}
-
 StatusOr<bool> FusionLoop::Step() {
   if (data_ == nullptr) {
     return Status::FailedPrecondition("FusionLoop::Step before Start");

@@ -94,17 +94,6 @@ class FusionLoop {
   Status Start(const Dataset& data, CopyDetector* detector,
                OverlapCache* overlaps);
 
-  /// Start()'s warm twin: adopts `state` — a FusionResult persisted
-  /// after some round N — as the loop's state, so the next Step()
-  /// executes round N + 1 exactly as the original loop would have.
-  /// This is what lets a multi-process sharded run advance the fusion
-  /// loop one round per coordinator invocation (Session's BSP merge)
-  /// and still reproduce the in-process run bit for bit. The loop is
-  /// immediately done() when `state` already converged or exhausted
-  /// max_rounds.
-  Status Resume(const Dataset& data, CopyDetector* detector,
-                OverlapCache* overlaps, FusionResult state);
-
   /// Executes the next round (detection + fusion update + convergence
   /// check). Returns true when a round was executed, false when the
   /// loop had already finished (converged or hit max_rounds).

@@ -4,6 +4,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
@@ -33,6 +34,15 @@ bool WriteAll(int fd, std::string_view data) {
   return true;
 }
 
+/// One accepted connection. Its thread sets `done` under Impl::mu
+/// just before it closes `fd` and returns, so `fd` is open exactly
+/// while `done` is false.
+struct Connection {
+  int fd = -1;
+  bool done = false;
+  std::thread thread;
+};
+
 }  // namespace
 
 struct Server::Impl {
@@ -41,9 +51,23 @@ struct Server::Impl {
   std::atomic<bool> shutting_down{false};
 
   Mutex mu;
-  std::vector<int> connection_fds CD_GUARDED_BY(mu);
-  std::vector<std::thread> connection_threads CD_GUARDED_BY(mu);
+  /// Live connections, plus finished ones not yet reaped.
+  std::vector<Connection> connections CD_GUARDED_BY(mu);
   bool shutdown_done CD_GUARDED_BY(mu) = false;
+
+  /// Joins and drops the finished connections, so a served
+  /// connection's thread stack is unmapped now instead of at Shutdown.
+  /// A finished thread never takes `mu` again, so joining it here
+  /// cannot deadlock.
+  void ReapFinished() CD_REQUIRES(mu) {
+    auto finished = std::partition(
+        connections.begin(), connections.end(),
+        [](const Connection& c) { return !c.done; });
+    for (auto it = finished; it != connections.end(); ++it) {
+      it->thread.join();
+    }
+    connections.erase(finished, connections.end());
+  }
 };
 
 Server::Server(ServerOptions options,
@@ -107,9 +131,10 @@ void Server::AcceptLoop() {
       ::close(fd);
       break;
     }
-    impl_->connection_fds.push_back(fd);
-    impl_->connection_threads.emplace_back(
-        [this, fd] { ServeConnection(fd); });
+    impl_->ReapFinished();
+    Connection& connection = impl_->connections.emplace_back();
+    connection.fd = fd;
+    connection.thread = std::thread([this, fd] { ServeConnection(fd); });
   }
 }
 
@@ -155,6 +180,18 @@ void Server::ServeConnection(int fd) {
     // newline still terminates it because the inner loop consumed
     // every newline already in the buffer.
     if (discarding) buffer.clear();
+  }
+  // Done before close: once the fd number can be reused, Shutdown no
+  // longer shuts it down. The entry is missing when Shutdown has
+  // already taken it.
+  {
+    MutexLock lock(impl_->mu);
+    for (Connection& connection : impl_->connections) {
+      if (connection.fd == fd && !connection.done) {
+        connection.done = true;
+        break;
+      }
+    }
   }
   ::close(fd);
 }
@@ -301,15 +338,17 @@ void Server::Shutdown() {
   ::close(impl_->listen_fd);
   ::unlink(options_.socket_path.c_str());
 
-  // Unblock connection reads, then join. The fd vector is stable now:
-  // the accept thread (its only writer besides us) is gone.
-  std::vector<std::thread> threads;
+  // Unblock the live connections' reads, then join every thread. No
+  // connection is added now: the accept thread is gone.
+  std::vector<Connection> connections;
   {
     MutexLock lock(impl_->mu);
-    for (int fd : impl_->connection_fds) ::shutdown(fd, SHUT_RDWR);
-    threads.swap(impl_->connection_threads);
+    for (const Connection& connection : impl_->connections) {
+      if (!connection.done) ::shutdown(connection.fd, SHUT_RDWR);
+    }
+    connections.swap(impl_->connections);
   }
-  for (std::thread& t : threads) t.join();
+  for (Connection& connection : connections) connection.thread.join();
 
   manager_->Shutdown();
 }

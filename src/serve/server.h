@@ -4,8 +4,9 @@
 /// \file
 /// The copydetectd transport: a local stream socket (AF_UNIX) serving
 /// the newline-delimited JSON protocol of serve/wire.h over a
-/// SessionManager. One thread per connection; requests on one
-/// connection are handled in order, connections are independent.
+/// SessionManager. One thread per connection, joined at the next
+/// accept once the connection closes; requests on one connection are
+/// handled in order, connections are independent.
 /// Reads scale because `query` is an atomic snapshot load in the
 /// manager — connection threads never contend on session state.
 ///

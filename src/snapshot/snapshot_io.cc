@@ -763,8 +763,7 @@ void WriteFusion(const FusionResult& f, Writer* w) {
   w->F64(f.detect_cpu_seconds);
 }
 
-Status ReadFusion(Reader* r, const Dataset& data, FusionResult* out,
-                  bool allow_empty_truth = false) {
+Status ReadFusion(Reader* r, const Dataset& data, FusionResult* out) {
   out->value_probs = r->Vec<double>();
   out->accuracies = r->Vec<double>();
   out->truth = r->Vec<SlotId>();
@@ -794,13 +793,9 @@ Status ReadFusion(Reader* r, const Dataset& data, FusionResult* out,
     return Status::InvalidArgument(
         "snapshot: FUSION section truncated");
   }
-  // A mid-run BSP state carries no truth yet — the fusion loop only
-  // chooses truth once the run finishes.
-  const bool truth_ok =
-      out->truth.size() == data.num_items() ||
-      (allow_empty_truth && out->truth.empty());
   if (out->value_probs.size() != data.num_slots() ||
-      out->accuracies.size() != data.num_sources() || !truth_ok) {
+      out->accuracies.size() != data.num_sources() ||
+      out->truth.size() != data.num_items()) {
     return Status::InvalidArgument(
         "snapshot: FUSION arrays disagree with the data set's "
         "dimensions");
@@ -1008,8 +1003,8 @@ std::vector<uint8_t> FrameSections(
 }
 
 // ---------------------------------------------------------------------
-// Reading: one opener and one framing check serve every snapshot, shard
-// and state file, owned and mapped alike.
+// Reading: one opener and one framing check serve every snapshot,
+// owned and mapped alike.
 
 /// Unmaps a snapshot mapping once the last ArrayStore view into it (and
 /// the File that created it) is gone.
@@ -1266,11 +1261,10 @@ StatusOr<SessionState> ReadSession(const std::string& path, bool map) {
         saw_tape = true;
         break;
       default:
-        // Session snapshots define exactly the sections above (SHARD
-        // and STATE frame the separate shard-protocol files); an
-        // unknown id within a known version means the file does not
-        // match its declared version (new state ships with a version
-        // bump).
+        // Session snapshots define exactly the sections above (ids 6
+        // and 7 are retired, never reused); an unknown id within a
+        // known version means the file does not match its declared
+        // version (new state ships with a version bump).
         return Status::InvalidArgument(StrFormat(
             "snapshot: %s: unknown section id %u in a version-%u file",
             path.c_str(), e.id, file.version));
@@ -1361,142 +1355,6 @@ StatusOr<SessionState> Read(const std::string& path) {
 
 StatusOr<SessionState> ReadMapped(const std::string& path) {
   return ReadSession(path, /*map=*/true);
-}
-
-// ---------------------------------------------------------------------
-// Shard-protocol files: the same framed container with exactly one
-// section (SHARD or STATE), so the corruption story — checksums,
-// bounds, atomic replace — is inherited rather than reinvented.
-
-namespace {
-
-Status WriteSingleSection(const std::string& path, SectionId id,
-                          Writer payload) {
-  std::vector<std::pair<SectionId, Writer>> sections;
-  sections.emplace_back(id, std::move(payload));
-  // Shard/state files carry no Dataset, so the generation slot is 0;
-  // consistency with the coordinator's data set is the caller's
-  // contract (the reader validates dimensions instead).
-  return WriteFileAtomic(path, FrameSections(/*generation=*/0, sections));
-}
-
-/// Opens a shard-protocol file (owned) and checks that it holds
-/// exactly one section, of kind `id`.
-StatusOr<File> OpenSingleSection(const std::string& path, SectionId id,
-                                 const char* what) {
-  auto file = OpenFile(path, /*map=*/false);
-  if (!file.ok()) return file;
-  if (file->entries.size() != 1 ||
-      file->entries.front().id != static_cast<uint32_t>(id)) {
-    return Status::InvalidArgument(StrFormat(
-        "snapshot: %s: not a %s file (expected exactly one section of "
-        "id %u)",
-        path.c_str(), what, static_cast<uint32_t>(id)));
-  }
-  return file;
-}
-
-void WriteCounters(const Counters& c, Writer* w) {
-  w->U64(c.score_evals);
-  w->U64(c.bound_evals);
-  w->U64(c.finalize_evals);
-  w->U64(c.pairs_tracked);
-  w->U64(c.entries_scanned);
-  w->U64(c.values_examined);
-  w->U64(c.early_copy);
-  w->U64(c.early_nocopy);
-}
-
-void ReadCounters(Reader* r, Counters* c) {
-  c->score_evals = r->U64();
-  c->bound_evals = r->U64();
-  c->finalize_evals = r->U64();
-  c->pairs_tracked = r->U64();
-  c->entries_scanned = r->U64();
-  c->values_examined = r->U64();
-  c->early_copy = r->U64();
-  c->early_nocopy = r->U64();
-}
-
-}  // namespace
-
-Status WriteShardResult(const std::string& path,
-                        const ShardResult& shard) {
-  if (shard.num_shards == 0 || shard.shard_id >= shard.num_shards) {
-    return Status::InvalidArgument(StrFormat(
-        "shard file: shard id %u / num_shards %u is not a valid plan "
-        "slot",
-        shard.shard_id, shard.num_shards));
-  }
-  Writer w;
-  w.U32(shard.num_shards);
-  w.U32(shard.shard_id);
-  w.U32(static_cast<uint32_t>(shard.round));
-  w.U32(0);  // pad
-  WriteCounters(shard.counters, &w);
-  WriteCopies(shard.copies, &w);
-  return WriteSingleSection(path, SectionId::kShard, std::move(w));
-}
-
-StatusOr<ShardResult> ReadShardResult(const std::string& path,
-                                      const Dataset& data) {
-  auto file = OpenSingleSection(path, SectionId::kShard, "shard");
-  if (!file.ok()) return file.status();
-  Reader r = file->Section(file->entries.front());
-  ShardResult shard;
-  shard.num_shards = r.U32();
-  shard.shard_id = r.U32();
-  shard.round = static_cast<int>(r.U32());
-  r.U32();  // pad
-  ReadCounters(&r, &shard.counters);
-  if (!r.ok()) {
-    return Status::InvalidArgument(
-        "snapshot: " + path + ": SHARD section truncated");
-  }
-  if (shard.num_shards == 0 || shard.shard_id >= shard.num_shards) {
-    return Status::InvalidArgument(StrFormat(
-        "snapshot: %s: shard id %u / num_shards %u is not a valid "
-        "plan slot",
-        path.c_str(), shard.shard_id, shard.num_shards));
-  }
-  CD_RETURN_IF_ERROR(
-      ReadCopies(&r, data.num_sources(), "SHARD", &shard.copies));
-  return shard;
-}
-
-Status WriteBspState(const std::string& path, const BspState& state) {
-  if (state.num_shards == 0) {
-    return Status::InvalidArgument(
-        "state file: num_shards must be at least 1");
-  }
-  Writer w;
-  w.U32(state.num_shards);
-  w.U32(0);  // pad
-  WriteCounters(state.counters, &w);
-  WriteFusion(state.fusion, &w);
-  return WriteSingleSection(path, SectionId::kState, std::move(w));
-}
-
-StatusOr<BspState> ReadBspState(const std::string& path,
-                                const Dataset& data) {
-  auto file = OpenSingleSection(path, SectionId::kState, "state");
-  if (!file.ok()) return file.status();
-  Reader r = file->Section(file->entries.front());
-  BspState state;
-  state.num_shards = r.U32();
-  r.U32();  // pad
-  ReadCounters(&r, &state.counters);
-  if (!r.ok()) {
-    return Status::InvalidArgument(
-        "snapshot: " + path + ": STATE section truncated");
-  }
-  if (state.num_shards == 0) {
-    return Status::InvalidArgument(
-        "snapshot: " + path + ": state file declares zero shards");
-  }
-  CD_RETURN_IF_ERROR(ReadFusion(&r, data, &state.fusion,
-                                /*allow_empty_truth=*/true));
-  return state;
 }
 
 }  // namespace snapshot

@@ -48,8 +48,6 @@
 
 #include "common/status.h"
 #include "core/copy_result.h"
-#include "core/counters.h"
-#include "core/shard_merge.h"
 #include "fusion/truth_finder.h"
 #include "model/dataset.h"
 #include "simjoin/overlap.h"
@@ -75,16 +73,15 @@ inline constexpr unsigned char kMagic[8] = {'C', 'D', 'S', 'N',
 /// Section ids. The section table is the unit of integrity checking
 /// (one checksum per section) and of forward evolution (new optional
 /// state = new section id + version bump). Ids 1-5 are the session
-/// snapshot sections (versions 1 and 2); 6 and 7 frame the
-/// multi-process shard protocol's files (version 2).
+/// snapshot sections (versions 1 and 2). Ids 6 and 7 framed the files
+/// of a retired multi-process mode; they stay reserved, are never
+/// reused, and are refused like any unknown id.
 enum class SectionId : uint32_t {
   kOptions = 1,   ///< session configuration, self-describing fields
   kDataset = 2,   ///< the Dataset snapshot, all arrays verbatim
   kOverlaps = 3,  ///< maintained OverlapCounts (optional)
   kFusion = 4,    ///< the last completed run's FusionResult
   kTape = 5,      ///< legacy update tape: validated, dropped, never written
-  kShard = 6,     ///< one shard's round result (shard files only)
-  kState = 7,     ///< BSP coordinator state (state files only)
 };
 
 /// One self-describing configuration field of the OPTIONS section:
@@ -171,28 +168,6 @@ StatusOr<std::vector<std::string>> ListSnapshotFiles(
 /// returned state's views keep the mapping alive; Dataset::Apply and
 /// UpdateOverlaps copy-on-write out of it.
 StatusOr<SessionState> ReadMapped(const std::string& path);
-
-/// One shard's round output (ShardResult), framed exactly like a
-/// snapshot: magic, version, single SHARD section, checksummed. The
-/// reader validates pair keys against `data`.
-Status WriteShardResult(const std::string& path,
-                        const ShardResult& shard);
-StatusOr<ShardResult> ReadShardResult(const std::string& path,
-                                      const Dataset& data);
-
-/// Coordinator state of a multi-process (BSP) sharded run: the plan
-/// width, counters accumulated over merged rounds, and the fusion
-/// loop state after the last merged round. One STATE section, same
-/// framing.
-struct BspState {
-  uint32_t num_shards = 0;
-  Counters counters;
-  FusionResult fusion;
-};
-
-Status WriteBspState(const std::string& path, const BspState& state);
-StatusOr<BspState> ReadBspState(const std::string& path,
-                                const Dataset& data);
 
 }  // namespace snapshot
 }  // namespace copydetect

@@ -43,6 +43,13 @@ TEST(LintTree, FindsEveryPlantedViolationExactly) {
       "bench/retired_detector_names.cc:18:deprecated-shim",
       "bench/retired_detector_names.cc:19:deprecated-shim",
       "bench/retired_detector_names.cc:20:deprecated-shim",
+      "bench/retired_detector_names.cc:21:deprecated-shim",
+      "bench/retired_detector_names.cc:22:deprecated-shim",
+      "bench/retired_detector_names.cc:23:deprecated-shim",
+      "bench/retired_detector_names.cc:24:deprecated-shim",
+      "bench/retired_detector_names.cc:25:deprecated-shim",
+      "bench/retired_detector_names.cc:26:deprecated-shim",
+      "bench/retired_detector_names.cc:27:deprecated-shim",
       "src/api/banned_assert.cc:5:banned-assert",
       "src/api/deprecated_load.cc:5:deprecated-shim",
       "src/common/deprecated_flagparser.cc:5:deprecated-shim",

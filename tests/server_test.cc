@@ -4,9 +4,15 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -145,6 +151,45 @@ TEST(Server, MultipleConcurrentConnections) {
   }
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(ok_count.load(), 40);
+}
+
+/// This process's VmSize in KiB (/proc/self/status), or -1.
+long VmSizeKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::strtol(line.c_str() + 7, nullptr, 10);
+    }
+  }
+  return -1;
+}
+
+// A finished connection's thread is joined, so its stack is unmapped:
+// a daemon that has served many connections, one after another, maps
+// no more than one that has served a few.
+TEST(Server, SequentialConnectionsKeepVmSizeFlat) {
+#if defined(__GLIBC__)
+  // glibc maps 64 MiB for each malloc arena it adds when two threads
+  // allocate at once, which a connection thread finishing while the
+  // next one starts can trigger. One arena leaves thread stacks as the
+  // only mappings a served connection can keep.
+  mallopt(M_ARENA_MAX, 1);
+#endif
+  auto server = StartTestServer("sequential");
+  auto serve_one = [&server] {
+    Client client(server->socket_path());
+    ASSERT_TRUE(client.connected());
+    EXPECT_TRUE(client.Call("{\"verb\":\"stats\"}").GetBool("ok", false));
+  };
+  for (int i = 0; i < 10; ++i) serve_one();
+  const long after_10 = VmSizeKiB();
+  ASSERT_GT(after_10, 0);
+  for (int i = 10; i < 200; ++i) serve_one();
+  const long after_200 = VmSizeKiB();
+  EXPECT_LE(after_200 - after_10, 64 * 1024)
+      << "VmSize " << after_10 << " kB after 10 connections, "
+      << after_200 << " kB after 200";
 }
 
 TEST(Server, ShutdownUnblocksClientsAndRemovesSocket) {

@@ -65,6 +65,28 @@ void ExpectSameReport(Report got, Report want) {
   EXPECT_EQ(got.graph.clusters.size(), want.graph.clusters.size());
 }
 
+/// Report::ToJson of a cold, never-persisted run of `options` on
+/// `data`.
+std::string ColdJson(const Dataset& data, SessionOptions options) {
+  options.online_updates = false;
+  auto cold = Session::Create(options);
+  CD_CHECK_OK(cold.status());
+  auto report = cold->Run(data);
+  CD_CHECK_OK(report.status());
+  return report->ToJson(data);
+}
+
+/// Two consecutive report() calls on a session with no live run must
+/// render the same bytes, and those must be `want`'s.
+void ExpectStableReport(Session* session, const std::string& want) {
+  const std::string first =
+      session->report().ToJson(*session->current_data());
+  const std::string second =
+      session->report().ToJson(*session->current_data());
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(first, want);
+}
+
 /// A feed-like delta: overwrite, add, retract, new source, new item.
 DatasetDelta ExampleDelta(const Dataset& base) {
   DatasetDelta delta;
@@ -467,6 +489,12 @@ TEST(SessionSnapshotMapped, UpdateAfterMappedLoadCopiesOnWrite) {
   auto mapped = Session::Load(path, LoadMode::kMapped);
   CD_CHECK_OK(mapped.status());
   std::remove(path.c_str());
+  // A finished run and both loads serve a cold run's bytes, call after
+  // call.
+  const std::string cold = ColdJson(world.data, options);
+  ExpectStableReport(&*live, cold);
+  ExpectStableReport(&*owned, cold);
+  ExpectStableReport(&*mapped, cold);
 
   for (const DatasetDelta& delta :
        {ExampleDelta(world.data), FollowUpDelta(world.data)}) {
@@ -475,6 +503,10 @@ TEST(SessionSnapshotMapped, UpdateAfterMappedLoadCopiesOnWrite) {
     EXPECT_EQ(mapped->last_update_stats().incremental,
               owned->last_update_stats().incremental);
     ExpectSameReport(mapped->report(), owned->report());
+    const std::string updated_cold =
+        ColdJson(*owned->current_data(), options);
+    ExpectStableReport(&*owned, updated_cold);
+    ExpectStableReport(&*mapped, updated_cold);
   }
   // A save from the mapped session after COW round-trips cleanly.
   CD_CHECK_OK(mapped->Save(path));
@@ -510,6 +542,9 @@ TEST(SessionSnapshotMapped, StreamingAfterMappedLoadMatchesOwned) {
     CD_CHECK_OK(mapped_step.status());
     ASSERT_EQ(*mapped_step, *owned_step);
     if (!*owned_step) break;
+    // Mid-run, report() follows the round, not the loaded report.
+    EXPECT_EQ(mapped->report().rounds(), mapped->round());
+    EXPECT_EQ(owned->report().rounds(), owned->round());
   }
   ExpectSameReport(mapped->report(), owned->report());
 }

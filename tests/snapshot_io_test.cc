@@ -481,10 +481,16 @@ TEST(SnapshotIoCorruption, UnknownSectionIdInAKnownVersionIsRefused) {
       << "docs/FORMATS.md checksum spec drifted from the code";
 
   // Forge: relabel the first section with an id the version does not
-  // define, re-seal the table, and expect a precise refusal.
-  bytes[kHeader] = 99;
-  ResealTable(&bytes);
-  ExpectRefused(bytes, "unknown section id 99");
+  // define, re-seal the table, and expect a precise refusal. Ids 6 and
+  // 7 framed the files of a retired multi-process mode; they stay
+  // reserved and are refused like any other unknown id.
+  for (int id : {6, 7, 99}) {
+    SCOPED_TRACE(id);
+    std::vector<uint8_t> forged = bytes;
+    forged[kHeader] = static_cast<uint8_t>(id);
+    ResealTable(&forged);
+    ExpectRefused(forged, "unknown section id " + std::to_string(id));
+  }
 }
 
 TEST(SnapshotIoCorruption, DuplicateSectionIdIsRefused) {
@@ -711,12 +717,9 @@ TEST(SnapshotIoCorruption, SparseOverlapKeyOutOfSourceRangeIsRefused) {
 // be read until memory runs out, and a FIFO would block open(). ---
 
 void ExpectNotARegularFile(const std::string& path) {
-  const Dataset data = SmallData();
   const std::pair<const char*, Status> results[] = {
       {"Read", snapshot::Read(path).status()},
       {"ReadMapped", snapshot::ReadMapped(path).status()},
-      {"ReadShardResult", snapshot::ReadShardResult(path, data).status()},
-      {"ReadBspState", snapshot::ReadBspState(path, data).status()},
   };
   for (const auto& [reader, status] : results) {
     EXPECT_EQ(status.code(), StatusCode::kIOError)
@@ -915,142 +918,6 @@ TEST(SnapshotIoLegacyTape, ForgedTapeIsRefused) {
     SCOPED_TRACE(forgery.what);
     ExpectRefused(forgery.bytes, forgery.needle);
   }
-}
-
-// --- Shard/BSP files: single-section .cdsnap framing around
-// ShardResult and BspState. ---
-
-Counters FilledCounters(uint64_t base) {
-  Counters counters;
-  counters.score_evals = base + 1;
-  counters.bound_evals = base + 2;
-  counters.finalize_evals = base + 3;
-  counters.pairs_tracked = base + 4;
-  counters.entries_scanned = base + 5;
-  counters.values_examined = base + 6;
-  counters.early_copy = base + 7;
-  counters.early_nocopy = base + 8;
-  return counters;
-}
-
-void ExpectSameCounters(const Counters& got, const Counters& want) {
-  EXPECT_EQ(got.score_evals, want.score_evals);
-  EXPECT_EQ(got.bound_evals, want.bound_evals);
-  EXPECT_EQ(got.finalize_evals, want.finalize_evals);
-  EXPECT_EQ(got.pairs_tracked, want.pairs_tracked);
-  EXPECT_EQ(got.entries_scanned, want.entries_scanned);
-  EXPECT_EQ(got.values_examined, want.values_examined);
-  EXPECT_EQ(got.early_copy, want.early_copy);
-  EXPECT_EQ(got.early_nocopy, want.early_nocopy);
-}
-
-TEST(SnapshotIoShard, ShardResultRoundTrips) {
-  const std::string path = TempPath("shard.cdsnap");
-  Dataset data = SmallData();
-  ShardResult shard;
-  shard.num_shards = 3;
-  shard.shard_id = 1;
-  shard.round = 2;
-  shard.counters = FilledCounters(100);
-  PairPosterior posterior;
-  posterior.p_indep = 0.25;
-  posterior.p_first_copies = 0.125;
-  posterior.p_second_copies = 0.625;
-  shard.copies.Set(0, 1, posterior);
-  shard.copies.Set(1, 3, posterior);
-  CD_CHECK_OK(snapshot::WriteShardResult(path, shard));
-  auto loaded = snapshot::ReadShardResult(path, data);
-  std::remove(path.c_str());
-  CD_CHECK_OK(loaded.status());
-  EXPECT_EQ(loaded->num_shards, shard.num_shards);
-  EXPECT_EQ(loaded->shard_id, shard.shard_id);
-  EXPECT_EQ(loaded->round, shard.round);
-  ExpectSameCounters(loaded->counters, shard.counters);
-  EXPECT_EQ(loaded->copies.raw_map().raw_keys(),
-            shard.copies.raw_map().raw_keys());
-}
-
-TEST(SnapshotIoShard, ShardPairKeyOutOfRangeIsRefused) {
-  const std::string path = TempPath("shard_range.cdsnap");
-  Dataset data = SmallData();
-  ShardResult shard;
-  shard.num_shards = 2;
-  PairPosterior posterior;
-  posterior.p_indep = 0.4;
-  shard.copies.Set(0, 700, posterior);  // data has 4 sources
-  CD_CHECK_OK(snapshot::WriteShardResult(path, shard));
-  auto loaded = snapshot::ReadShardResult(path, data);
-  std::remove(path.c_str());
-  ASSERT_FALSE(loaded.ok());
-}
-
-TEST(SnapshotIoShard, CorruptShardFileIsRefused) {
-  const std::string path = TempPath("shard_corrupt.cdsnap");
-  ShardResult shard;
-  shard.num_shards = 2;
-  shard.counters = FilledCounters(0);
-  CD_CHECK_OK(snapshot::WriteShardResult(path, shard));
-  std::vector<uint8_t> bytes = ReadFileBytes(path);
-  bytes.back() ^= 0x10;
-  WriteFileBytes(path, bytes);
-  auto loaded = snapshot::ReadShardResult(path, SmallData());
-  std::remove(path.c_str());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("checksum mismatch"),
-            std::string::npos)
-      << loaded.status().message();
-}
-
-TEST(SnapshotIoShard, ShardFileIsNotASessionSnapshot) {
-  // A shard file must not load as a full session snapshot (it lacks
-  // the mandatory OPTIONS/DATASET/FUSION sections), and vice versa a
-  // session snapshot must not read as a shard file.
-  const std::string path = TempPath("shard_vs_snap.cdsnap");
-  ShardResult shard;
-  shard.num_shards = 2;
-  CD_CHECK_OK(snapshot::WriteShardResult(path, shard));
-  EXPECT_FALSE(snapshot::Read(path).ok());
-  std::remove(path.c_str());
-
-  SessionState state = FullState();
-  CD_CHECK_OK(snapshot::Write(path, state));
-  EXPECT_FALSE(snapshot::ReadShardResult(path, state.data).ok());
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotIoShard, BspStateRoundTrips) {
-  const std::string path = TempPath("bsp_state.cdsnap");
-  SessionState full = FullState();
-  snapshot::BspState state;
-  state.num_shards = 4;
-  state.counters = FilledCounters(1000);
-  state.fusion = full.fusion;
-  CD_CHECK_OK(snapshot::WriteBspState(path, state));
-  auto loaded = snapshot::ReadBspState(path, full.data);
-  std::remove(path.c_str());
-  CD_CHECK_OK(loaded.status());
-  EXPECT_EQ(loaded->num_shards, state.num_shards);
-  ExpectSameCounters(loaded->counters, state.counters);
-  EXPECT_EQ(loaded->fusion.value_probs, state.fusion.value_probs);
-  EXPECT_EQ(loaded->fusion.accuracies, state.fusion.accuracies);
-  EXPECT_EQ(loaded->fusion.truth, state.fusion.truth);
-  EXPECT_EQ(loaded->fusion.rounds, state.fusion.rounds);
-  EXPECT_EQ(loaded->fusion.converged, state.fusion.converged);
-  EXPECT_EQ(loaded->fusion.copies.raw_map().raw_keys(),
-            state.fusion.copies.raw_map().raw_keys());
-}
-
-TEST(SnapshotIoShard, BspStateDimensionMismatchIsRefused) {
-  const std::string path = TempPath("bsp_dims.cdsnap");
-  SessionState full = FullState();
-  snapshot::BspState state;
-  state.num_shards = 2;
-  state.fusion = full.fusion;
-  state.fusion.value_probs.push_back(0.5);  // one slot too many
-  CD_CHECK_OK(snapshot::WriteBspState(path, state));
-  auto loaded = snapshot::ReadBspState(path, full.data);
-  std::remove(path.c_str());
-  ASSERT_FALSE(loaded.ok());
 }
 
 }  // namespace

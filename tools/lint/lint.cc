@@ -514,9 +514,9 @@ constexpr RetiredName kRetiredNames[] = {
      "core/detector_registry.cc names every detector "
      "(CreateDetector/ResolveDetector/ListDetectors)"},
     {"ShardedDetector",
-     "the in-process ShardedDetector harness was removed — run shards "
-     "through Session's InitShardedRun/RunShardRound/MergeShardRound, "
-     "or plan-pinned CreateDetector instances and MergeShardResults"},
+     "the in-process ShardedDetector harness was removed — the scans "
+     "split rows across the executor's workers; set the width with "
+     "SessionOptions::threads"},
     {"SharedOverlaps",
      "the process-wide SharedOverlaps registry was removed — the run's "
      "owner holds one OverlapCache and hands it to every round through "
@@ -541,6 +541,29 @@ constexpr RetiredName kRetiredNames[] = {
     {"ThreadPool",
      "the ThreadPool layer was folded into Executor (common/executor.h) "
      "— run parallel work through Executor::ParallelFor"},
+    {"ShardPlan",
+     "the multi-process shard plan was removed — the scans split rows "
+     "across the executor's workers (OwnsRow, core/sharded_scan.h); set "
+     "the width with SessionOptions::threads"},
+    {"ShardResult",
+     "shard files were removed with the multi-process mode — one "
+     "process runs every pair; set the width with "
+     "SessionOptions::threads"},
+    {"BspState",
+     "state files were removed with the multi-process mode — a Session "
+     "runs the whole fusion loop (Run, or Start and Step)"},
+    {"MergeShardResults",
+     "the shard merge was removed with the multi-process mode — "
+     "RunShardedScan (core/sharded_scan.h) merges its workers' pairs"},
+    {"InitShardedRun",
+     "the multi-process mode was removed — run through Session::Run, "
+     "or Start and Step"},
+    {"RunShardRound",
+     "the multi-process mode was removed — run through Session::Run, "
+     "or Start and Step"},
+    {"MergeShardRound",
+     "the multi-process mode was removed — run through Session::Run, "
+     "or Start and Step"},
 };
 
 /// Shims that completed their one-release deprecation window must not

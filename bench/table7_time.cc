@@ -1,7 +1,9 @@
 // Table VII: execution time of each method on the four data sets, with
 // the paper's improvement chain — SAMPLE1/SAMPLE2/INDEX against
 // PAIRWISE, each later row against the row above, and the total
-// improvement of the final configuration against PAIRWISE.
+// improvement of the final configuration against PAIRWISE. Why INDEX
+// saves time against PAIRWISE on book but not on stock:
+// docs/DESIGN.md §6.
 #include "bench_util.h"
 
 using namespace copydetect;

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <tuple>
+#include <span>
+#include <vector>
 
 #include "common/executor.h"
 #include "core/bayes.h"
@@ -15,6 +16,8 @@ namespace {
 enum PairMode : uint8_t { kBoundMode = 0, kIndexMode = 1 };
 enum PairStatus : uint8_t { kActive = 0, kDoneCopy = 1, kDoneNoCopy = 2 };
 
+/// A pair's scan state; n0 == 0 until the scan creates it (a created
+/// pair counts its first shared value at once).
 struct ScanState {
   double c_fwd = 0.0;
   double c_bwd = 0.0;
@@ -47,11 +50,10 @@ uint32_t CeilToU32(double v) {
 /// sharded result is bit-identical at any shard count.
 /// entries_scanned is charged to shard 0 only, so merged shard
 /// counters match the unsharded run.
-void ScanShard(const InvertedIndex& index, const DetectionInput& in,
-               const DetectionParams& params, const ScanConfig& config,
-               const OverlapCounts& overlaps, size_t shard,
-               size_t num_shards, Counters* counters, CopyResult* out,
-               ScanBookkeeping* book) {
+void ScanShard(const InvertedIndex& index, const PairPlan& plan,
+               const DetectionInput& in, const DetectionParams& params,
+               const ScanConfig& config, size_t shard, size_t num_shards,
+               Counters* counters, CopyResult* out, ScanBookkeeping* book) {
   const Dataset& data = *in.data;
   const std::vector<double>& accs = *in.accuracies;
 
@@ -60,18 +62,15 @@ void ScanShard(const InvertedIndex& index, const DetectionInput& in,
   const double theta_ind = params.theta_ind();
   const PosteriorPrior prior(params);
 
-  // Pairs are created only outside the tail, which bounds the pair
-  // table; it is sized once.
-  const size_t creating_end =
-      config.respect_tail ? index.tail_begin() : index.num_entries();
-  FlatHashMap<ScanState> pairs;
-  pairs.Reserve(ShardPairReservation(index, creating_end, shard, num_shards));
+  // The pair table is indexed by plan id (PairPlan).
+  std::vector<ScanState> pairs(plan.num_pairs());
   std::vector<uint32_t> n_src(data.num_sources(), 0);
 
   for (size_t rank = 0; rank < index.num_entries(); ++rank) {
     if (shard == 0) ++counters->entries_scanned;
     const IndexEntry& e = index.entry(rank);
     std::span<const SourceId> providers = index.providers(rank);
+    std::span<const uint32_t> ids = plan.slot_pairs(e.slot);
     const bool tail = config.respect_tail && index.in_tail(rank);
     // Score of the next unscanned entry bounds every future
     // contribution (Prop. 3.4); zero once the index is exhausted.
@@ -82,29 +81,26 @@ void ScanShard(const InvertedIndex& index, const DetectionInput& in,
     // Step II.1: per-source observed-value counts.
     for (SourceId s : providers) ++n_src[s];
 
+    size_t next = 0;  // position in ids of pair (i, i + 1)
     for (size_t i = 0; i + 1 < providers.size(); ++i) {
       // Providers ascend: lo is the smaller source of the whole row.
       const SourceId lo = providers[i];
-      if (!OwnsRow(lo, shard, num_shards)) continue;
-      for (size_t j = i + 1; j < providers.size(); ++j) {
+      if (!OwnsRow(lo, shard, num_shards)) {
+        next += providers.size() - 1 - i;
+        continue;
+      }
+      for (size_t j = i + 1; j < providers.size(); ++j, ++next) {
         const SourceId hi = providers[j];
-        uint64_t key = PairKey(lo, hi);
-
-        ScanState* st;
-        if (tail) {
-          st = pairs.Find(key);
-          if (st == nullptr) continue;
-        } else {
-          bool fresh = false;
-          std::tie(st, fresh) = pairs.Insert(key);
-          if (fresh) {
-            st->l = overlaps.Get(lo, hi);
-            st->mode = (config.hybrid_threshold > 0 &&
-                        st->l <= config.hybrid_threshold)
-                           ? kIndexMode
-                           : kBoundMode;
-            ++counters->pairs_tracked;
-          }
+        const uint32_t id = ids[next];
+        ScanState* st = &pairs[id];
+        if (st->n0 == 0) {
+          if (tail) continue;
+          st->l = plan.shared_items(id);
+          st->mode = (config.hybrid_threshold > 0 &&
+                      st->l <= config.hybrid_threshold)
+                         ? kIndexMode
+                         : kBoundMode;
+          ++counters->pairs_tracked;
         }
         if (st->status != kActive) {
           // Decision already made; keep counting for bookkeeping
@@ -193,7 +189,10 @@ void ScanShard(const InvertedIndex& index, const DetectionInput& in,
   // Step IV: finalize still-active pairs exactly (n0 == n, so Cmin is
   // the true score).
   const size_t end_rank = index.num_entries();
-  pairs.ForEach([&](uint64_t key, ScanState& st) {
+  for (uint32_t id = 0; id < pairs.size(); ++id) {
+    const ScanState& st = pairs[id];
+    if (st.n0 == 0) continue;
+    const uint64_t key = plan.key(id);
     if (st.status != kActive) {
       if (book != nullptr) {
         PairBook pb;
@@ -206,7 +205,7 @@ void ScanShard(const InvertedIndex& index, const DetectionInput& in,
         pb.decision = st.status == kDoneCopy ? int8_t{1} : int8_t{-1};
         (*book)[key] = pb;
       }
-      return;
+      continue;
     }
     SourceId lo = PairFirst(key);
     SourceId hi = PairSecond(key);
@@ -227,7 +226,7 @@ void ScanShard(const InvertedIndex& index, const DetectionInput& in,
       pb.decision = post.indep <= 0.5 ? int8_t{1} : int8_t{-1};
       (*book)[key] = pb;
     }
-  });
+  }
 }
 
 }  // namespace
@@ -237,7 +236,7 @@ Status BoundedScan(const DetectionInput& in, const DetectionParams& params,
                    CopyResult* out, ScanBookkeeping* book,
                    ScanOutputs* extras) {
   CD_RETURN_IF_ERROR(in.Validate());
-  const OverlapCounts& overlaps = in.overlaps->Get(*in.data);
+  const PairPlan& plan = in.overlaps->Plan(*in.data);
   out->Clear();
   if (book != nullptr) book->Clear();
 
@@ -258,7 +257,7 @@ Status BoundedScan(const DetectionInput& in, const DetectionParams& params,
   RunShardedScan(executor, counters, out,
                  [&](size_t shard, size_t num_shards, Counters* c,
                      CopyResult* o) {
-                   ScanShard(index, in, params, config, overlaps, shard,
+                   ScanShard(index, plan, in, params, config, shard,
                              num_shards, c, o, book);
                  });
 

@@ -4,7 +4,10 @@ namespace copydetect {
 
 void CopyResult::Set(SourceId a, SourceId b,
                      const PairPosterior& posterior) {
-  map_[PairKey(a, b)] = posterior;
+  auto [slot, fresh] = map_.Insert(PairKey(a, b));
+  if (!fresh && slot->IsCopying()) --num_copying_;
+  *slot = posterior;
+  if (posterior.IsCopying()) ++num_copying_;
 }
 
 PairPosterior CopyResult::Get(SourceId a, SourceId b) const {
@@ -29,14 +32,6 @@ std::vector<uint64_t> CopyResult::CopyingPairs() const {
     if (p.IsCopying()) out.push_back(key);
   });
   return out;
-}
-
-size_t CopyResult::NumCopying() const {
-  size_t n = 0;
-  map_.ForEach([&n](uint64_t, const PairPosterior& p) {
-    if (p.IsCopying()) ++n;
-  });
-  return n;
 }
 
 }  // namespace copydetect

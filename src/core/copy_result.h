@@ -40,8 +40,8 @@ class CopyResult {
   /// All pairs concluded as copying, as packed PairKeys (unsorted).
   std::vector<uint64_t> CopyingPairs() const;
 
-  /// CopyingPairs().size(), without building the list.
-  size_t NumCopying() const;
+  /// CopyingPairs().size(), kept as pairs are written: O(1).
+  size_t NumCopying() const { return num_copying_; }
 
   /// Number of tracked pairs.
   size_t NumTracked() const { return map_.size(); }
@@ -55,7 +55,10 @@ class CopyResult {
     });
   }
 
-  void Clear() { map_.Clear(); }
+  void Clear() {
+    map_.Clear();
+    num_copying_ = 0;
+  }
 
   // --- Snapshot serialization (internal; see snapshot/snapshot_io.h).
   /// The underlying pair map, exact table layout included.
@@ -64,11 +67,15 @@ class CopyResult {
   static CopyResult FromRawMap(FlatHashMap<PairPosterior> map) {
     CopyResult result;
     result.map_ = std::move(map);
+    result.map_.ForEach([&result](uint64_t, const PairPosterior& p) {
+      if (p.IsCopying()) ++result.num_copying_;
+    });
     return result;
   }
 
  private:
   FlatHashMap<PairPosterior> map_;
+  size_t num_copying_ = 0;  // entries of map_ with IsCopying()
 };
 
 }  // namespace copydetect

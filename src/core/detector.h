@@ -16,9 +16,10 @@ namespace copydetect {
 /// overlap counts, and the fusion loop's current estimates. Value
 /// probabilities are per slot (see Dataset), accuracies per source.
 /// The run's owner holds `overlaps` and hands the same cache to every
-/// round; a detector calls overlaps->Get(*data) only after Validate(),
-/// so the counts are computed at most once per data set, by the first
-/// round that reads them. Validate() refuses any null field.
+/// round; a detector calls overlaps->Get(*data) (or Plan(*data), the
+/// INDEX family's pair ids) only after Validate(), so the counts and
+/// the plan are computed at most once per data set, by the first round
+/// that reads them. Validate() refuses any null field.
 struct DetectionInput {
   const Dataset* data = nullptr;
   OverlapCache* overlaps = nullptr;

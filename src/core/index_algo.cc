@@ -1,6 +1,7 @@
 #include "core/index_algo.h"
 
-#include <tuple>
+#include <span>
+#include <vector>
 
 #include "common/executor.h"
 #include "core/bayes.h"
@@ -10,6 +11,7 @@ namespace copydetect {
 
 namespace {
 
+/// A pair's accumulators; n_shared == 0 until the scan creates it.
 struct IndexPairState {
   double c_fwd = 0.0;
   double c_bwd = 0.0;
@@ -26,15 +28,12 @@ struct IndexPairState {
 /// entries_scanned is charged to shard 0 only (every shard steps
 /// through the same entries, each enumerating its own rows), so
 /// summing the shards' counters reproduces the unsharded totals.
-void ScanShard(const InvertedIndex& index, const std::vector<double>& accs,
-               const DetectionParams& params,
-               const OverlapCounts& overlaps, size_t shard,
+void ScanShard(const InvertedIndex& index, const PairPlan& plan,
+               const std::vector<double>& accs,
+               const DetectionParams& params, size_t shard,
                size_t num_shards, Counters* counters, CopyResult* out) {
-  // Only head entries create pairs, which bounds the pair table; it is
-  // sized once.
-  FlatHashMap<IndexPairState> pairs;
-  pairs.Reserve(
-      ShardPairReservation(index, index.tail_begin(), shard, num_shards));
+  // The pair table is indexed by plan id (PairPlan).
+  std::vector<IndexPairState> pairs(plan.num_pairs());
 
   // Steps 1-2: scan entries in order; head entries create state, tail
   // entries only update pairs already seen.
@@ -42,31 +41,31 @@ void ScanShard(const InvertedIndex& index, const std::vector<double>& accs,
     if (shard == 0) ++counters->entries_scanned;
     const IndexEntry& e = index.entry(rank);
     std::span<const SourceId> providers = index.providers(rank);
+    std::span<const uint32_t> ids = plan.slot_pairs(e.slot);
     const bool tail = index.in_tail(rank);
+    size_t next = 0;  // position in ids of pair (i, i + 1)
     for (size_t i = 0; i + 1 < providers.size(); ++i) {
       // Providers ascend, so lo is the smaller source of every pair in
       // this row; fwd is "lo copies from hi".
       const SourceId lo = providers[i];
-      if (!OwnsRow(lo, shard, num_shards)) continue;
-      for (size_t j = i + 1; j < providers.size(); ++j) {
+      if (!OwnsRow(lo, shard, num_shards)) {
+        next += providers.size() - 1 - i;
+        continue;
+      }
+      for (size_t j = i + 1; j < providers.size(); ++j, ++next) {
         const SourceId hi = providers[j];
-        uint64_t key = PairKey(lo, hi);
-        IndexPairState* state;
-        if (tail) {
-          state = pairs.Find(key);
-          if (state == nullptr) continue;
-        } else {
-          bool fresh = false;
-          std::tie(state, fresh) = pairs.Insert(key);
-          if (fresh) ++counters->pairs_tracked;
+        IndexPairState& state = pairs[ids[next]];
+        if (state.n_shared == 0) {
+          if (tail) continue;
+          ++counters->pairs_tracked;
         }
-        state->c_fwd +=
+        state.c_fwd +=
             SharedContribution(e.probability, accs[lo], accs[hi], params);
-        state->c_bwd +=
+        state.c_bwd +=
             SharedContribution(e.probability, accs[hi], accs[lo], params);
         counters->score_evals += 2;
         ++counters->values_examined;
-        ++state->n_shared;
+        ++state.n_shared;
       }
     }
   }
@@ -74,17 +73,19 @@ void ScanShard(const InvertedIndex& index, const std::vector<double>& accs,
   // Step 3: different-value penalty and posterior.
   const double penalty = params.different_penalty();
   const PosteriorPrior prior(params);
-  pairs.ForEach([&](uint64_t key, IndexPairState& state) {
-    SourceId a = PairFirst(key);
-    SourceId b = PairSecond(key);
-    uint32_t l = overlaps.Get(a, b);
-    double diff = DifferentValuePenalty(penalty, l, state.n_shared);
+  for (uint32_t id = 0; id < pairs.size(); ++id) {
+    const IndexPairState& state = pairs[id];
+    if (state.n_shared == 0) continue;
+    const uint64_t key = plan.key(id);
+    double diff =
+        DifferentValuePenalty(penalty, plan.shared_items(id), state.n_shared);
     double c_fwd = state.c_fwd + diff;
     double c_bwd = state.c_bwd + diff;
     counters->finalize_evals += 2;
     Posteriors post = DirectionPosteriors(c_fwd, c_bwd, prior);
-    out->Set(a, b, PairPosterior{post.indep, post.fwd, post.bwd});
-  });
+    out->Set(PairFirst(key), PairSecond(key),
+             PairPosterior{post.indep, post.fwd, post.bwd});
+  }
 }
 
 }  // namespace
@@ -93,7 +94,7 @@ Status IndexDetector::DetectRound(const DetectionInput& in, int round,
                                   CopyResult* out) {
   (void)round;
   CD_RETURN_IF_ERROR(in.Validate());
-  const OverlapCounts& overlaps = in.overlaps->Get(*in.data);
+  const PairPlan& plan = in.overlaps->Plan(*in.data);
   out->Clear();
 
   auto index_or = InvertedIndex::Build(in, params_, ordering_, seed_);
@@ -104,7 +105,7 @@ Status IndexDetector::DetectRound(const DetectionInput& in, int round,
   RunShardedScan(params_.executor, &counters_, out,
                  [&](size_t shard, size_t num_shards, Counters* c,
                      CopyResult* o) {
-                   ScanShard(index, accs, params_, overlaps, shard,
+                   ScanShard(index, plan, accs, params_, shard,
                              num_shards, c, o);
                  });
   return Status::OK();

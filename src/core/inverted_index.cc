@@ -1,7 +1,10 @@
 #include "core/inverted_index.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
+#include <utility>
 
 #include "common/random.h"
 #include "core/bayes.h"
@@ -19,7 +22,55 @@ double EntryScore(const Dataset& data, SlotId slot, double probability,
                               probability, params);
 }
 
+/// Maps -score to a key whose unsigned order is the score's decreasing
+/// order: flip every bit of a negative double, only the sign bit of a
+/// non-negative one. -0.0 folds into +0.0 first, as the two compare
+/// equal.
+uint64_t DescendingScoreKey(double score) {
+  double negated = -score;
+  if (negated == 0.0) negated = 0.0;
+  const uint64_t bits = std::bit_cast<uint64_t>(negated);
+  return (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
+}
+
 }  // namespace
+
+namespace inverted_index_internal {
+
+void SortByContribution(std::vector<IndexEntry>* entries) {
+  constexpr int kDigits = 8;  // 8-bit digits of a 64-bit key
+  const size_t m = entries->size();
+  if (m < 2) return;
+  // One pass counts every digit's histogram.
+  std::array<std::array<uint32_t, 256>, kDigits> counts{};
+  for (const IndexEntry& e : *entries) {
+    const uint64_t key = DescendingScoreKey(e.score);
+    for (int d = 0; d < kDigits; ++d) ++counts[d][(key >> (8 * d)) & 0xff];
+  }
+  std::vector<IndexEntry> buffer(m);
+  std::vector<IndexEntry>* from = entries;
+  std::vector<IndexEntry>* to = &buffer;
+  for (int d = 0; d < kDigits; ++d) {
+    const int shift = 8 * d;
+    auto digit = [shift](const IndexEntry& e) {
+      return (DescendingScoreKey(e.score) >> shift) & 0xff;
+    };
+    std::array<uint32_t, 256>& count = counts[d];
+    // A digit every key shares leaves the order as it is.
+    if (count[digit((*from)[0])] == m) continue;
+    uint32_t begin = 0;
+    for (uint32_t& c : count) {
+      const uint32_t n = c;
+      c = begin;
+      begin += n;
+    }
+    for (const IndexEntry& e : *from) (*to)[count[digit(e)]++] = e;
+    std::swap(from, to);
+  }
+  if (from != entries) entries->swap(buffer);
+}
+
+}  // namespace inverted_index_internal
 
 std::string_view EntryOrderingName(EntryOrdering ordering) {
   switch (ordering) {
@@ -57,11 +108,7 @@ StatusOr<InvertedIndex> InvertedIndex::Build(const DetectionInput& in,
 
   switch (ordering) {
     case EntryOrdering::kByContribution:
-      std::sort(index.entries_.begin(), index.entries_.end(),
-                [](const IndexEntry& a, const IndexEntry& b) {
-                  if (a.score != b.score) return a.score > b.score;
-                  return a.slot < b.slot;
-                });
+      inverted_index_internal::SortByContribution(&index.entries_);
       break;
     case EntryOrdering::kByProvider:
       std::sort(index.entries_.begin(), index.entries_.end(),

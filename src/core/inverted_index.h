@@ -76,6 +76,17 @@ class InvertedIndex {
   EntryOrdering ordering_ = EntryOrdering::kByContribution;
 };
 
+namespace inverted_index_internal {
+
+/// The kByContribution order: decreasing score, with -0.0 equal to
+/// +0.0. A stable LSD radix sort on an order-preserving 64-bit key of
+/// -score, so entries of equal score keep their input order; Build
+/// appends entries in ascending slot order, which makes the result the
+/// permutation a comparator sort on (score desc, slot asc) yields.
+void SortByContribution(std::vector<IndexEntry>* entries);
+
+}  // namespace inverted_index_internal
+
 }  // namespace copydetect
 
 #endif  // COPYDETECT_CORE_INVERTED_INDEX_H_

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <utility>
 
 #include "common/executor.h"
 
@@ -54,87 +56,96 @@ void ComputeValueProbs(const Dataset& data,
     vote_rank[by_vote[r]] = static_cast<uint32_t>(r);
   }
 
-  // The copy discount reads only pairs concluded as copying: a table
-  // of those alone, and a per-source flag that skips the lookups for
-  // sources with no copying relation at all (the overwhelming
-  // majority).
-  FlatHashMap<PairPosterior> copying;
-  std::vector<uint8_t> in_copying(num_sources, 0);
+  // Each source's concluded-copying partners with Pr(source copies
+  // partner), as a CSR built in one walk over the CopyResult. The
+  // discount reads no other pair.
+  struct Partner {
+    SourceId source;
+    double pr_copies;
+  };
+  std::vector<std::pair<SourceId, Partner>> directed;  // two per pair
+  directed.reserve(2 * copies.NumCopying());
+  std::vector<uint32_t> partner_begin(num_sources + 1, 0);
   copies.ForEach([&](SourceId a, SourceId b, const PairPosterior& post) {
     if (!post.IsCopying()) return;
-    copying[PairKey(a, b)] = post;
-    in_copying[a] = 1;
-    in_copying[b] = 1;
+    directed.push_back({a, {b, post.p_first_copies}});
+    directed.push_back({b, {a, post.p_second_copies}});
+    ++partner_begin[a + 1];
+    ++partner_begin[b + 1];
   });
+  for (size_t s = 0; s < num_sources; ++s) {
+    partner_begin[s + 1] += partner_begin[s];
+  }
+  std::vector<Partner> partners(directed.size());
+  std::vector<uint32_t> fill(partner_begin.begin(), partner_begin.end() - 1);
+  for (const auto& [s, partner] : directed) partners[fill[s]++] = partner;
 
-  // Items are independent and write disjoint slot ranges, so the loop
+  // The vote pass walks the sources in vote order, and each adds its
+  // discounted weight to the values it provides, so every value's sum
+  // runs over its providers in vote order, starting from 0. While a
+  // source s is processed, pr_mark[t] holds Pr(s copies t) for each
+  // copying partner t earlier in vote order (else -1); a value's
+  // discount multiplies 1 - s·Pr over its marked providers in vote
+  // order.
+  std::vector<double>& votes = *probs;
+  std::vector<double> pr_mark(num_sources, -1.0);
+  std::vector<SourceId> marked;
+  for (size_t r = 0; r < num_sources; ++r) {
+    const SourceId s = by_vote[r];
+    std::span<const Partner> mine(partners.data() + partner_begin[s],
+                                  partners.data() + partner_begin[s + 1]);
+    bool any_marked = false;
+    for (const Partner& p : mine) {
+      if (vote_rank[p.source] < r) {
+        pr_mark[p.source] = p.pr_copies;
+        any_marked = true;
+      }
+    }
+    for (SlotId v : data.slots_of(s)) {
+      double independence = 1.0;
+      if (any_marked) {
+        marked.clear();
+        for (SourceId t : data.providers(v)) {
+          if (pr_mark[t] >= 0.0) marked.push_back(t);
+        }
+        // Almost always none or one.
+        if (marked.size() > 1) {
+          std::sort(marked.begin(), marked.end(),
+                    [&vote_rank](SourceId a, SourceId b) {
+                      return vote_rank[a] < vote_rank[b];
+                    });
+        }
+        for (SourceId t : marked) {
+          independence *= 1.0 - params.s * pr_mark[t];
+        }
+      }
+      votes[v] += weight[s] * independence;
+    }
+    for (const Partner& p : mine) pr_mark[p.source] = -1.0;
+  }
+
+  // Softmax per item over provided values + unprovided false
+  // candidates, in place; each exponential is taken once and kept for
+  // the normalization. Items write disjoint slot ranges, so the loop
   // parallelizes over the shared executor with bit-identical results.
-  // Scratch is thread_local to survive across items without sharing
-  // across workers.
-  auto process_item = [&](ItemId d) {
-    thread_local std::vector<double> votes;
-    thread_local std::vector<SourceId> order;
+  ParallelFor(params.executor, data.num_items(), [&](size_t item) {
+    const ItemId d = static_cast<ItemId>(item);
     const SlotId begin = data.slot_begin(d);
     const SlotId end = data.slot_end(d);
     if (begin == end) return;
-    votes.assign(end - begin, 0.0);
-    size_t provided = end - begin;
-
-    for (SlotId v = begin; v < end; ++v) {
-      std::span<const SourceId> providers = data.providers(v);
-      if (providers.size() == 1) {
-        // Nothing to order and nothing to discount; the same sum as
-        // the loop below, 0 + w·1.
-        votes[v - begin] = 0.0 + weight[providers[0]] * 1.0;
-        continue;
-      }
-      order.assign(providers.begin(), providers.end());
-      std::sort(order.begin(), order.end(),
-                [&vote_rank](SourceId a, SourceId b) {
-                  return vote_rank[a] < vote_rank[b];
-                });
-      double vote = 0.0;
-      for (size_t i = 0; i < order.size(); ++i) {
-        SourceId s = order[i];
-        // Copy discount against earlier (higher-accuracy) providers.
-        double independence = 1.0;
-        if (in_copying[s]) {
-          for (size_t j = 0; j < i; ++j) {
-            SourceId t = order[j];
-            if (!in_copying[t]) continue;
-            const PairPosterior* post = copying.Find(PairKey(s, t));
-            if (post == nullptr) continue;
-            // Pr(s copies from t), as CopyResult::PrCopies reads it.
-            double pr_copies =
-                s < t ? post->p_first_copies : post->p_second_copies;
-            independence *= 1.0 - params.s * pr_copies;
-          }
-        }
-        vote += weight[s] * independence;
-      }
-      votes[v - begin] = vote;
-    }
-
-    // Softmax over provided values + unprovided false candidates; each
-    // exponential is taken once and kept for the normalization.
+    const size_t provided = end - begin;
     double mx = 0.0;  // vote of an unprovided value is 0
-    for (double v : votes) mx = std::max(mx, v);
+    for (SlotId v = begin; v < end; ++v) mx = std::max(mx, votes[v]);
     double z = 0.0;
-    for (double& v : votes) {
-      v = std::exp(v - mx);
-      z += v;
+    for (SlotId v = begin; v < end; ++v) {
+      votes[v] = std::exp(votes[v] - mx);
+      z += votes[v];
     }
     double unprovided =
         std::max(0.0, params.n + 1.0 - static_cast<double>(provided));
     z += unprovided * std::exp(0.0 - mx);
-    for (SlotId v = begin; v < end; ++v) {
-      (*probs)[v] = votes[v - begin] / z;
-    }
-  };
-  ParallelFor(params.executor, data.num_items(),
-              [&process_item](size_t d) {
-                process_item(static_cast<ItemId>(d));
-              });
+    for (SlotId v = begin; v < end; ++v) votes[v] = votes[v] / z;
+  });
 }
 
 void ComputeAccuracies(const Dataset& data,

@@ -36,15 +36,22 @@ std::vector<double> InitialAccuracies(size_t num_sources,
 ///    in vote order, starting from 0;
 ///  * P(v) = softmax over the item's provided values plus
 ///    (n + 1 - #provided) unprovided candidates with vote 0.
+/// The vote pass walks the sources in vote order, and each source adds
+/// its discounted weight to the values it provides (Dataset::slots_of),
+/// so every value's sum runs in vote order with no per-value sort.
 /// What depends only on the round or on a source is computed once per
-/// call: every source's weight, its place in the vote order, and the
-/// table of concluded-copying pairs the discount reads. Those reuse
-/// the exact doubles a per-observation evaluation would produce, so
-/// the probabilities are bit-identical to the per-observation loop
-/// (kept as the oracle of ValueProbs.MatchesReferenceLoop in
-/// tests/fusion_test.cc). Items are aggregated in parallel over
-/// `params.executor` when one is set; results are bit-identical to
-/// the sequential loop.
+/// call: every source's weight, its place in the vote order, and a CSR
+/// of each source's concluded-copying partners with Pr(source copies
+/// partner), built in one walk over `copies`. Before a source's values
+/// are summed, its partners earlier in vote order are marked in a
+/// dense per-source array; a value's discount multiplies its marked
+/// providers in vote order (almost always none or one, so they are
+/// sorted only when there are more). Those reuse the exact doubles a
+/// per-observation evaluation would produce, so the probabilities are
+/// bit-identical to the per-observation loop (kept as the oracle of
+/// ValueProbs.MatchesReferenceLoop in tests/fusion_test.cc). The
+/// per-item softmax runs in parallel over `params.executor` when one
+/// is set; results are bit-identical to the sequential loop.
 void ComputeValueProbs(const Dataset& data,
                        const std::vector<double>& accuracies,
                        const CopyResult& copies,

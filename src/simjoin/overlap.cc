@@ -33,6 +33,45 @@ size_t OverlapCounts::NumPositivePairs() const {
   return n;
 }
 
+PairPlan PairPlan::Build(const Dataset& data, const OverlapCounts& counts) {
+  PairPlan plan;
+  const size_t num_slots = data.num_slots();
+  plan.offsets_.resize(num_slots + 1);
+  size_t total = 0;
+  for (SlotId v = 0; v < num_slots; ++v) {
+    plan.offsets_[v] = total;
+    const size_t k = data.providers(v).size();
+    if (k >= 2) total += k * (k - 1) / 2;
+  }
+  plan.offsets_[num_slots] = total;
+  plan.ids_.resize(total);
+
+  // At most one id per provider pair and per pair of sources.
+  const size_t n = data.num_sources();
+  FlatHashMap<uint32_t> id_of;
+  id_of.Reserve(std::min(total, n * (n - 1) / 2));
+  size_t next = 0;
+  for (SlotId v = 0; v < num_slots; ++v) {
+    std::span<const SourceId> providers = data.providers(v);
+    for (size_t i = 0; i + 1 < providers.size(); ++i) {
+      for (size_t j = i + 1; j < providers.size(); ++j) {
+        const uint64_t key = PairKey(providers[i], providers[j]);
+        auto [id, fresh] = id_of.Insert(key);
+        if (fresh) {
+          *id = static_cast<uint32_t>(plan.keys_.size());
+          plan.keys_.push_back(key);
+          plan.shared_items_.push_back(
+              counts.Get(providers[i], providers[j]));
+        }
+        plan.ids_[next++] = *id;
+      }
+    }
+  }
+  plan.keys_.shrink_to_fit();
+  plan.shared_items_.shrink_to_fit();
+  return plan;
+}
+
 const OverlapCounts& OverlapCache::Get(const Dataset& data) {
   if (!HasFor(data.generation())) {
     Set(ComputeOverlaps(data), data.generation());
@@ -40,9 +79,16 @@ const OverlapCounts& OverlapCache::Get(const Dataset& data) {
   return counts_;
 }
 
+const PairPlan& OverlapCache::Plan(const Dataset& data) {
+  const OverlapCounts& counts = Get(data);
+  if (!plan_.has_value()) plan_ = PairPlan::Build(data, counts);
+  return *plan_;
+}
+
 void OverlapCache::Set(OverlapCounts counts, uint64_t generation) {
   counts_ = std::move(counts);
   generation_ = generation;
+  plan_.reset();
 }
 
 bool OverlapCache::Advance(const Dataset& old_data,
@@ -53,6 +99,7 @@ bool OverlapCache::Advance(const Dataset& old_data,
     Clear();
     return false;
   }
+  plan_.reset();
   const bool patched =
       allow_patch &&
       UpdateOverlaps(&counts_, old_data, new_data, touched_items);
@@ -64,6 +111,7 @@ bool OverlapCache::Advance(const Dataset& old_data,
 void OverlapCache::Clear() {
   generation_ = 0;
   counts_ = OverlapCounts();
+  plan_.reset();
 }
 
 namespace {

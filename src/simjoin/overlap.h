@@ -1,7 +1,9 @@
 #ifndef COPYDETECT_SIMJOIN_OVERLAP_H_
 #define COPYDETECT_SIMJOIN_OVERLAP_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -99,6 +101,43 @@ bool UpdateOverlaps(OverlapCounts* counts, const Dataset& old_data,
                     const Dataset& new_data,
                     std::span<const ItemId> touched_items);
 
+/// Dense ids for the source pairs that share a value, laid out for the
+/// INDEX-family scans (core/index_algo.cc, core/bound.cc). A scan
+/// walks an index entry's provider pairs in (i, j > i) order over the
+/// slot's ascending provider list; slot_pairs() holds those pairs' ids
+/// in exactly that order, so a scan indexes a per-round vector of pair
+/// states by id instead of hashing each pair's PairKey, and skipping a
+/// row i of a k-provider slot skips k-1-i ids. Ids are [0, num_pairs()),
+/// numbered by first appearance over ascending slots. The plan depends
+/// only on which values the sources share and on their overlap counts,
+/// so it is built once per data set (OverlapCache::Plan) and never
+/// saved.
+class PairPlan {
+ public:
+  /// Builds the plan of `data`; `counts` must be its overlap counts.
+  static PairPlan Build(const Dataset& data, const OverlapCounts& counts);
+
+  /// Number of distinct pairs that share at least one value.
+  size_t num_pairs() const { return keys_.size(); }
+
+  /// The ids of slot `v`'s provider pairs, C(k, 2) of them for k
+  /// providers p (ascending): (p0,p1), (p0,p2), ..., (p1,p2), ...
+  std::span<const uint32_t> slot_pairs(SlotId v) const {
+    return {ids_.data() + offsets_[v], ids_.data() + offsets_[v + 1]};
+  }
+
+  /// The PairKey of pair `id`.
+  uint64_t key(uint32_t id) const { return keys_[id]; }
+  /// l(S1, S2) of pair `id`: the items both sources provide.
+  uint32_t shared_items(uint32_t id) const { return shared_items_[id]; }
+
+ private:
+  std::vector<size_t> offsets_;  // per slot, num_slots + 1
+  std::vector<uint32_t> ids_;    // sized exactly to Σ C(k, 2)
+  std::vector<uint64_t> keys_;
+  std::vector<uint32_t> shared_items_;
+};
+
 /// The overlap counts of one data set, held by whoever owns the run —
 /// a Session for its whole life, IterativeFusion::Run for one run, a
 /// SampledDetector for its sample — and handed to every detection
@@ -124,6 +163,12 @@ class OverlapCache {
   /// generation.
   const OverlapCounts& counts() const { return counts_; }
 
+  /// The pair plan of `data` (PairPlan::Build over Get(data)): the held
+  /// one when it was built for this generation, else a fresh one. Only
+  /// the INDEX-family scans ask for it, so PAIRWISE and FAGININPUT runs
+  /// never build one. Set, Advance and Clear drop it.
+  const PairPlan& Plan(const Dataset& data);
+
   /// Adopts `counts` as those of `generation` (Session::Load).
   void Set(OverlapCounts counts, uint64_t generation);
 
@@ -141,6 +186,7 @@ class OverlapCache {
  private:
   uint64_t generation_ = 0;  // 0 = empty (generations start at 1)
   OverlapCounts counts_;
+  std::optional<PairPlan> plan_;  // of generation_ whenever present
 };
 
 }  // namespace copydetect

@@ -1,5 +1,7 @@
 #include "core/copy_result.h"
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 namespace copydetect {
@@ -67,6 +69,52 @@ TEST(CopyResult, SetOverwrites) {
   result.Set(2, 1, MakePosterior(0.9, 0.05, 0.05));
   EXPECT_FALSE(result.IsCopying(1, 2));
   EXPECT_EQ(result.NumTracked(), 1u);
+}
+
+/// NumCopying by a walk over every tracked pair.
+size_t CountCopyingByWalk(const CopyResult& result) {
+  size_t n = 0;
+  result.ForEach([&n](SourceId, SourceId, const PairPosterior& p) {
+    if (p.IsCopying()) ++n;
+  });
+  return n;
+}
+
+TEST(CopyResult, NumCopyingFollowsEveryWrite) {
+  CopyResult result;
+  EXPECT_EQ(result.NumCopying(), 0u);
+  // Inserts, copying and not, past the table's first growth.
+  for (SourceId a = 0; a < 40; ++a) {
+    const bool copying = a % 3 == 0;
+    result.Set(a, a + 100,
+               copying ? MakePosterior(0.2, 0.4, 0.4)
+                       : MakePosterior(0.8, 0.1, 0.1));
+    ASSERT_EQ(result.NumCopying(), CountCopyingByWalk(result)) << a;
+  }
+  EXPECT_EQ(result.NumCopying(), 14u);
+  // Overwrites: copying -> not, not -> copying, and copying -> copying
+  // and not -> not, which leave the count as it is.
+  result.Set(0, 100, MakePosterior(0.9, 0.05, 0.05));
+  EXPECT_EQ(result.NumCopying(), 13u);
+  result.Set(101, 1, MakePosterior(0.5, 0.25, 0.25));
+  EXPECT_EQ(result.NumCopying(), 14u);
+  result.Set(3, 103, MakePosterior(0.1, 0.45, 0.45));
+  result.Set(2, 102, MakePosterior(0.7, 0.15, 0.15));
+  EXPECT_EQ(result.NumCopying(), 14u);
+  EXPECT_EQ(result.NumCopying(), CountCopyingByWalk(result));
+  EXPECT_EQ(result.NumCopying(), result.CopyingPairs().size());
+
+  // FromRawMap recounts what it adopts.
+  FlatHashMap<PairPosterior> raw = result.raw_map();
+  CopyResult restored = CopyResult::FromRawMap(std::move(raw));
+  EXPECT_EQ(restored.NumCopying(), 14u);
+  EXPECT_EQ(restored.NumCopying(), CountCopyingByWalk(restored));
+
+  result.Clear();
+  EXPECT_EQ(result.NumCopying(), 0u);
+  result.Set(1, 2, MakePosterior(0.1, 0.45, 0.45));
+  EXPECT_EQ(result.NumCopying(), 1u);
+  EXPECT_EQ(result.NumCopying(), CountCopyingByWalk(result));
 }
 
 TEST(CopyResult, ClearEmpties) {

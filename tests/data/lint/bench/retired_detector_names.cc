@@ -1,5 +1,5 @@
 // Fixture: the retired detector and runtime plumbing coming back in a
-// harness — expect deprecated-shim at lines 6 to 11 and 13 to 27; line
+// harness — expect deprecated-shim at lines 6 to 11 and 13 to 28; line
 // 12 (the table lookup, an alias spelled in a string) is legal.
 #include "copydetect/session.h"
 
@@ -25,3 +25,4 @@ auto merged = MergeShardResults(parts, &copies, &counters);
 auto init = session.InitShardedRun(data, "state.cdsnap");
 auto round = session.RunShardRound(data, "state.cdsnap", "shard.cdsnap");
 auto done = session.MergeShardRound(data, paths, "state.cdsnap");
+auto reserved = ShardPairReservation(index, end, 0, 1);

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/executor.h"
+#include "common/random.h"
 #include "core/hybrid.h"
 #include "core/pairwise.h"
 #include "eval/experiment.h"
@@ -260,7 +262,7 @@ std::vector<double> ReferenceValueProbs(
   return probs;
 }
 
-/// Runs the vote pass on one state at executor widths 1 and 4 and
+/// Runs the vote pass on one state at executor widths 1, 2 and 4 and
 /// compares every probability with the reference loop's, bit for bit.
 void ExpectMatchesReference(const Dataset& data,
                             const std::vector<double>& accuracies,
@@ -269,7 +271,7 @@ void ExpectMatchesReference(const Dataset& data,
   ASSERT_GT(copies.NumCopying(), 0u) << "the discount must be exercised";
   const std::vector<double> want =
       ReferenceValueProbs(data, accuracies, copies, params);
-  for (size_t width : {1, 4}) {
+  for (size_t width : {1, 2, 4}) {
     Executor executor(width);
     params.executor = &executor;
     std::vector<double> got;
@@ -290,6 +292,45 @@ FusionResult FinalState(const World& world, const std::string& detector) {
   auto result = IterativeFusion(options).Run(world.data, det.get());
   CD_CHECK_OK(result.status());
   return std::move(result).value();
+}
+
+/// A dense copying graph over `data`: every provider pair of every
+/// third slot with at least three providers is concluded copying, with
+/// seeded posteriors, so many values have a provider with two or more
+/// earlier copying partners. Returns the most such partners any
+/// provider of one value has, in `max_earlier`.
+CopyResult DenseCopying(const Dataset& data,
+                        const std::vector<double>& accuracies,
+                        uint64_t seed, size_t* max_earlier) {
+  Rng rng(seed);
+  CopyResult copies;
+  for (SlotId v = 0; v < data.num_slots(); ++v) {
+    std::span<const SourceId> providers = data.providers(v);
+    if (providers.size() < 3 || v % 3 != 0) continue;
+    for (size_t i = 0; i < providers.size(); ++i) {
+      for (size_t j = i + 1; j < providers.size(); ++j) {
+        const double indep = rng.UniformDouble(0.0, 0.5);
+        const double first = rng.NextDouble() * (1.0 - indep);
+        copies.Set(providers[i], providers[j],
+                   PairPosterior{indep, first, 1.0 - indep - first});
+      }
+    }
+  }
+  *max_earlier = 0;
+  for (SlotId v = 0; v < data.num_slots(); ++v) {
+    std::span<const SourceId> providers = data.providers(v);
+    for (SourceId s : providers) {
+      size_t earlier = 0;
+      for (SourceId t : providers) {
+        const bool before =
+            accuracies[t] > accuracies[s] ||
+            (accuracies[t] == accuracies[s] && t < s);
+        if (before && copies.IsCopying(s, t)) ++earlier;
+      }
+      *max_earlier = std::max(*max_earlier, earlier);
+    }
+  }
+  return copies;
 }
 
 TEST(ValueProbs, MatchesReferenceLoop) {
@@ -319,6 +360,19 @@ TEST(ValueProbs, MatchesReferenceLoop) {
     const FusionResult state = FinalState(*stock, "hybrid");
     ExpectMatchesReference(stock->data, state.accuracies, state.copies,
                            stock_params);
+  }
+  {
+    SCOPED_TRACE("book-full 0.05, dense copying graph");
+    // A provider discounted by three or more earlier copiers makes the
+    // product's order matter: floating-point products of three factors
+    // depend on their order.
+    const FusionResult state = FinalState(*book, "hybrid");
+    size_t max_earlier = 0;
+    const CopyResult copies =
+        DenseCopying(book->data, state.accuracies, 5, &max_earlier);
+    ASSERT_GE(max_earlier, 3u);
+    ExpectMatchesReference(book->data, state.accuracies, copies,
+                           book_params);
   }
   {
     SCOPED_TRACE("motivating example");

@@ -1,11 +1,15 @@
 #include "core/inverted_index.h"
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "simjoin/overlap.h"
 #include "test_util.h"
 
@@ -169,6 +173,72 @@ TEST(InvertedIndex, RescoreKeepsOrderUpdatesScores) {
   index.Rescore(in, PaperParams());
   EXPECT_EQ(index.entry(0).slot, first_slot);
   EXPECT_NEAR(index.entry(0).probability, 0.5, 1e-12);
+}
+
+// The radix-ordered index: SortByContribution must yield the same
+// permutation as the comparator sort it replaced, on scores with ties,
+// both zeros, negatives, subnormals and infinities.
+TEST(InvertedIndex, RadixOrderEqualsComparatorSort) {
+  const double kSpecial[] = {
+      0.0,
+      -0.0,
+      1.0,
+      -1.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 4,  // subnormal
+      -std::numeric_limits<double>::min() / 4,
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      0.6931471805599453,
+  };
+  Rng rng(17);
+  for (size_t size : {0, 1, 2, 3, 17, 256, 1000, 5000}) {
+    std::vector<IndexEntry> entries(size);
+    for (size_t i = 0; i < size; ++i) {
+      IndexEntry& e = entries[i];
+      e.slot = static_cast<SlotId>(i);  // ascending, as Build appends
+      e.probability = static_cast<double>(i);
+      switch (rng.NextBelow(4)) {
+        case 0:  // a special value, with many ties
+          e.score = kSpecial[rng.NextBelow(std::size(kSpecial))];
+          break;
+        case 1:  // few distinct values: ties
+          e.score = static_cast<double>(rng.UniformInt(-3, 3)) * 0.25;
+          break;
+        case 2:
+          e.score = rng.UniformDouble(-50.0, 50.0);
+          break;
+        default:  // raw bit patterns: every exponent, subnormals too
+          do {
+            const uint64_t bits = rng.NextU64();
+            std::memcpy(&e.score, &bits, sizeof(double));
+          } while (e.score != e.score);  // scores are never NaN
+          break;
+      }
+    }
+    std::vector<IndexEntry> want = entries;
+    std::sort(want.begin(), want.end(),
+              [](const IndexEntry& a, const IndexEntry& b) {
+                if (a.score != b.score) return a.score > b.score;
+                return a.slot < b.slot;
+              });
+    inverted_index_internal::SortByContribution(&entries);
+    ASSERT_EQ(entries.size(), want.size());
+    for (size_t rank = 0; rank < size; ++rank) {
+      ASSERT_EQ(entries[rank].slot, want[rank].slot)
+          << "rank " << rank << " of " << size;
+      // The entry moves whole, score bits included (-0.0 stays -0.0).
+      EXPECT_EQ(entries[rank].probability, want[rank].probability);
+      EXPECT_EQ(std::memcmp(&entries[rank].score, &want[rank].score,
+                            sizeof(double)),
+                0)
+          << "rank " << rank << " of " << size;
+    }
+  }
 }
 
 TEST(OverlapCache, ReusesCountsForSameDataset) {

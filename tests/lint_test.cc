@@ -50,6 +50,7 @@ TEST(LintTree, FindsEveryPlantedViolationExactly) {
       "bench/retired_detector_names.cc:25:deprecated-shim",
       "bench/retired_detector_names.cc:26:deprecated-shim",
       "bench/retired_detector_names.cc:27:deprecated-shim",
+      "bench/retired_detector_names.cc:28:deprecated-shim",
       "src/api/banned_assert.cc:5:banned-assert",
       "src/api/deprecated_load.cc:5:deprecated-shim",
       "src/common/deprecated_flagparser.cc:5:deprecated-shim",

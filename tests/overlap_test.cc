@@ -1,8 +1,10 @@
 #include "simjoin/overlap.h"
 
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -263,6 +265,120 @@ TEST(OverlapCache, AdvancePatchesHeldCountsOrStaysEmpty) {
       recounted.Advance(base, next, touched, /*allow_patch=*/false));
   ASSERT_TRUE(recounted.HasFor(next.generation()));
   ExpectSameCounts(recounted.counts(), want, next.num_sources());
+}
+
+// ---------------------------------------------------------------------
+// PairPlan: per-run pair ids for the INDEX-family scans.
+
+/// Checks `plan` against `data` and its counts by brute force: ids are
+/// dense and unique, each slot's ids name exactly its provider pairs in
+/// the scans' (i, j > i) order, and each id's l is the counted one.
+void ExpectPlanOf(const PairPlan& plan, const Dataset& data,
+                  const OverlapCounts& counts) {
+  std::set<uint64_t> sharing;  // pairs that share at least one value
+  std::vector<uint8_t> seen(plan.num_pairs(), 0);
+  for (SlotId v = 0; v < data.num_slots(); ++v) {
+    std::span<const SourceId> providers = data.providers(v);
+    std::span<const uint32_t> ids = plan.slot_pairs(v);
+    const size_t k = providers.size();
+    ASSERT_EQ(ids.size(), k * (k - 1) / 2) << "slot " << v;
+    size_t next = 0;
+    for (size_t i = 0; i + 1 < k; ++i) {
+      for (size_t j = i + 1; j < k; ++j, ++next) {
+        const uint32_t id = ids[next];
+        ASSERT_LT(id, plan.num_pairs()) << "slot " << v;
+        EXPECT_EQ(plan.key(id), PairKey(providers[i], providers[j]))
+            << "slot " << v << ", pair (" << i << ", " << j << ")";
+        seen[id] = 1;
+        sharing.insert(PairKey(providers[i], providers[j]));
+      }
+    }
+  }
+  // Every id is used (dense) and the ids name distinct pairs (unique):
+  // exactly one id per pair that shares a value.
+  for (uint32_t id = 0; id < plan.num_pairs(); ++id) {
+    EXPECT_TRUE(seen[id]) << "id " << id << " names no slot's pair";
+  }
+  EXPECT_EQ(plan.num_pairs(), sharing.size());
+  std::set<uint64_t> keys;
+  for (uint32_t id = 0; id < plan.num_pairs(); ++id) {
+    keys.insert(plan.key(id));
+    EXPECT_EQ(plan.shared_items(id),
+              counts.Get(PairFirst(plan.key(id)), PairSecond(plan.key(id))))
+        << "id " << id;
+  }
+  EXPECT_EQ(keys, sharing);
+}
+
+TEST(PairPlan, IdsNameEverySlotsProviderPairsInScanOrder) {
+  testutil::ExampleFixture fx;
+  const OverlapCounts example_counts = ComputeOverlaps(fx.world.data);
+  ExpectPlanOf(PairPlan::Build(fx.world.data, example_counts),
+               fx.world.data, example_counts);
+
+  testutil::World world = testutil::SmallWorld(81, 30, 150);
+  size_t one_provider_slots = 0;
+  for (SlotId v = 0; v < world.data.num_slots(); ++v) {
+    if (world.data.providers(v).size() == 1) ++one_provider_slots;
+  }
+  ASSERT_GT(one_provider_slots, 0u) << "one-provider slots must be covered";
+  // Dense and sparse counts give the same plan.
+  for (size_t threshold : {size_t{1000}, size_t{1}}) {
+    const OverlapCounts counts = ComputeOverlaps(world.data, threshold);
+    ExpectPlanOf(PairPlan::Build(world.data, counts), world.data, counts);
+  }
+}
+
+TEST(PairPlan, EmptyDataSetHasNoPairs) {
+  DatasetBuilder builder;
+  auto empty = builder.Build();
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  OverlapCache cache;
+  const PairPlan& plan = cache.Plan(*empty);
+  EXPECT_EQ(plan.num_pairs(), 0u);
+
+  // One source alone: every slot has one provider, so no pair.
+  DatasetBuilder single;
+  single.Add("only", "a", "1");
+  single.Add("only", "b", "2");
+  auto lone = single.Build();
+  ASSERT_TRUE(lone.ok()) << lone.status().ToString();
+  const PairPlan& lone_plan = cache.Plan(*lone);
+  EXPECT_EQ(lone_plan.num_pairs(), 0u);
+  for (SlotId v = 0; v < lone->num_slots(); ++v) {
+    EXPECT_TRUE(lone_plan.slot_pairs(v).empty());
+  }
+}
+
+TEST(OverlapCache, NeverServesAStalePlan) {
+  testutil::World world = testutil::SmallWorld(83, 20, 100);
+  const Dataset& base = world.data;
+  DatasetDelta delta;  // same source universe: the patchable case
+  std::span<const ItemId> items3 = base.items_of(3);
+  delta.Set(base.source_name(3), base.item_name(items3[0]), "flip");
+  delta.Set(base.source_name(4), base.item_name(items3[0]), "flip");
+  auto applied = base.Apply(delta);
+  CD_CHECK_OK(applied.status());
+  const Dataset& next = applied->data;
+  std::span<const ItemId> touched = applied->summary.touched_items;
+  const OverlapCounts base_counts = ComputeOverlaps(base);
+  const OverlapCounts next_counts = ComputeOverlaps(next);
+
+  OverlapCache cache;
+  ExpectPlanOf(cache.Plan(base), base, base_counts);
+  for (bool allow_patch : {true, false}) {
+    SCOPED_TRACE(allow_patch ? "patched" : "recounted");
+    (void)cache.Plan(base);
+    (void)cache.Advance(base, next, touched, allow_patch);
+    ExpectPlanOf(cache.Plan(next), next, next_counts);
+    cache.Set(ComputeOverlaps(base), base.generation());
+  }
+  // Set adopted base's counts after a plan of next was held.
+  ExpectPlanOf(cache.Plan(base), base, base_counts);
+  (void)cache.Plan(next);  // a new generation replaces the plan
+  ExpectPlanOf(cache.Plan(next), next, next_counts);
+  cache.Clear();
+  ExpectPlanOf(cache.Plan(base), base, base_counts);
 }
 
 }  // namespace

@@ -527,8 +527,8 @@ constexpr RetiredName kRetiredNames[] = {
      "(Advance)"},
     {"ArenaHashMap",
      "ArenaHashMap was removed — a scan shard's pair table is a plain "
-     "FlatHashMap reserved once through ShardPairReservation "
-     "(core/sharded_scan.h)"},
+     "std::vector indexed by the run's pair ids (PairPlan, "
+     "simjoin/overlap.h)"},
     {"ArenaAllocator",
      "the scan arena and its allocator were removed — round scratch is "
      "a std::vector or a FlatHashMap sized once per round"},
@@ -564,6 +564,10 @@ constexpr RetiredName kRetiredNames[] = {
     {"MergeShardRound",
      "the multi-process mode was removed — run through Session::Run, "
      "or Start and Step"},
+    {"ShardPairReservation",
+     "ShardPairReservation was removed — a scan shard's pair table is "
+     "a std::vector indexed by the run's pair ids, sized by the pair "
+     "plan (OverlapCache::Plan, simjoin/overlap.h)"},
 };
 
 /// Shims that completed their one-release deprecation window must not

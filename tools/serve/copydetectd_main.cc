@@ -13,6 +13,9 @@
 // (the serve-smoke CI leg proves it).
 
 #include <signal.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <cstdio>
 #include <string>
@@ -21,6 +24,15 @@
 #include "serve/server.h"
 
 int main(int argc, char** argv) {
+#if defined(__GLIBC__)
+  // One malloc arena, set before any thread starts. glibc adds an
+  // arena, with a 64 MiB address-space reservation, whenever two
+  // threads allocate at once (up to 8 per core); a connection thread
+  // that starts while the previous one is still exiting does that, so
+  // under connection churn VmSize stepped up 64 MiB at a time.
+  // docs/SERVER.md records what the cap costs.
+  mallopt(M_ARENA_MAX, 1);
+#endif
   // Block the shutdown signals in every thread (spawned threads
   // inherit this mask), then sigwait below — the portable way to turn
   // signals into a plain blocking call.

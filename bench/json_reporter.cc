@@ -33,7 +33,7 @@ std::string JsonReporter::ToJson() const {
   out += "{\n";
   out += StrFormat("  \"benchmark\": \"%s\",\n",
                    JsonEscape(benchmark_name_).c_str());
-  out += "  \"schema_version\": 4,\n";
+  out += "  \"schema_version\": 5,\n";
   out += StrFormat("  \"host_cpus\": %u,\n",
                    std::max(1u, std::thread::hardware_concurrency()));
   out += StrFormat("  \"build_type\": \"%s\",\n",
@@ -48,13 +48,21 @@ std::string JsonReporter::ToJson() const {
         "    {\"name\": \"%s\", \"detector\": \"%s\", "
         "\"dataset\": \"%s\", \"scale\": %s, \"real_seconds\": %s, "
         "\"cpu_seconds\": %s, \"iterations\": %llu, "
-        "\"items_per_second\": %s, \"threads\": %llu}",
+        "\"items_per_second\": %s, \"threads\": %llu",
         JsonEscape(r.name).c_str(), JsonEscape(r.detector).c_str(),
         JsonEscape(r.dataset).c_str(), Num(r.scale).c_str(),
         Num(r.real_seconds).c_str(), Num(r.cpu_seconds).c_str(),
         static_cast<unsigned long long>(r.iterations),
         Num(r.items_per_second).c_str(),
         static_cast<unsigned long long>(r.threads));
+    if (r.computations > 0) {
+      out += StrFormat(
+          ", \"computations\": %llu, \"ns_per_computation\": %s",
+          static_cast<unsigned long long>(r.computations),
+          Num(r.real_seconds * 1e9 / static_cast<double>(r.computations))
+              .c_str());
+    }
+    out += "}";
   }
   out += records_.empty() ? "]\n" : "\n  ]\n";
   out += "}\n";

@@ -3,8 +3,8 @@
 
 // Machine-readable output for the bench harnesses.
 //
-// A harness that opts in (micro_core and scaling today) accepts
-// --json=<path>; when set, it appends one BenchRecord per measured
+// A harness that opts in (micro_core, scaling, table7_time and
+// table8_incremental today) accepts --json=<path>; when set, it appends one BenchRecord per measured
 // configuration to a JsonReporter and writes a single JSON document
 // at exit. The schema is deliberately flat so
 // the perf-trajectory files (BENCH_micro.json, BENCH_scaling.json, …)
@@ -12,7 +12,7 @@
 //
 //   {
 //     "benchmark": "micro_core",
-//     "schema_version": 4,
+//     "schema_version": 5,
 //     "host_cpus": 4, "build_type": "Release", "sanitize": "",
 //     "records": [
 //       {"name": "...", "detector": "pairwise", "dataset": "book-cs",
@@ -43,6 +43,12 @@
 // an unsanitized build), so a committed BENCH file says what produced
 // it. Records are unchanged; tools/bench_compare.py reads versions 2
 // and 4 alike.
+//
+// schema_version 5 adds, on the records of a harness that counts the
+// paper's computations (table7_time), `computations` (Counters::Total()
+// of the measured run) and `ns_per_computation` (real_seconds per
+// computation, in ns). Records without a count omit both, so
+// micro_core and scaling records read as in version 4.
 
 #include <cstdint>
 #include <string>
@@ -61,6 +67,7 @@ struct BenchRecord {
   uint64_t iterations = 1;
   double items_per_second = 0.0;
   uint64_t threads = 1;  ///< executor width (1 = serial path)
+  uint64_t computations = 0;  ///< Counters::Total(); 0 = not counted
 };
 
 /// One (scenario, detector) quality measurement for QUALITY.json —

@@ -22,9 +22,9 @@ Posteriors DirectionPosteriors(double c_fwd, double c_bwd,
   double lf = prior.log_alpha + c_fwd;
   double lw = prior.log_alpha + c_bwd;
   double m = std::max({lb, lf, lw});
-  double eb = std::exp(lb - m);
-  double ef = std::exp(lf - m);
-  double ew = std::exp(lw - m);
+  double eb = ExpOfDifference(lb, m);
+  double ef = ExpOfDifference(lf, m);
+  double ew = ExpOfDifference(lw, m);
   double z = eb + ef + ew;
   Posteriors out;
   out.indep = eb / z;

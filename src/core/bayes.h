@@ -116,6 +116,59 @@ class PairContributionScorer {
   double a1_, a2_, na1_, na2_, s_, n_;
 };
 
+/// Per-row form of SharedContribution for the index walks (INDEX,
+/// BOUND, HYBRID and FAGININPUT), which evaluate Eq. 6 in both
+/// directions for one entry's value p, one row's smaller source lo and
+/// each later provider hi. Everything that depends on p and a_lo alone
+/// is hoisted into the constructor: the clamps, 1-p, p·a_lo,
+/// (1-p)(1-a_lo) and the backward copied term p·a_lo + (1-p)(1-a_lo).
+/// Score keeps SharedContribution's exact operation order, so for
+/// every a_hi
+///
+///   Score(a_hi).fwd == SharedContribution(p, a_lo, a_hi, params)
+///   Score(a_hi).bwd == SharedContribution(p, a_hi, a_lo, params)
+///
+/// bit for bit: the forward independent product is (p·a_lo)·a_hi, the
+/// backward one (p·a_hi)·a_lo, never the other association. Held in
+/// locals, the terms also spare a scan the reloads of p, a_lo, s and n
+/// that every pair-state store would otherwise force, since those
+/// stores may alias the doubles they were read from.
+class RowContributionScorer {
+ public:
+  struct Scores {
+    double fwd;  ///< C→: lo copies this value from hi
+    double bwd;  ///< C←: hi copies it from lo
+  };
+
+  RowContributionScorer(double p, double a_lo,
+                        const DetectionParams& params)
+      : p_(ClampProbability(p)),
+        np_(1.0 - p_),
+        a_lo_(ClampAccuracy(a_lo)),
+        na_lo_(1.0 - a_lo_),
+        p_a_lo_(p_ * a_lo_),
+        np_na_lo_(np_ * na_lo_),
+        copied_bwd_(p_a_lo_ + np_na_lo_),
+        keep_(1.0 - params.s),
+        s_(params.s),
+        n_(params.n) {}
+
+  Scores Score(double a_hi) const {
+    a_hi = ClampAccuracy(a_hi);
+    const double na_hi = 1.0 - a_hi;
+    const double p_a_hi = p_ * a_hi;
+    const double np_na_hi = np_ * na_hi;
+    const double indep_fwd = p_a_lo_ * a_hi + np_na_lo_ * na_hi / n_;
+    const double indep_bwd = p_a_hi * a_lo_ + np_na_hi * na_lo_ / n_;
+    return {std::log(keep_ + s_ * (p_a_hi + np_na_hi) / indep_fwd),
+            std::log(keep_ + s_ * copied_bwd_ / indep_bwd)};
+  }
+
+ private:
+  double p_, np_, a_lo_, na_lo_, p_a_lo_, np_na_lo_, copied_bwd_;
+  double keep_, s_, n_;
+};
+
 /// Maximum shared-value contribution M̂(D.v) over ordered provider
 /// pairs (Prop. 3.1). Implemented via the complete extreme-point
 /// argument — Eq. 6's ratio is monotone in each accuracy, so only the

@@ -16,21 +16,28 @@ namespace {
 enum PairMode : uint8_t { kBoundMode = 0, kIndexMode = 1 };
 enum PairStatus : uint8_t { kActive = 0, kDoneCopy = 1, kDoneNoCopy = 2 };
 
-/// A pair's scan state; n0 == 0 until the scan creates it (a created
-/// pair counts its first shared value at once).
+/// A pair's hot scan state, read on every visit; n0 == 0 until the
+/// scan creates it (a created pair counts its first shared value at
+/// once). The size of INDEX's pair state, so a HYBRID pair table
+/// spans as many cache lines as INDEX's.
 struct ScanState {
   double c_fwd = 0.0;
   double c_bwd = 0.0;
-  uint32_t n0 = 0;       // observed shared values (before decision)
-  uint32_t n_after = 0;  // shared values seen after a decision
-  uint32_t l = 0;        // shared items
-  uint32_t decision_rank = 0;
+  uint32_t n0 = 0;  // observed shared values (before decision)
   uint8_t mode = kBoundMode;
   uint8_t status = kActive;
-  // BOUND+ skip timers.
-  uint32_t min_check_at_n0 = 0;      // recompute Cmin when n0 >= this
-  uint32_t max_check_at_n1 = 0;      // recompute Cmax when n(S1) >= this
-  uint32_t max_check_at_n2 = 0;      // ... or n(S2) >= this
+};
+static_assert(sizeof(ScanState) == 24);
+
+/// A pair's cold scan state, read only on BOUND-mode visits and at
+/// finalize: the BOUND+ skip timers and the bookkeeping fields.
+struct ColdScanState {
+  uint32_t min_check_at_n0 = 0;  // recompute Cmin when n0 >= this
+  uint32_t max_check_at_n1 = 0;  // recompute Cmax when n(S1) >= this
+  uint32_t max_check_at_n2 = 0;  // ... or n(S2) >= this
+  uint32_t decision_rank = 0;
+  uint32_t n_after = 0;  // shared values seen after a decision; counted
+                         // only when a ScanBookkeeping was asked for
 };
 
 uint32_t CeilToU32(double v) {
@@ -62,8 +69,10 @@ void ScanShard(const InvertedIndex& index, const PairPlan& plan,
   const double theta_ind = params.theta_ind();
   const PosteriorPrior prior(params);
 
-  // The pair table is indexed by plan id (PairPlan).
+  // The pair tables are indexed by plan id (PairPlan); l comes from
+  // the plan.
   std::vector<ScanState> pairs(plan.num_pairs());
+  std::vector<ColdScanState> cold(plan.num_pairs());
   std::vector<uint32_t> n_src(data.num_sources(), 0);
 
   for (size_t rank = 0; rank < index.num_entries(); ++rank) {
@@ -89,49 +98,50 @@ void ScanShard(const InvertedIndex& index, const PairPlan& plan,
         next += providers.size() - 1 - i;
         continue;
       }
+      const RowContributionScorer row(e.probability, accs[lo], params);
       for (size_t j = i + 1; j < providers.size(); ++j, ++next) {
         const SourceId hi = providers[j];
         const uint32_t id = ids[next];
         ScanState* st = &pairs[id];
         if (st->n0 == 0) {
           if (tail) continue;
-          st->l = plan.shared_items(id);
           st->mode = (config.hybrid_threshold > 0 &&
-                      st->l <= config.hybrid_threshold)
+                      plan.shared_items(id) <= config.hybrid_threshold)
                          ? kIndexMode
                          : kBoundMode;
           ++counters->pairs_tracked;
         }
         if (st->status != kActive) {
-          // Decision already made; keep counting for bookkeeping
-          // (the INCREMENTAL preparation step needs |E̅1|).
-          ++st->n_after;
+          // Decision already made; only the INCREMENTAL preparation
+          // step (a bookkeeping scan) reads the count of later values,
+          // |E̅1|.
+          if (book != nullptr) ++cold[id].n_after;
           continue;
         }
 
         // Accumulate the exact contribution of this shared value.
-        st->c_fwd +=
-            SharedContribution(e.probability, accs[lo], accs[hi], params);
-        st->c_bwd +=
-            SharedContribution(e.probability, accs[hi], accs[lo], params);
+        const RowContributionScorer::Scores c = row.Score(accs[hi]);
+        st->c_fwd += c.fwd;
+        st->c_bwd += c.bwd;
         counters->score_evals += 2;
         ++counters->values_examined;
         ++st->n0;
 
         if (st->mode == kIndexMode) continue;
 
-        const double l_d = static_cast<double>(st->l);
+        ColdScanState* cs = &cold[id];
+        const double l_d = static_cast<double>(plan.shared_items(id));
         const double n0_d = static_cast<double>(st->n0);
 
         // ---- Cmin (Eq. 9): conclude copying early. ----
-        if (!config.lazy_bounds || st->n0 >= st->min_check_at_n0) {
+        if (!config.lazy_bounds || st->n0 >= cs->min_check_at_n0) {
           double cmin_f = st->c_fwd + (l_d - n0_d) * penalty;
           double cmin_b = st->c_bwd + (l_d - n0_d) * penalty;
           counters->bound_evals += 2;
           double cmin = std::max(cmin_f, cmin_b);
           if (cmin >= theta_cp) {
             st->status = kDoneCopy;
-            st->decision_rank = static_cast<uint32_t>(rank);
+            cs->decision_rank = static_cast<uint32_t>(rank);
             ++counters->early_copy;
             Posteriors post = DirectionPosteriors(cmin_f, cmin_b, prior);
             out->Set(lo, hi, PairPosterior{post.indep, post.fwd, post.bwd});
@@ -142,13 +152,13 @@ void ScanShard(const InvertedIndex& index, const PairPlan& plan,
             // next_m - ln(1-s); skip until it could reach theta_cp.
             uint32_t t_min =
                 CeilToU32((theta_cp - cmin) / (next_m - penalty));
-            st->min_check_at_n0 = st->n0 + std::max<uint32_t>(1, t_min);
+            cs->min_check_at_n0 = st->n0 + std::max<uint32_t>(1, t_min);
           }
         }
 
         // ---- Cmax (Eq. 10): conclude no-copying early. ----
-        if (!config.lazy_bounds || n_src[lo] >= st->max_check_at_n1 ||
-            n_src[hi] >= st->max_check_at_n2) {
+        if (!config.lazy_bounds || n_src[lo] >= cs->max_check_at_n1 ||
+            n_src[hi] >= cs->max_check_at_n2) {
           // h: estimated scanned items shared by the pair.
           double cov_lo = static_cast<double>(data.coverage(lo));
           double cov_hi = static_cast<double>(data.coverage(hi));
@@ -163,7 +173,7 @@ void ScanShard(const InvertedIndex& index, const PairPlan& plan,
           counters->bound_evals += 2;
           if (cmax_f < theta_ind && cmax_b < theta_ind) {
             st->status = kDoneNoCopy;
-            st->decision_rank = static_cast<uint32_t>(rank);
+            cs->decision_rank = static_cast<uint32_t>(rank);
             ++counters->early_nocopy;
             Posteriors post = DirectionPosteriors(cmax_f, cmax_b, prior);
             out->Set(lo, hi, PairPosterior{post.indep, post.fwd, post.bwd});
@@ -176,9 +186,9 @@ void ScanShard(const InvertedIndex& index, const PairPlan& plan,
             double cmax = std::max(cmax_f, cmax_b);
             double t0 = std::ceil((cmax - theta_ind) / (next_m - penalty));
             double need = t0 + (h - n0_d);
-            st->max_check_at_n1 =
+            cs->max_check_at_n1 =
                 std::max(n_src[lo] + 1, CeilToU32(need * cov_lo / l_d));
-            st->max_check_at_n2 =
+            cs->max_check_at_n2 =
                 std::max(n_src[hi] + 1, CeilToU32(need * cov_hi / l_d));
           }
         }
@@ -193,15 +203,16 @@ void ScanShard(const InvertedIndex& index, const PairPlan& plan,
     const ScanState& st = pairs[id];
     if (st.n0 == 0) continue;
     const uint64_t key = plan.key(id);
+    const uint32_t l = plan.shared_items(id);
     if (st.status != kActive) {
       if (book != nullptr) {
         PairBook pb;
         pb.c_fwd = st.c_fwd;
         pb.c_bwd = st.c_bwd;
         pb.n_before = st.n0;
-        pb.n_after = st.n_after;
-        pb.l = st.l;
-        pb.decision_rank = st.decision_rank;
+        pb.n_after = cold[id].n_after;
+        pb.l = l;
+        pb.decision_rank = cold[id].decision_rank;
         pb.decision = st.status == kDoneCopy ? int8_t{1} : int8_t{-1};
         (*book)[key] = pb;
       }
@@ -209,7 +220,7 @@ void ScanShard(const InvertedIndex& index, const PairPlan& plan,
     }
     SourceId lo = PairFirst(key);
     SourceId hi = PairSecond(key);
-    double diff = DifferentValuePenalty(penalty, st.l, st.n0);
+    double diff = DifferentValuePenalty(penalty, l, st.n0);
     double c_fwd = st.c_fwd + diff;
     double c_bwd = st.c_bwd + diff;
     counters->finalize_evals += 2;
@@ -221,7 +232,7 @@ void ScanShard(const InvertedIndex& index, const PairPlan& plan,
       pb.c_bwd = st.c_bwd;
       pb.n_before = st.n0;
       pb.n_after = 0;
-      pb.l = st.l;
+      pb.l = l;
       pb.decision_rank = static_cast<uint32_t>(end_rank);
       pb.decision = post.indep <= 0.5 ? int8_t{1} : int8_t{-1};
       (*book)[key] = pb;

@@ -33,17 +33,15 @@ StatusOr<FaginInput> BuildFaginInput(const DetectionInput& in,
     for (size_t i = 0; i + 1 < providers.size(); ++i) {
       // Providers ascend: lo is the smaller source of the whole row.
       const SourceId lo = providers[i];
+      const RowContributionScorer row(e.probability, accs[lo], params);
       for (size_t j = i + 1; j < providers.size(); ++j) {
         const SourceId hi = providers[j];
         uint64_t key = PairKey(lo, hi);
-        double cf =
-            SharedContribution(e.probability, accs[lo], accs[hi], params);
-        double cb =
-            SharedContribution(e.probability, accs[hi], accs[lo], params);
+        const RowContributionScorer::Scores c = row.Score(accs[hi]);
         counters->score_evals += 2;
         ++counters->values_examined;
-        fwd.entries.emplace_back(key, cf);
-        bwd.entries.emplace_back(key, cb);
+        fwd.entries.emplace_back(key, c.fwd);
+        bwd.entries.emplace_back(key, c.bwd);
         ++n_shared[key];
       }
     }

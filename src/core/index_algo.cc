@@ -52,6 +52,7 @@ void ScanShard(const InvertedIndex& index, const PairPlan& plan,
         next += providers.size() - 1 - i;
         continue;
       }
+      const RowContributionScorer row(e.probability, accs[lo], params);
       for (size_t j = i + 1; j < providers.size(); ++j, ++next) {
         const SourceId hi = providers[j];
         IndexPairState& state = pairs[ids[next]];
@@ -59,10 +60,9 @@ void ScanShard(const InvertedIndex& index, const PairPlan& plan,
           if (tail) continue;
           ++counters->pairs_tracked;
         }
-        state.c_fwd +=
-            SharedContribution(e.probability, accs[lo], accs[hi], params);
-        state.c_bwd +=
-            SharedContribution(e.probability, accs[hi], accs[lo], params);
+        const RowContributionScorer::Scores c = row.Score(accs[hi]);
+        state.c_fwd += c.fwd;
+        state.c_bwd += c.bwd;
         counters->score_evals += 2;
         ++counters->values_examined;
         ++state.n_shared;

@@ -68,6 +68,15 @@ inline double ClampProbability(double p) {
   return std::clamp(p, 1e-6, 1.0 - 1e-6);
 }
 
+/// exp(x - m) for a softmax over terms x with maximum m
+/// (DirectionPosteriors, ComputeValueProbs). The term equal to m skips
+/// the exp: exp(+0) and exp(-0) are exactly 1, so the result is
+/// bit-identical to std::exp(x - m) for every input, NaN included.
+inline double ExpOfDifference(double x, double m) {
+  const double d = x - m;
+  return d == 0.0 ? 1.0 : std::exp(d);
+}
+
 }  // namespace copydetect
 
 #endif  // COPYDETECT_CORE_PARAMS_H_

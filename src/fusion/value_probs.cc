@@ -138,12 +138,12 @@ void ComputeValueProbs(const Dataset& data,
     for (SlotId v = begin; v < end; ++v) mx = std::max(mx, votes[v]);
     double z = 0.0;
     for (SlotId v = begin; v < end; ++v) {
-      votes[v] = std::exp(votes[v] - mx);
+      votes[v] = ExpOfDifference(votes[v], mx);
       z += votes[v];
     }
     double unprovided =
         std::max(0.0, params.n + 1.0 - static_cast<double>(provided));
-    z += unprovided * std::exp(0.0 - mx);
+    z += unprovided * ExpOfDifference(0.0, mx);
     for (SlotId v = begin; v < end; ++v) votes[v] = votes[v] / z;
   });
 }

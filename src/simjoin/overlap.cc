@@ -46,26 +46,43 @@ PairPlan PairPlan::Build(const Dataset& data, const OverlapCounts& counts) {
   plan.offsets_[num_slots] = total;
   plan.ids_.resize(total);
 
-  // At most one id per provider pair and per pair of sources.
-  const size_t n = data.num_sources();
-  FlatHashMap<uint32_t> id_of;
-  id_of.Reserve(std::min(total, n * (n - 1) / 2));
-  size_t next = 0;
-  for (SlotId v = 0; v < num_slots; ++v) {
-    std::span<const SourceId> providers = data.providers(v);
-    for (size_t i = 0; i + 1 < providers.size(); ++i) {
-      for (size_t j = i + 1; j < providers.size(); ++j) {
-        const uint64_t key = PairKey(providers[i], providers[j]);
-        auto [id, fresh] = id_of.Insert(key);
-        if (fresh) {
-          *id = static_cast<uint32_t>(plan.keys_.size());
-          plan.keys_.push_back(key);
-          plan.shared_items_.push_back(
-              counts.Get(providers[i], providers[j]));
+  // Ids by first appearance over ascending slots. `cell_of(a, b)` is
+  // the pair's cell of a table that holds id + 1, 0 until numbered.
+  auto number = [&](auto&& cell_of) {
+    size_t next = 0;
+    for (SlotId v = 0; v < num_slots; ++v) {
+      std::span<const SourceId> providers = data.providers(v);
+      for (size_t i = 0; i + 1 < providers.size(); ++i) {
+        for (size_t j = i + 1; j < providers.size(); ++j) {
+          uint32_t& cell = cell_of(providers[i], providers[j]);
+          if (cell == 0) {
+            plan.keys_.push_back(PairKey(providers[i], providers[j]));
+            plan.shared_items_.push_back(
+                counts.Get(providers[i], providers[j]));
+            cell = static_cast<uint32_t>(plan.keys_.size());
+          }
+          plan.ids_[next++] = cell - 1;
         }
-        plan.ids_[next++] = *id;
       }
     }
+  };
+  // A dense triangle over every source pair when it is no larger than
+  // the id array it fills (few sources, many shared values: stock),
+  // else a hash table over the pairs that occur (book).
+  const size_t n = data.num_sources();
+  const size_t all_pairs = n < 2 ? 0 : n * (n - 1) / 2;
+  if (all_pairs <= total) {
+    std::vector<uint32_t> triangle(all_pairs, 0);
+    number([&](SourceId a, SourceId b) -> uint32_t& {
+      const size_t ai = a;
+      return triangle[ai * (2 * n - ai - 1) / 2 + (b - ai - 1)];
+    });
+  } else {
+    FlatHashMap<uint32_t> id_of;
+    id_of.Reserve(total);
+    number([&](SourceId a, SourceId b) -> uint32_t& {
+      return id_of[PairKey(a, b)];
+    });
   }
   plan.keys_.shrink_to_fit();
   plan.shared_items_.shrink_to_fit();

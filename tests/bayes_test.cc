@@ -169,14 +169,54 @@ TEST(PosteriorPrior, MatchesPerCallFormulaBitForBit) {
     DetectionParams params = PaperParams();
     params.alpha = alpha;
     const PosteriorPrior prior(params);
-    for (double cf : scores) {
-      for (double cb : scores) {
+    // Exact ties: a score that puts a direction's log weight on the
+    // independence weight, and (paired with itself) c_fwd == c_bwd
+    // there, so two or three terms share the maximum.
+    std::vector<double> grid = scores;
+    grid.push_back(prior.log_beta - prior.log_alpha);
+    for (double cf : grid) {
+      for (double cb : grid) {
         const Posteriors got = DirectionPosteriors(cf, cb, prior);
         const Posteriors want = PerCallDirectionPosteriors(cf, cb, params);
         const double got_bits[] = {got.indep, got.fwd, got.bwd};
         const double want_bits[] = {want.indep, want.fwd, want.bwd};
         EXPECT_EQ(std::memcmp(got_bits, want_bits, sizeof(got_bits)), 0)
             << "alpha " << alpha << " c_fwd " << cf << " c_bwd " << cb;
+      }
+    }
+  }
+}
+
+TEST(ContributionScorers, MatchSharedContributionBitForBit) {
+  // The clamp limits of p (1e-6, 1 - 1e-6) and of the accuracies
+  // (0.005, 0.995), values beyond them, and interior points.
+  const std::vector<double> probs = {0.0,  1e-9, 1e-6, 0.001, 0.01, 0.3,
+                                     0.5,  0.77, 0.999, 1.0 - 1e-6, 1.0};
+  const std::vector<double> accs = {0.0,  0.001, 0.005, 0.01, 0.2, 0.5,
+                                    0.61, 0.9,   0.995, 0.999, 1.0};
+  auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  for (double s : {0.8, 0.5, 0.1, 0.99}) {
+    for (double n : {100.0, 10.0, 1.0, 7.5}) {
+      DetectionParams params = PaperParams();
+      params.s = s;
+      params.n = n;
+      for (double a1 : accs) {
+        for (double a2 : accs) {
+          const PairContributionScorer pair(a1, a2, params);
+          for (double p : probs) {
+            const RowContributionScorer row(p, a1, params);
+            const double fwd = SharedContribution(p, a1, a2, params);
+            const double bwd = SharedContribution(p, a2, a1, params);
+            const RowContributionScorer::Scores got = row.Score(a2);
+            EXPECT_TRUE(same_bits(pair.Forward(p), fwd) &&
+                        same_bits(pair.Backward(p), bwd) &&
+                        same_bits(got.fwd, fwd) && same_bits(got.bwd, bwd))
+                << "s " << s << " n " << n << " p " << p << " a1 " << a1
+                << " a2 " << a2;
+          }
+        }
       }
     }
   }

@@ -271,12 +271,14 @@ TEST(OverlapCache, AdvancePatchesHeldCountsOrStaysEmpty) {
 // PairPlan: per-run pair ids for the INDEX-family scans.
 
 /// Checks `plan` against `data` and its counts by brute force: ids are
-/// dense and unique, each slot's ids name exactly its provider pairs in
-/// the scans' (i, j > i) order, and each id's l is the counted one.
+/// dense and unique, numbered by first appearance over ascending
+/// slots, each slot's ids name exactly its provider pairs in the scans'
+/// (i, j > i) order, and each id's l is the counted one.
 void ExpectPlanOf(const PairPlan& plan, const Dataset& data,
                   const OverlapCounts& counts) {
   std::set<uint64_t> sharing;  // pairs that share at least one value
   std::vector<uint8_t> seen(plan.num_pairs(), 0);
+  uint32_t fresh = 0;  // the id the next unseen pair must get
   for (SlotId v = 0; v < data.num_slots(); ++v) {
     std::span<const SourceId> providers = data.providers(v);
     std::span<const uint32_t> ids = plan.slot_pairs(v);
@@ -287,6 +289,9 @@ void ExpectPlanOf(const PairPlan& plan, const Dataset& data,
       for (size_t j = i + 1; j < k; ++j, ++next) {
         const uint32_t id = ids[next];
         ASSERT_LT(id, plan.num_pairs()) << "slot " << v;
+        ASSERT_LE(id, fresh) << "slot " << v << ": ids out of "
+                             << "first-appearance order";
+        if (id == fresh) ++fresh;
         EXPECT_EQ(plan.key(id), PairKey(providers[i], providers[j]))
             << "slot " << v << ", pair (" << i << ", " << j << ")";
         seen[id] = 1;
@@ -310,13 +315,45 @@ void ExpectPlanOf(const PairPlan& plan, const Dataset& data,
   EXPECT_EQ(keys, sharing);
 }
 
+/// PairPlan::Build's rule: the dense id triangle when C(n, 2) is at
+/// most the id array's length Σ C(k, 2), else the hash table.
+bool NumbersThroughTriangle(const Dataset& data) {
+  const size_t n = data.num_sources();
+  size_t provider_pairs = 0;
+  for (SlotId v = 0; v < data.num_slots(); ++v) {
+    const size_t k = data.providers(v).size();
+    provider_pairs += k * (k - 1) / 2;
+  }
+  return n * (n - 1) / 2 <= provider_pairs;
+}
+
 TEST(PairPlan, IdsNameEverySlotsProviderPairsInScanOrder) {
   testutil::ExampleFixture fx;
   const OverlapCounts example_counts = ComputeOverlaps(fx.world.data);
   ExpectPlanOf(PairPlan::Build(fx.world.data, example_counts),
                fx.world.data, example_counts);
 
+  // Few pairs share a value: the hash side of the numbering rule.
+  // Slot (b, z) repeats pair (1, 2) after (5, 6)'s slot is numbered
+  // and before (3, 4)'s.
+  DatasetBuilder sparse_builder;
+  for (const char* s : {"s0", "s1", "s2"}) sparse_builder.Add(s, "a", "x");
+  sparse_builder.Add("s3", "a", "y");
+  for (const char* s : {"s1", "s2"}) sparse_builder.Add(s, "b", "z");
+  for (const char* s : {"s5", "s6"}) sparse_builder.Add(s, "b", "w");
+  for (const char* s : {"s3", "s4"}) sparse_builder.Add(s, "c", "x");
+  sparse_builder.Add("s7", "c", "y");
+  auto sparse = sparse_builder.Build();
+  ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+  ASSERT_FALSE(NumbersThroughTriangle(*sparse));
+  const OverlapCounts sparse_counts = ComputeOverlaps(*sparse);
+  const PairPlan sparse_plan = PairPlan::Build(*sparse, sparse_counts);
+  ExpectPlanOf(sparse_plan, *sparse, sparse_counts);
+  EXPECT_EQ(sparse_plan.num_pairs(), 5u);
+
+  // Many shared values among few sources: the triangle side.
   testutil::World world = testutil::SmallWorld(81, 30, 150);
+  ASSERT_TRUE(NumbersThroughTriangle(world.data));
   size_t one_provider_slots = 0;
   for (SlotId v = 0; v < world.data.num_slots(); ++v) {
     if (world.data.providers(v).size() == 1) ++one_provider_slots;

@@ -141,21 +141,38 @@ class FlatHashMap {
     return true;
   }
 
-  /// Visits every (key, value&) pair; `fn(uint64_t, V&)`.
+  /// Visits every (key, value&) pair in storage order;
+  /// `fn(uint64_t, V&)`.
   template <typename Fn>
   void ForEach(Fn&& fn) {
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      if (keys_[i] != kEmptyKey) fn(keys_[i], values_[i]);
-    }
+    ForEachSlot([&](size_t i) { fn(keys_[i], values_[i]); });
   }
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      if (keys_[i] != kEmptyKey) fn(keys_[i], values_[i]);
-    }
+    ForEachSlot([&](size_t i) { fn(keys_[i], values_[i]); });
   }
 
  private:
+  /// Calls `fn(i)` for every occupied slot i, ascending. The occupied
+  /// slots of each block of 16 are gathered without a branch first: at
+  /// the table's load factors a slot is empty about as often as not,
+  /// so a branch per slot would mispredict on every other one. The
+  /// capacity is a power of two of at least 16, a whole number of
+  /// blocks.
+  template <typename Fn>
+  void ForEachSlot(Fn&& fn) const {
+    constexpr size_t kBlock = 16;
+    uint8_t occupied[kBlock];
+    for (size_t base = 0; base < keys_.size(); base += kBlock) {
+      size_t n = 0;
+      for (size_t j = 0; j < kBlock; ++j) {
+        occupied[n] = static_cast<uint8_t>(j);
+        n += keys_[base + j] != kEmptyKey;
+      }
+      for (size_t k = 0; k < n; ++k) fn(base + occupied[k]);
+    }
+  }
+
   static size_t NextPow2(size_t n) {
     size_t p = 16;
     while (p < n) p <<= 1;

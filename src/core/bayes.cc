@@ -59,8 +59,62 @@ struct AccuracyExtremes {
   }
 };
 
+/// One clamped accuracy a with the factors of Eq. 3 and Eq. 4 it
+/// contributes, for a clamped p and q = 1 - p: p·a, q·(1-a) and
+/// CopiedValueProb(p, a) = p·a + q·(1-a), each rounded exactly as the
+/// inline formulas round it.
+struct ClampedAccuracy {
+  ClampedAccuracy(double accuracy, double p, double q)
+      : a(ClampAccuracy(accuracy)),
+        one_minus(1.0 - a),
+        p_a(p * a),
+        q_one_minus(q * one_minus),
+        copied(p_a + q_one_minus) {}
+
+  double a;
+  double one_minus;
+  double p_a;
+  double q_one_minus;
+  double copied;
+};
+
+/// Eq. 6's likelihood ratio CopiedValueProb(p, a2) /
+/// IndependentSharedProb(p, a1, a2) with a1 the copier's accuracy,
+/// in the association of the inline formulas: (p·a1)·a2 +
+/// ((q·(1-a1))·(1-a2))/n.
+double CopyRatio(const ClampedAccuracy& a1, const ClampedAccuracy& a2,
+                 const DetectionParams& params) {
+  return a2.copied /
+         (a1.p_a * a2.a + a1.q_one_minus * a2.one_minus / params.n);
+}
+
+/// ln(1-s+s·r) is monotone in the likelihood ratio r, so the maximizer
+/// maximizes r first and takes a single log — this sits on the
+/// per-entry hot path of every index (re)build.
+double ContributionOfRatio(double r, const DetectionParams& params) {
+  return std::log(1.0 - params.s + params.s * r);
+}
+
 double MaxEntryFromExtremes(const AccuracyExtremes& ex, double p,
-                            const DetectionParams& params);
+                            const DetectionParams& params) {
+  p = ClampProbability(p);
+  const double q = 1.0 - p;
+  const ClampedAccuracy lo(ex.a_min, p, q);
+  const ClampedAccuracy lo2(ex.a_secmin, p, q);
+  const ClampedAccuracy hi(ex.a_max, p, q);
+  const ClampedAccuracy hi2(ex.a_secmax, p, q);
+  // Each argument of the optimum is an extreme of the provider multiset
+  // minus the instance used by the other argument, giving six
+  // candidates (the paper's case 2 — S1 = second-min, S2 = min — is
+  // among them).
+  double best_r = CopyRatio(lo, lo2, params);
+  best_r = std::max(best_r, CopyRatio(lo, hi, params));
+  best_r = std::max(best_r, CopyRatio(hi, lo, params));
+  best_r = std::max(best_r, CopyRatio(hi, hi2, params));
+  best_r = std::max(best_r, CopyRatio(lo2, lo, params));
+  best_r = std::max(best_r, CopyRatio(hi2, hi, params));
+  return ContributionOfRatio(best_r, params);
+}
 
 }  // namespace
 
@@ -83,43 +137,20 @@ double MaxEntryContribution(std::span<const SourceId> providers,
                             std::span<const double> accuracies, double p,
                             const DetectionParams& params) {
   assert(providers.size() >= 2);
+  if (providers.size() == 2) {
+    // Two providers are each other's extremes: the six candidates
+    // are the two orders of the pair, each evaluated three times.
+    p = ClampProbability(p);
+    const double q = 1.0 - p;
+    const ClampedAccuracy x(accuracies[providers[0]], p, q);
+    const ClampedAccuracy y(accuracies[providers[1]], p, q);
+    return ContributionOfRatio(
+        std::max(CopyRatio(x, y, params), CopyRatio(y, x, params)), params);
+  }
   AccuracyExtremes ex;
   for (SourceId s : providers) ex.Observe(accuracies[s]);
   return MaxEntryFromExtremes(ex, p, params);
 }
-
-namespace {
-
-double MaxEntryFromExtremes(const AccuracyExtremes& ex, double p,
-                            const DetectionParams& params) {
-  const double a_min = ex.a_min;
-  const double a_secmin = ex.a_secmin;
-  const double a_max = ex.a_max;
-  const double a_secmax = ex.a_secmax;
-
-  p = ClampProbability(p);
-  // Each argument of the optimum is an extreme of the provider multiset
-  // minus the instance used by the other argument, giving six
-  // candidates (the paper's case 2 — S1 = second-min, S2 = min — is
-  // among them). ln(1-s+s·r) is monotone in the likelihood ratio r, so
-  // maximize r first and take a single log — this sits on the
-  // per-entry hot path of every index (re)build.
-  auto ratio = [&](double a1, double a2) {
-    a1 = ClampAccuracy(a1);
-    a2 = ClampAccuracy(a2);
-    return CopiedValueProb(p, a2) /
-           IndependentSharedProb(p, a1, a2, params);
-  };
-  double best_r = ratio(a_min, a_secmin);
-  best_r = std::max(best_r, ratio(a_min, a_max));
-  best_r = std::max(best_r, ratio(a_max, a_min));
-  best_r = std::max(best_r, ratio(a_max, a_secmax));
-  best_r = std::max(best_r, ratio(a_secmin, a_min));
-  best_r = std::max(best_r, ratio(a_secmax, a_max));
-  return std::log(1.0 - params.s + params.s * best_r);
-}
-
-}  // namespace
 
 double BruteForceMaxEntryContribution(std::span<const double> accuracies,
                                       double p,

@@ -67,7 +67,15 @@ struct CopyGraph {
 ///  1. connected components over pairs with Pr(independent) <= 0.5;
 ///  2. per component, elect the original as the member maximizing the
 ///     sum of incoming "is copied" probability mass
-///     (Σ over partners of Pr(partner copies member));
+///     (Σ over partners of Pr(partner copies member)), ties to the
+///     smallest id. Each sum runs over the member's tracked
+///     in-cluster partners in ascending id order, so it is one fixed
+///     double. It is built in one pass over those pairs sorted by
+///     pair key (smaller id, larger id), adding each pair's two
+///     directions: in key order member x first meets the pairs
+///     (a, x) for its partners a < x, by ascending a, and then the
+///     pairs (x, b) for its partners b > x, by ascending b — its
+///     partners in ascending order;
 ///  3. classify each detected pair: (copier, original) pairs are
 ///     kDirect; pairs of two sources that both have a direct edge to
 ///     the original are kCoCopy; everything else kIndirect.

@@ -30,13 +30,16 @@
 ///  * Compatibility policy: files written by format version N are
 ///    refused (with a Status naming both versions) by readers that
 ///    only know M < N; readers accept versions they know. This
-///    version-2 reader accepts 1 (pre-alignment, always decoded into
-///    copies) and 2.
+///    version-3 reader accepts 1 (pre-alignment, always decoded into
+///    copies), 2 and 3.
 ///
 /// Version 2 additionally aligns every section payload — and every
 /// POD array inside a payload — to an 8-byte file offset, which lets
 /// ReadMapped serve the Dataset arrays and the dense overlap triangle
 /// zero-copy out of the mapped file (the ArrayStore view backend).
+/// Version 3 keeps that layout and deals the checksummed words to
+/// eight independent lanes, so verifying a file no longer waits on one
+/// serial chain; each file is checked with its own version's checksum.
 ///
 /// Read and ReadMapped are one decoder over the file's bytes; they
 /// differ only in where the bytes come from (one sized read vs a
@@ -56,9 +59,11 @@ namespace copydetect {
 namespace snapshot {
 
 /// Current on-disk format version. Version 2 pads sections and POD
-/// arrays to 8-byte alignment (the mmap zero-copy requirement). Bump
-/// on any layout change; readers refuse versions they do not know.
-inline constexpr uint32_t kFormatVersion = 2;
+/// arrays to 8-byte alignment (the mmap zero-copy requirement);
+/// version 3 seals the table and the payloads with the 8-lane checksum
+/// of docs/FORMATS.md. Bump on any layout change; readers refuse
+/// versions they do not know.
+inline constexpr uint32_t kFormatVersion = 3;
 
 /// Oldest version this reader still decodes (into copies, in either
 /// load mode).
@@ -73,7 +78,7 @@ inline constexpr unsigned char kMagic[8] = {'C', 'D', 'S', 'N',
 /// Section ids. The section table is the unit of integrity checking
 /// (one checksum per section) and of forward evolution (new optional
 /// state = new section id + version bump). Ids 1-5 are the session
-/// snapshot sections (versions 1 and 2). Ids 6 and 7 framed the files
+/// snapshot sections (versions 1 to 3). Ids 6 and 7 framed the files
 /// of a retired multi-process mode; they stay reserved, are never
 /// reused, and are refused like any unknown id.
 enum class SectionId : uint32_t {
@@ -159,7 +164,7 @@ StatusOr<std::vector<std::string>> ListSnapshotFiles(
 
 /// Mapped-mode Read(): the same decoder, validation and SessionState,
 /// but over a read-only mapping of the file. When the file is version 2
-/// and the host little-endian, the Dataset's POD/string arrays and the
+/// or later and the host little-endian, the Dataset's POD/string arrays and the
 /// dense overlap triangle are ArrayStore views straight into the
 /// mapping instead of decoded heap copies — peak memory stays at
 /// roughly the resident mapped pages instead of file + decoded copy.

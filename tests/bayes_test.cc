@@ -297,6 +297,92 @@ INSTANTIATE_TEST_SUITE_P(
                       Prop31Case{0.12, 0.3, 5.0},
                       Prop31Case{0.01, 0.99, 1000.0}));
 
+/// The six-candidate maximizer as it read before its terms were hoisted
+/// and two-provider values got their own path, kept verbatim as the
+/// bit-exact oracle of both MaxEntryContribution overloads.
+double ReferenceMaxEntryContribution(const std::vector<double>& accuracies,
+                                     double p,
+                                     const DetectionParams& params) {
+  double a_min = 2.0, a_secmin = 2.0, a_max = -1.0, a_secmax = -1.0;
+  for (double a : accuracies) {
+    if (a <= a_min) {
+      a_secmin = a_min;
+      a_min = a;
+    } else if (a < a_secmin) {
+      a_secmin = a;
+    }
+    if (a >= a_max) {
+      a_secmax = a_max;
+      a_max = a;
+    } else if (a > a_secmax) {
+      a_secmax = a;
+    }
+  }
+  p = ClampProbability(p);
+  auto ratio = [&](double a1, double a2) {
+    a1 = ClampAccuracy(a1);
+    a2 = ClampAccuracy(a2);
+    return CopiedValueProb(p, a2) /
+           IndependentSharedProb(p, a1, a2, params);
+  };
+  double best_r = ratio(a_min, a_secmin);
+  best_r = std::max(best_r, ratio(a_min, a_max));
+  best_r = std::max(best_r, ratio(a_max, a_min));
+  best_r = std::max(best_r, ratio(a_max, a_secmax));
+  best_r = std::max(best_r, ratio(a_secmin, a_min));
+  best_r = std::max(best_r, ratio(a_secmax, a_max));
+  return std::log(1.0 - params.s + params.s * best_r);
+}
+
+TEST(MaxEntryContribution, ProviderOverloadMatchesBitForBit) {
+  // Sources 0-11 sit at, inside and beyond the accuracy clamp limits
+  // (with a tie); the rest are uniform draws. Values take 2 to 6
+  // providers, ascending as a Dataset lists them; p runs through its
+  // clamp limits too.
+  std::vector<double> accuracy = {0.0, 0.001, 0.005, 0.01, 0.2,   0.2,
+                                  0.5, 0.61,  0.9,   0.995, 0.999, 1.0};
+  Rng rng(0x3a7e);
+  while (accuracy.size() < 40) accuracy.push_back(rng.UniformDouble(0, 1));
+  const std::vector<double> probs = {0.0,  1e-9, 1e-6, 0.001, 0.01, 0.3,
+                                     0.5,  0.77, 0.999, 1.0 - 1e-6, 1.0};
+  auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  for (double s : {0.8, 0.5, 0.99}) {
+    for (double n : {100.0, 10.0, 1.0}) {
+      DetectionParams params = PaperParams();
+      params.s = s;
+      params.n = n;
+      for (int trial = 0; trial < 200; ++trial) {
+        const size_t k = 2 + static_cast<size_t>(rng.NextBelow(5));
+        std::vector<SourceId> providers;
+        while (providers.size() < k) {
+          const auto s_id = static_cast<SourceId>(
+              rng.NextBelow(trial < 100 ? 12 : accuracy.size()));
+          if (std::find(providers.begin(), providers.end(), s_id) ==
+              providers.end()) {
+            providers.push_back(s_id);
+          }
+        }
+        std::sort(providers.begin(), providers.end());
+        std::vector<double> accs;
+        for (SourceId id : providers) accs.push_back(accuracy[id]);
+        for (double p : probs) {
+          const double got =
+              MaxEntryContribution(providers, accuracy, p, params);
+          EXPECT_TRUE(
+              same_bits(got, MaxEntryContribution(accs, p, params)) &&
+              same_bits(got, ReferenceMaxEntryContribution(accs, p, params)))
+              << "s " << s << " n " << n << " k " << k << " p " << p;
+          EXPECT_NEAR(got, BruteForceMaxEntryContribution(accs, p, params),
+                      1e-9)
+              << "s " << s << " n " << n << " k " << k << " p " << p;
+        }
+      }
+    }
+  }
+}
+
 TEST(IndependentSharedProb, MatchesEquation3) {
   DetectionParams params = PaperParams();
   // P(D.v)=.01, A1=.4, A2=.2, n=50:

@@ -3,7 +3,7 @@
 
 // A test-side encoder for the legacy TAPE section of docs/FORMATS.md,
 // written from the spec alone (as SpecHash64 re-implements the
-// checksum). The library still reads and validates TAPE but never
+// checksums). The library still reads and validates TAPE but never
 // writes it, so the tests that pin its refusals build TAPE payloads
 // here and splice them into files that snapshot::Write or
 // Session::Save produced.
@@ -41,25 +41,35 @@ inline void WriteFileBytes(const std::string& path,
   ASSERT_TRUE(out.good()) << path;
 }
 
-/// The checksum of docs/FORMATS.md: 8-byte little-endian words (the
-/// last one zero-padded) folded through Mix64 from an FNV-style
-/// length seed.
-inline uint64_t SpecHash64(const uint8_t* data, size_t size) {
-  uint64_t h = 0xcbf29ce484222325ULL ^
-               (static_cast<uint64_t>(size) * 0x100000001b3ULL);
-  size_t i = 0;
-  for (; i + 8 <= size; i += 8) {
-    uint64_t word = 0;
-    std::memcpy(&word, data + i, 8);
-    h = Mix64(h ^ word);
+/// The header's format version, bytes [8, 12).
+inline uint32_t FileVersion(const std::vector<uint8_t>& file) {
+  uint32_t version = 0;
+  std::memcpy(&version, file.data() + 8, 4);
+  return version;
+}
+
+/// The checksums of docs/FORMATS.md, written from the spec alone. The
+/// input is split into 8-byte little-endian words, the last one
+/// zero-padded, and the length seed is
+/// 0xcbf29ce484222325 ^ (size * 0x100000001b3). Versions 1 and 2 fold
+/// every word into one chain h = Mix64(h ^ w) from the seed. Version 3
+/// deals word w to lane w mod 8, lane k starting at seed + k, then
+/// folds the lanes in order into the seed: h = Mix64(h ^ lane_k).
+inline uint64_t SpecHash64(uint32_t version, const uint8_t* data,
+                           size_t size) {
+  const uint64_t seed = 0xcbf29ce484222325ULL ^
+                        (static_cast<uint64_t>(size) * 0x100000001b3ULL);
+  const size_t lanes = version >= 3 ? 8 : 1;
+  std::vector<uint64_t> lane(lanes);
+  for (size_t k = 0; k < lanes; ++k) lane[k] = seed + k;
+  for (size_t w = 0; 8 * w < size; ++w) {
+    uint64_t word = 0;  // little-endian hosts only
+    std::memcpy(&word, data + 8 * w, std::min<size_t>(8, size - 8 * w));
+    lane[w % lanes] = Mix64(lane[w % lanes] ^ word);
   }
-  if (i < size) {
-    uint64_t word = 0;
-    for (size_t j = 0; i + j < size; ++j) {
-      word |= static_cast<uint64_t>(data[i + j]) << (8 * j);
-    }
-    h = Mix64(h ^ word);
-  }
+  if (lanes == 1) return lane[0];
+  uint64_t h = seed;
+  for (uint64_t l : lane) h = Mix64(h ^ l);
   return h;
 }
 
@@ -200,7 +210,8 @@ inline std::vector<uint32_t> SectionIds(const std::vector<uint8_t>& file) {
 
 /// `file` re-framed with one more section, `id` carrying `payload`, at
 /// table position `position` (the end when past it). Every checksum is
-/// recomputed, so only the reader's own validation can refuse it.
+/// recomputed with the one the file's version byte names, so only the
+/// reader's own validation can refuse it.
 inline std::vector<uint8_t> WithSection(const std::vector<uint8_t>& file,
                                         uint32_t id,
                                         const std::vector<uint8_t>& payload,
@@ -222,6 +233,7 @@ inline std::vector<uint8_t> WithSection(const std::vector<uint8_t>& file,
   sections.insert(sections.begin() + std::min(position, sections.size()),
                   Section{id, payload});
 
+  const uint32_t version = FileVersion(file);
   std::vector<uint8_t> out(file.begin(), file.begin() + kFileHeaderSize);
   const uint32_t count = static_cast<uint32_t>(sections.size());
   std::memcpy(out.data() + 24, &count, 4);
@@ -231,7 +243,8 @@ inline std::vector<uint8_t> WithSection(const std::vector<uint8_t>& file,
     while (out.size() % 8 != 0) out.push_back(0);
     const uint64_t offset = out.size();
     const uint64_t size = sections[i].payload.size();
-    const uint64_t sum = SpecHash64(sections[i].payload.data(), size);
+    const uint64_t sum =
+        SpecHash64(version, sections[i].payload.data(), size);
     uint8_t* entry = out.data() + kFileHeaderSize + i * kTableEntrySize;
     std::memset(entry, 0, kTableEntrySize);
     std::memcpy(entry, &sections[i].id, 4);
@@ -241,7 +254,7 @@ inline std::vector<uint8_t> WithSection(const std::vector<uint8_t>& file,
     out.insert(out.end(), sections[i].payload.begin(),
                sections[i].payload.end());
   }
-  const uint64_t meta = SpecHash64(out.data(), table_end);
+  const uint64_t meta = SpecHash64(version, out.data(), table_end);
   std::memcpy(out.data() + table_end, &meta, 8);
   return out;
 }

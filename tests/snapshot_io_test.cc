@@ -36,6 +36,7 @@ using snapshot::OptionField;
 using snapshot::SessionState;
 using testutil::EncodeTape;
 using testutil::FileGeneration;
+using testutil::FileVersion;
 using testutil::kTapeSectionId;
 using testutil::LegacyTape;
 using testutil::LegacyTapeRound;
@@ -285,6 +286,24 @@ TEST(SnapshotIo, WriteIsDeterministic) {
   std::remove(path_b.c_str());
 }
 
+TEST(SnapshotIo, RewritingALoadedFileReproducesItsBytes) {
+  // Read and Write round-trip a version-3 file bit for bit, through
+  // either load mode: every array, raw table layout and checksum.
+  const std::string path = TempPath("rewrite_source.cdsnap");
+  const std::string rewritten = TempPath("rewritten.cdsnap");
+  CD_CHECK_OK(snapshot::Write(path, FullState()));
+  const std::vector<uint8_t> original = ReadFileBytes(path);
+  ASSERT_EQ(original[8], 3u);  // the format version's low byte
+  for (auto read : {&snapshot::Read, &snapshot::ReadMapped}) {
+    auto loaded = read(path);
+    CD_CHECK_OK(loaded.status());
+    CD_CHECK_OK(snapshot::Write(rewritten, *loaded));
+    EXPECT_EQ(ReadFileBytes(rewritten), original);
+  }
+  std::remove(path.c_str());
+  std::remove(rewritten.c_str());
+}
+
 TEST(SnapshotIo, MissingFileIsNotFound) {
   auto loaded = snapshot::Read(TempPath("no_such_file.cdsnap"));
   ASSERT_FALSE(loaded.ok());
@@ -430,15 +449,17 @@ TEST(SnapshotIoCorruption, PayloadFlipFailsTheSectionChecksum) {
   ExpectRefusedBy({kOwned}, PayloadFlipBytes(), "checksum mismatch");
 }
 
-// The checksum is specified in docs/FORMATS.md precisely so an
+// The checksums are specified in docs/FORMATS.md precisely so an
 // independent implementation can verify or craft files; SpecHash64
-// (tests/legacy_tape.h) re-implements it from the spec and forges
+// (tests/legacy_tape.h) re-implements both from the spec and forges
 // consistent files below, doubling as a spec-conformance check.
 
 // Forging helpers over the framing of docs/FORMATS.md: a 32-byte
-// header (section count at byte 24), 32-byte table entries { u32 id,
-// u32 reserved, u64 offset, u64 size, u64 checksum }, then the u64
-// meta checksum over header + table.
+// header (version at byte 8, section count at byte 24), 32-byte table
+// entries { u32 id, u32 reserved, u64 offset, u64 size, u64 checksum },
+// then the u64 meta checksum over header + table. They seal with the
+// checksum of `version`, by default the one the file's version byte
+// names.
 constexpr size_t kHeader = 32;
 
 size_t TableEnd(const std::vector<uint8_t>& bytes) {
@@ -453,20 +474,76 @@ uint64_t EntryField(const std::vector<uint8_t>& bytes, size_t entry,
 }
 
 /// Re-seals the meta checksum after a header or table patch.
-void ResealTable(std::vector<uint8_t>* bytes) {
+void ResealTable(std::vector<uint8_t>* bytes, uint32_t version) {
   const size_t table_end = TableEnd(*bytes);
-  const uint64_t sum = SpecHash64(bytes->data(), table_end);
+  const uint64_t sum = SpecHash64(version, bytes->data(), table_end);
   std::memcpy(bytes->data() + table_end, &sum, 8);
+}
+void ResealTable(std::vector<uint8_t>* bytes) {
+  ResealTable(bytes, FileVersion(*bytes));
 }
 
 /// Re-seals table entry `entry`'s payload checksum after a payload
 /// patch, then the meta checksum over the table that now records it.
-void ResealSection(std::vector<uint8_t>* bytes, size_t entry) {
+void ResealSection(std::vector<uint8_t>* bytes, size_t entry,
+                   uint32_t version) {
   const uint64_t sum =
-      SpecHash64(bytes->data() + EntryField(*bytes, entry, 8),
+      SpecHash64(version, bytes->data() + EntryField(*bytes, entry, 8),
                  EntryField(*bytes, entry, 16));
   std::memcpy(bytes->data() + kHeader + entry * 32 + 24, &sum, 8);
-  ResealTable(bytes);
+  ResealTable(bytes, version);
+}
+void ResealSection(std::vector<uint8_t>* bytes, size_t entry) {
+  ResealSection(bytes, entry, FileVersion(*bytes));
+}
+
+/// `bytes` with every payload and the table sealed with `version`'s
+/// checksum, whatever its version byte says.
+std::vector<uint8_t> SealedWith(std::vector<uint8_t> bytes,
+                                uint32_t version) {
+  for (size_t entry = 0; entry < bytes[24]; ++entry) {
+    ResealSection(&bytes, entry, version);
+  }
+  return bytes;
+}
+
+TEST(SnapshotIoCorruption, ChecksumFollowsTheVersionByte) {
+  const std::vector<uint8_t>& good = GoodFileBytes();
+  ASSERT_EQ(FileVersion(good), snapshot::kFormatVersion);
+  ASSERT_EQ(snapshot::kFormatVersion, 3u);
+  // A fresh Write conforms to the version-3 spec: the meta checksum
+  // and every payload checksum are the 8-lane ones, which differ from
+  // the serial ones of versions 1 and 2.
+  const size_t table_end = TableEnd(good);
+  uint64_t stored = 0;
+  std::memcpy(&stored, good.data() + table_end, 8);
+  EXPECT_EQ(stored, SpecHash64(3, good.data(), table_end));
+  EXPECT_NE(stored, SpecHash64(2, good.data(), table_end));
+  for (size_t entry = 0; entry < good[24]; ++entry) {
+    SCOPED_TRACE("section entry " + std::to_string(entry));
+    const uint8_t* payload = good.data() + EntryField(good, entry, 8);
+    const size_t size = EntryField(good, entry, 16);
+    EXPECT_EQ(EntryField(good, entry, 24), SpecHash64(3, payload, size));
+    EXPECT_NE(EntryField(good, entry, 24), SpecHash64(2, payload, size));
+  }
+  EXPECT_EQ(SealedWith(good, 3), good);
+
+  // Sealed serially, a version-3 file fails its checksums.
+  ExpectRefused(SealedWith(good, 2), "checksum mismatch");
+  // Relabelled version 2 (the same layout), it needs the serial seal:
+  // with lanes it fails, sealed serially it loads.
+  std::vector<uint8_t> relabelled = good;
+  relabelled[8] = 2;
+  ExpectRefused(SealedWith(relabelled, 3), "checksum mismatch");
+  const std::string path = TempPath("relabelled_v2.cdsnap");
+  WriteFileBytes(path, SealedWith(relabelled, 2));
+  for (const auto& [mode, read] : {kOwned, kMapped}) {
+    SCOPED_TRACE(mode);
+    auto loaded = read(path);
+    CD_CHECK_OK(loaded.status());
+    ExpectSameDataset(loaded->data, FullState().data);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotIoCorruption, UnknownSectionIdInAKnownVersionIsRefused) {
@@ -477,7 +554,7 @@ TEST(SnapshotIoCorruption, UnknownSectionIdInAKnownVersionIsRefused) {
   const size_t table_end = TableEnd(bytes);
   uint64_t stored = 0;
   std::memcpy(&stored, bytes.data() + table_end, 8);
-  ASSERT_EQ(stored, SpecHash64(bytes.data(), table_end))
+  ASSERT_EQ(stored, SpecHash64(FileVersion(bytes), bytes.data(), table_end))
       << "docs/FORMATS.md checksum spec drifted from the code";
 
   // Forge: relabel the first section with an id the version does not
@@ -710,6 +787,67 @@ TEST(SnapshotIoCorruption, SparseOverlapKeyOutOfSourceRangeIsRefused) {
   std::memcpy(bytes.data() + sources_at, &four, 4);
   ResealSection(&bytes, 2);
   ExpectRefused(bytes, "OVERLAPS pair key out of source range");
+}
+
+TEST(SnapshotIoCorruption, PairKeyNotNamingTheSmallerSourceFirstIsRefused) {
+  // PairKey always names the smaller source first. A key that does not
+  // would still count as a pair (NumCopying, CopyingPairs) while Get,
+  // PrCopies and IsCopying could never reach it. One forgery per
+  // section that holds pair keys, each with its ids in range.
+  const uint64_t reversed = (uint64_t{3} << 32) | 2;
+  const uint64_t self = (uint64_t{1} << 32) | 1;
+  auto copies_with = [](uint64_t key) {
+    FlatHashMap<PairPosterior> map;
+    map[PairKey(0, 1)] = PairPosterior{0.25, 0.125, 0.625};
+    map[key] = PairPosterior{0.25, 0.625, 0.125};
+    return CopyResult::FromRawMap(std::move(map));
+  };
+
+  SessionState fusion = FullState();
+  fusion.fusion.copies = copies_with(reversed);
+
+  // OVERLAPS: sparse counts spliced in after DATASET, as the writer
+  // lays them out.
+  SessionState plain = FullState();
+  plain.has_overlaps = false;
+  const std::string path = TempPath("no_overlaps.cdsnap");
+  CD_CHECK_OK(snapshot::Write(path, plain));
+  const std::vector<uint8_t> without_overlaps = ReadFileBytes(path);
+  std::remove(path.c_str());
+  FlatHashMap<uint32_t> counts;
+  counts[PairKey(0, 1)] = 2;
+  counts[(uint64_t{2} << 32) | 1] = 1;
+  testutil::PayloadWriter overlaps;
+  overlaps.U64(FileGeneration(without_overlaps));
+  overlaps.U8(0);  // sparse
+  overlaps.U32(4);
+  overlaps.Vec(std::vector<uint32_t>());
+  overlaps.Vec(counts.raw_keys());
+  overlaps.Vec(counts.raw_values());
+
+  LegacyTape tape = FullTape(FileGeneration(GoodFileBytes()));
+  tape.rounds[0].copies = copies_with(self);
+
+  const std::string fusion_path = TempPath("fusion_key.cdsnap");
+  CD_CHECK_OK(snapshot::Write(fusion_path, fusion));
+  const struct {
+    const char* what;
+    std::vector<uint8_t> bytes;
+    const char* needle;
+  } kForgeries[] = {
+      {"FUSION", ReadFileBytes(fusion_path),
+       "FUSION pair key (3, 2) does not name its smaller source first"},
+      {"OVERLAPS",
+       WithSection(without_overlaps, 3, std::move(overlaps).Take(), 2),
+       "OVERLAPS pair key (2, 1) does not name its smaller source first"},
+      {"TAPE", WithTape(GoodFileBytes(), tape),
+       "TAPE pair key (1, 1) does not name its smaller source first"},
+  };
+  std::remove(fusion_path.c_str());
+  for (const auto& forgery : kForgeries) {
+    SCOPED_TRACE(forgery.what);
+    ExpectRefused(forgery.bytes, forgery.needle);
+  }
 }
 
 // --- Non-regular files: every reader refuses them at the opener with an
